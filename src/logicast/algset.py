@@ -122,8 +122,6 @@ def _poly_value_table(q: Poly, m: int) -> np.ndarray:
 def zeros(ps: PolySet) -> AlgSet:
     """The points where every polynomial of the set vanishes."""
     _check_m(ps.m)
-    if ps.m > M_MAX:
-        raise UniverseTooLarge(f"2^{ps.m} assignments exceed the supported 2^{M_MAX}")
     violated = np.zeros(1 << ps.m, dtype=np.uint8)
     for q in ps.polys:
         violated |= _poly_value_table(q, ps.m)

@@ -1,13 +1,16 @@
 """Bit-level coding primitives: Elias-delta integers and enumerative subset codes.
 
 Every multi-bit field is written most-significant-bit first, and bytes are
-filled from bit 7 downward; the final byte is zero-padded. Subset ranks use
-the colexicographic order on k-subsets of {0, ..., n-1}, 0-based.
+filled from bit 7 downward; the final byte is zero-padded. A bit string is
+held as one integer plus its length (:class:`Bits`), so fields are written
+and read with one shift each. Subset ranks use the colexicographic order on
+k-subsets of {0, ..., n-1}, 0-based.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -23,11 +26,46 @@ from .errors import (
 _MAX_ELIAS_WIDTH_BITS = 57
 
 
+@dataclass(frozen=True)
+class Bits:
+    """A packed bit string: `nbits` bits held MSB-first in one integer."""
+
+    value: int
+    nbits: int
+
+    def __post_init__(self) -> None:
+        if self.nbits < 0 or self.value < 0 or self.value >> self.nbits:
+            raise DomainError(f"value {self.value} is not a {self.nbits}-bit string")
+
+    def __len__(self) -> int:
+        return self.nbits
+
+    def to_bytes(self) -> bytes:
+        """The bits followed by zero padding up to the byte boundary."""
+        pad = -self.nbits % 8
+        return (self.value << pad).to_bytes((self.nbits + pad) // 8, "big")
+
+
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def bits_to_int(bits: Iterable[int]) -> int:
+    """A sequence of 0/1 ints read as one big-endian integer."""
+    try:
+        # iterate, so a numpy array of wide ints is not read as its raw buffer
+        raw = bytes(iter(bits))
+    except (TypeError, ValueError):
+        raise DomainError("bits must be 0 or 1") from None
+    if raw.translate(None, b"\x00\x01"):
+        raise DomainError("bits must be 0 or 1")
+    return int(raw.translate(_ASCII_BITS) or b"0", 2)
+
+
 class BitWriter:
-    """Append-only bit buffer, packed MSB-first."""
+    """Append-only bit buffer, packed MSB-first into one integer."""
 
     def __init__(self) -> None:
-        self._bytes = bytearray()
+        self._value = 0
         self._nbits = 0
 
     @property
@@ -37,12 +75,7 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         if bit not in (0, 1):
             raise DomainError(f"bit must be 0 or 1, got {bit!r}")
-        pos = self._nbits & 7
-        if pos == 0:
-            self._bytes.append(0)
-        if bit:
-            self._bytes[-1] |= 0x80 >> pos
-        self._nbits += 1
+        self.write_bits(int(bit), 1)
 
     def write_bits(self, value: int, width: int) -> None:
         """Write `value` in exactly `width` bits, big-endian."""
@@ -50,90 +83,89 @@ class BitWriter:
             raise DomainError(f"width must be >= 0, got {width}")
         if value < 0 or value >> width:
             raise WidthOverflow(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self._value = (self._value << width) | value
+        self._nbits += width
 
     def write_elias_delta(self, n: int) -> None:
-        for bit in elias_delta_encode(n):
-            self.write_bit(bit)
+        self.write_bits(*_elias_delta_codeword(n))
 
-    def extend(self, other: "BitWriter") -> None:
-        for i in range(other._nbits):
-            self.write_bit((other._bytes[i >> 3] >> (7 - (i & 7))) & 1)
+    def to_bits(self) -> Bits:
+        return Bits(self._value, self._nbits)
 
     def to_bytes(self) -> bytes:
-        return bytes(self._bytes)
+        return self.to_bits().to_bytes()
 
 
 class BitReader:
-    """Sequential reader over bytes produced by :class:`BitWriter`."""
+    """Sequential reader over packed bits: bytes from :class:`BitWriter`, or Bits."""
 
-    def __init__(self, data: bytes, bit_offset: int = 0) -> None:
-        self._data = data
-        self._pos = bit_offset
-        self._end = 8 * len(data)
+    def __init__(self, data: bytes | Bits, bit_offset: int = 0) -> None:
+        if isinstance(data, Bits):
+            self._value, self._end = data.value, data.nbits
+        else:
+            self._value, self._end = int.from_bytes(data, "big"), 8 * len(data)
         if bit_offset < 0 or bit_offset > self._end:
             raise DomainError(f"bit_offset {bit_offset} outside stream")
+        self._pos = bit_offset
 
     @property
     def bits_read(self) -> int:
         return self._pos
 
     def read_bit(self) -> int:
-        if self._pos >= self._end:
-            raise TruncatedStream("bit stream exhausted")
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
+        return self.read_bits(1)
 
     def read_bits(self, width: int) -> int:
         if width < 0:
             raise DomainError(f"width must be >= 0, got {width}")
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        after = self._end - self._pos - width
+        if after < 0:
+            raise TruncatedStream("bit stream exhausted")
+        self._pos += width
+        return (self._value >> after) & ((1 << width) - 1)
 
     def read_elias_delta(self) -> int:
-        zeros = 0
-        while True:
-            if self.read_bit():
-                break
-            zeros += 1
-            if zeros > _MAX_ELIAS_WIDTH_BITS:
-                raise MalformedCodeword("Elias-delta length prefix out of range")
-        # `zeros + 1` bits encode L = 1 + floor(log2 n); leading 1 already read.
+        left = self._end - self._pos
+        # zeros before the next 1, counted in one step
+        zeros = left - (self._value & ((1 << left) - 1)).bit_length()
+        if zeros > _MAX_ELIAS_WIDTH_BITS:
+            raise MalformedCodeword("Elias-delta length prefix out of range")
+        if zeros == left:
+            raise TruncatedStream("bit stream exhausted")
+        # `zeros + 1` bits encode L = 1 + floor(log2 n); skip the leading 1.
+        self._pos += zeros + 1
         length = (1 << zeros) | self.read_bits(zeros)
-        return (1 << (length - 1)) | self.read_bits(length - 1)
+        # read before shifting, so a corrupt length fails as truncation
+        # instead of allocating 2^length bits
+        low = self.read_bits(length - 1)
+        return (1 << (length - 1)) | low
 
 
-def elias_delta_encode(n: int) -> list[int]:
-    """Elias-delta codeword of a positive integer, as a list of bits."""
+def _elias_delta_codeword(n: int) -> tuple[int, int]:
+    """Elias-delta codeword of a positive integer, as (value, width)."""
     if n <= 0:
         raise DomainError(f"Elias-delta encodes positive integers, got {n}")
     nbits = n.bit_length()
     lbits = nbits.bit_length()
-    bits = [0] * (lbits - 1)
-    bits.extend((nbits >> s) & 1 for s in range(lbits - 1, -1, -1))
-    bits.extend((n >> s) & 1 for s in range(nbits - 2, -1, -1))
-    return bits
+    # lbits - 1 zeros, nbits in lbits bits, then n below its leading 1
+    low = nbits - 1
+    return (nbits << low) | (n ^ (1 << low)), 2 * lbits - 1 + low
+
+
+def elias_delta_encode(n: int) -> list[int]:
+    """Elias-delta codeword of a positive integer, as a list of bits."""
+    value, width = _elias_delta_codeword(n)
+    return [(value >> s) & 1 for s in range(width - 1, -1, -1)]
 
 
 def elias_delta_decode(bits: Sequence[int]) -> tuple[int, int]:
     """Decode one codeword from a bit sequence; returns (value, bits consumed)."""
-    packed = BitWriter()
-    for b in bits:
-        packed.write_bit(b)
-    reader = BitReader(packed.to_bytes())
+    reader = BitReader(Bits(bits_to_int(bits), len(bits)))
     try:
         value = reader.read_elias_delta()
     except TruncatedStream:
         raise TruncatedStream("incomplete Elias-delta codeword") from None
-    used = reader.bits_read
-    if used > len(bits):
-        raise TruncatedStream("incomplete Elias-delta codeword")
-    return value, used
+    return value, reader.bits_read
 
 
 def elias_delta_length(n: int) -> int:

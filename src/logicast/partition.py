@@ -7,17 +7,16 @@ from which any binary vector consistent with the constraints can be
 rebuilt.  Free positions carry no distortion penalty, so the measure of
 success is stream length, not reconstruction of the free cells.
 
-Three codecs live here.
+Two codecs live here.
 
-* ``naive``: transmit one constrained side as a ranked subset.  Costs
-  about H(p) bits per coordinate where p is that side's density.
 * ``random``: scan a shared random codebook for the first row that
   matches every constrained cell, transmit the row index.  Approaches
   the optimum (a + b) * H(a / (a + b)) bits per coordinate, written
   :func:`lambda_fn`, at the price of an exponential search.
 * ``linear``: solve for a combination of shared random rows that
-  matches the constrained cells, transmit the combination.  Same
-  leading term as ``random`` but polynomial work.
+  matches the constrained cells, transmit the combination.  Polynomial
+  work, but one bit per constrained cell: a + b bits per coordinate,
+  which meets :func:`lambda_fn` only when a = b.
 
 Both shared-randomness codecs draw their codebooks from a splitmix64
 keystream (see :mod:`logicast.randomness`), so encoder and decoder only
@@ -34,20 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitcodec import (
-    BitReader,
-    binom,
-    elias_delta_encode,
-    rank_width,
-    subset_rank,
-    subset_unrank,
-)
-from .errors import (
-    DomainError,
-    DuplicateColumns,
-    MalformedCodeword,
-    SearchExhausted,
-)
+from .bitcodec import BitReader, binom, elias_delta_encode
+from .errors import DomainError, DuplicateColumns, SearchExhausted
 from .randomness import MASK64, draw_array
 
 FREE = 2
@@ -104,11 +91,6 @@ class TernaryVector:
         return f"TernaryVector({self.to_string()!r})"
 
 
-def rho(want: int, got: int) -> int:
-    """Per-coordinate distortion: 1 on a violated constraint, else 0."""
-    return 1 if want != FREE and want != got else 0
-
-
 def total_distortion(x: TernaryVector, y: Sequence[int]) -> int:
     arr = np.asarray(y)
     if arr.shape != (x.n,):
@@ -142,74 +124,6 @@ def lambda_fn(p_a: float, p_b: float) -> float:
         return 0.0
     total = p_a + p_b
     return total * binary_entropy(p_a / total)
-
-
-def shannon_partition_bounds(n: int, p_a: float, p_b: float) -> tuple[float, float]:
-    """Per-coordinate bounds (lower, upper) on the achievable mean rate.
-
-    The lower bound is :func:`lambda_fn`; the upper bound adds the
-    overhead of the linear codec, 2*log2(n * lambda) + 3 bits spread
-    over n coordinates.  The log term is clamped at zero so the bound
-    stays meaningful when lambda vanishes.
-    """
-    if n <= 0:
-        raise DomainError(f"block length must be positive, got {n}")
-    if p_a < 0.0 or p_b < 0.0 or p_a + p_b > 1.0:
-        raise DomainError(f"({p_a}, {p_b}) is not a pair of disjoint densities")
-    lam = lambda_fn(p_a, p_b)
-    log_term = 2.0 * math.log2(n * lam) if n * lam > 1.0 else 0.0
-    return lam, lam + (log_term + 3.0) / n
-
-
-# --------------------------------------------------------------------------
-# naive codec: send one side as a ranked subset
-
-
-def _side_set(x: TernaryVector, side: str) -> np.ndarray:
-    if side == "A":
-        return np.flatnonzero(x.entries == 0)
-    if side == "B":
-        return np.flatnonzero(x.entries == 1)
-    raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-
-
-def naive_encode(x: TernaryVector, side: str) -> list[int]:
-    """Elias-delta size header, then the colex rank of the chosen side.
-
-    Side A carries the zero set and reconstructs to 1 elsewhere; side B
-    is the mirror image.  The decoder must be told the side out of band.
-    """
-    members = _side_set(x, side)
-    k = int(members.size)
-    bits = elias_delta_encode(k + 1)
-    rank = subset_rank(x.n, members.tolist())
-    width = rank_width(x.n, k)
-    bits.extend((rank >> s) & 1 for s in range(width - 1, -1, -1))
-    return bits
-
-
-def naive_decode(reader: BitReader, n: int, side: str) -> np.ndarray:
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    k = reader.read_elias_delta() - 1
-    if k > n:
-        raise MalformedCodeword(f"subset size {k} exceeds universe {n}")
-    rank = reader.read_bits(rank_width(n, k))
-    members = list(subset_unrank(n, k, rank))
-    if side == "A":
-        y = np.ones(n, dtype=np.uint8)
-        y[members] = 0
-    else:
-        y = np.zeros(n, dtype=np.uint8)
-        y[members] = 1
-    return y
-
-
-def cheaper_side(x: TernaryVector) -> str:
-    """The side whose naive codeword is shorter, preferring A on ties."""
-    if len(naive_encode(x, "A")) <= len(naive_encode(x, "B")):
-        return "A"
-    return "B"
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +209,8 @@ def random_encode(
 
 
 def random_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.ndarray:
-    return _biased_row(shared, reader.read_elias_delta(), n)
+    j, _ = read_codeword(reader, "random")
+    return _biased_row(shared, j, n)
 
 
 # --------------------------------------------------------------------------
@@ -361,12 +276,23 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
 
 
 def linear_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.ndarray:
-    j = reader.read_elias_delta()
+    j, combo = read_codeword(reader, "linear")
     y = np.zeros(n, dtype=np.uint8)
-    for row in range(1, j + 1):
-        if reader.read_bit():
+    # row 1's bit was sent first, so it is the top bit of the combination
+    for row, bit in enumerate(f"{combo:0{j}b}", start=1):
+        if bit == "1":
             y ^= _fair_row(shared.seed, row, n)
     return y
+
+
+def read_codeword(reader: BitReader, codec: str) -> tuple[int, int]:
+    """Fields (J, combination bits) of one codeword of either codec.
+
+    The random codec sends only its row index J, so its combination is 0;
+    the linear codec follows J with J combination bits, row 1 first.
+    """
+    j = reader.read_elias_delta()
+    return j, reader.read_bits(j) if codec == "linear" else 0
 
 
 # --------------------------------------------------------------------------

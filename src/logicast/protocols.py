@@ -29,8 +29,10 @@ import numpy as np
 
 from .algset import M_MAX, AlgSet, entails, reconstruct, zeros
 from .bitcodec import (
+    Bits,
     BitReader,
     BitWriter,
+    bits_to_int,
     elias_delta_encode,
     rank_width,
     subset_rank,
@@ -50,6 +52,7 @@ from .partition import (
     linear_encode,
     random_decode,
     random_encode,
+    read_codeword,
 )
 from .poly import PolySet
 from .randomness import MASK64, derive_seed
@@ -79,7 +82,7 @@ class Transmission:
     codec: str | None
     seed: int
     params: tuple[int, int, int, int]
-    payload: tuple[int, ...]
+    payload: Bits
 
     def __post_init__(self) -> None:
         if self.scenario not in _TAG_OF:
@@ -105,17 +108,25 @@ class Transmission:
         head += self.seed.to_bytes(8, "big")
         for p in self.params:
             head += p.to_bytes(2, "big")
-        body = BitWriter()
-        for bit in self.payload:
-            body.write_bit(bit)
-        return bytes(head) + body.to_bytes()
+        return bytes(head) + self.payload.to_bytes()
 
 
-def _payload_reader(tx: Transmission) -> BitReader:
-    body = BitWriter()
-    for bit in tx.payload:
-        body.write_bit(bit)
-    return BitReader(body.to_bytes())
+# --------------------------------------------------------------------------
+# count + rank codeword: a k-subset of {0..n-1} as elias(k + 1), then its
+# colex rank in rank_width(n, k) bits
+
+
+def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
+    writer.write_elias_delta(len(members) + 1)
+    writer.write_bits(subset_rank(n, members), rank_width(n, len(members)))
+
+
+def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
+    """(k, rank) of one count + rank codeword over n candidates."""
+    k = reader.read_elias_delta() - 1
+    if k > n:
+        raise MalformedCodeword(f"zero set size {k} exceeds the {n} candidates")
+    return k, reader.read_bits(rank_width(n, k))
 
 
 # --------------------------------------------------------------------------
@@ -154,13 +165,11 @@ def _empirical_pair(entries: np.ndarray) -> tuple[float, float]:
 def t1_encode(s: PolySet, seed: int = 0, p_s: float | None = None) -> Transmission:
     zs = zeros(s)
     n = 1 << s.m
-    bits = elias_delta_encode(zs.size + 1)
-    rank = subset_rank(n, zs.points_list())
-    width = rank_width(n, zs.size)
-    bits.extend((rank >> sh) & 1 for sh in range(width - 1, -1, -1))
+    body = BitWriter()
+    _write_ranked(body, n, zs.points_list())
     dens = p_s if p_s is not None else zs.size / n
     return Transmission(
-        "t1", s.m, None, seed, (quantize_param(dens), 0, 0, 0), tuple(bits)
+        "t1", s.m, None, seed, (quantize_param(dens), 0, 0, 0), body.to_bits()
     )
 
 
@@ -168,11 +177,7 @@ def t1_decode(tx: Transmission) -> PolySet:
     if tx.scenario != "t1":
         raise DomainError(f"expected a t1 transmission, got {tx.scenario}")
     n = 1 << tx.m
-    reader = _payload_reader(tx)
-    k = reader.read_elias_delta() - 1
-    if k > n:
-        raise MalformedCodeword(f"zero set size {k} exceeds universe {n}")
-    members = subset_unrank(n, k, reader.read_bits(rank_width(n, k)))
+    members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
     return reconstruct(AlgSet.from_points(tx.m, members))
 
 
@@ -216,11 +221,8 @@ def _ranked_within(
         raise NotEntailed("statements do not entail the background")
     zs, zr = zeros(s), zeros(r)
     position = {pt: i for i, pt in enumerate(zr.points_list())}
-    members = [position[pt] for pt in zs.points_list()]
-    bits = elias_delta_encode(zs.size + 1)
-    rank = subset_rank(zr.size, members)
-    width = rank_width(zr.size, zs.size)
-    bits.extend((rank >> sh) & 1 for sh in range(width - 1, -1, -1))
+    body = BitWriter()
+    _write_ranked(body, zr.size, [position[pt] for pt in zs.points_list()])
     n = 1 << s.m
     dens_s = p_s if p_s is not None else zs.size / n
     dens_r = p_r if p_r is not None else zr.size / n
@@ -230,7 +232,7 @@ def _ranked_within(
         None,
         seed,
         (quantize_param(dens_s), quantize_param(dens_r), 0, 0),
-        tuple(bits),
+        body.to_bits(),
     )
 
 
@@ -240,11 +242,8 @@ def t2_decode(tx: Transmission, r: PolySet) -> PolySet:
     if r.m != tx.m:
         raise DomainError(f"background universe {r.m} does not match header {tx.m}")
     points = zeros(r).points_list()
-    reader = _payload_reader(tx)
-    k = reader.read_elias_delta() - 1
-    if k > len(points):
-        raise MalformedCodeword(f"zero set size {k} exceeds background {len(points)}")
-    members = subset_unrank(len(points), k, reader.read_bits(rank_width(len(points), k)))
+    n = len(points)
+    members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
     return reconstruct(AlgSet.from_points(tx.m, [points[i] for i in members]))
 
 
@@ -264,22 +263,24 @@ def _side_shared(seed: int, q_zero: int, q_query: int) -> SharedRandomness:
     return SharedRandomness(seed, Fraction(q_zero, q_zero + q_one))
 
 
-def _encode_partition(
-    x: TernaryVector, codec: str, seed: int, q_zero: int, q_query: int
-) -> list[int]:
+def _write_partition(
+    body: BitWriter, x: TernaryVector, codec: str, seed: int, q_zero: int, q_query: int
+) -> None:
     shared = _side_shared(seed, q_zero, q_query)
     if codec == "linear":
-        return linear_encode(x, shared)
-    if codec != "random":
+        bits = linear_encode(x, shared)
+    elif codec != "random":
         raise DomainError(f"unknown codec {codec!r}")
-    if q_zero == 0:
+    elif q_zero == 0:
         if np.any(x.entries == 0):
             raise DomainError("law claims an empty zero side against the vector")
         # bias 0 makes every codebook cell 1, so row 1 matches outright
-        return elias_delta_encode(1)
-    return random_encode(
-        x, q_zero / PARAM_SCALE, (PARAM_SCALE - q_query) / PARAM_SCALE, shared
-    )
+        bits = elias_delta_encode(1)
+    else:
+        bits = random_encode(
+            x, q_zero / PARAM_SCALE, (PARAM_SCALE - q_query) / PARAM_SCALE, shared
+        )
+    body.write_bits(bits_to_int(bits), len(bits))
 
 
 def _decode_partition(
@@ -304,15 +305,16 @@ def t4_encode(
     emp_s, emp_q = _empirical_pair(x.entries)
     qs = quantize_param(p_s if p_s is not None else emp_s)
     qq = quantize_param(p_q if p_q is not None else emp_q)
-    bits = _encode_partition(x, codec, seed, qs, qq)
-    return Transmission("t4", s.m, codec, seed, (qs, qq, 0, 0), tuple(bits))
+    body = BitWriter()
+    _write_partition(body, x, codec, seed, qs, qq)
+    return Transmission("t4", s.m, codec, seed, (qs, qq, 0, 0), body.to_bits())
 
 
 def t4_decode(tx: Transmission) -> PolySet:
     if tx.scenario != "t4":
         raise DomainError(f"expected a t4 transmission, got {tx.scenario}")
     n = 1 << tx.m
-    reader = _payload_reader(tx)
+    reader = BitReader(tx.payload)
     y = _decode_partition(reader, n, tx.codec, tx.seed, tx.params[0], tx.params[1])
     return reconstruct(AlgSet.from_bool_array(tx.m, y == 0))
 
@@ -341,14 +343,14 @@ def t5_encode(
         cout = _empirical_pair(outside) if outside.size else (0.0, 0.0)
         conditionals = (*cin, *cout)
     qp = tuple(quantize_param(c) for c in conditionals)
-    bits: list[int] = []
+    body = BitWriter()
     if inside.size:
-        bits += _encode_partition(TernaryVector(inside), codec, seed, qp[0], qp[1])
+        _write_partition(body, TernaryVector(inside), codec, seed, qp[0], qp[1])
     if outside.size:
-        bits += _encode_partition(
-            TernaryVector(outside), codec, derive_seed(seed, 1), qp[2], qp[3]
+        _write_partition(
+            body, TernaryVector(outside), codec, derive_seed(seed, 1), qp[2], qp[3]
         )
-    return Transmission("t5", s.m, codec, seed, qp, tuple(bits))
+    return Transmission("t5", s.m, codec, seed, qp, body.to_bits())
 
 
 def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
@@ -359,7 +361,7 @@ def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
     n = 1 << tx.m
     mask = zeros(r).to_bool_array()
     inner = int(np.count_nonzero(mask))
-    reader = _payload_reader(tx)
+    reader = BitReader(tx.payload)
     y = np.empty(n, dtype=np.uint8)
     if inner:
         y[mask] = _decode_partition(
@@ -377,41 +379,22 @@ def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
 # stream framing
 
 
-def _scan_codeword(reader: BitReader, codec: str) -> None:
-    j = reader.read_elias_delta()
-    if codec == "linear":
-        reader.read_bits(j)
-
-
 def _scan_payload(
     scenario: str, codec: str | None, m: int, reader: BitReader, r: PolySet | None
 ) -> None:
-    n = 1 << m
     if scenario == "t1":
-        k = reader.read_elias_delta() - 1
-        if k > n:
-            raise MalformedCodeword(f"zero set size {k} exceeds universe {n}")
-        reader.read_bits(rank_width(n, k))
-        return
-    if scenario in ("t2", "t3"):
-        if r is None:
-            raise DomainError(f"{scenario} payloads delimit only with the background")
-        size = zeros(r).size
-        k = reader.read_elias_delta() - 1
-        if k > size:
-            raise MalformedCodeword(f"zero set size {k} exceeds background {size}")
-        reader.read_bits(rank_width(size, k))
-        return
-    if scenario == "t4":
-        _scan_codeword(reader, codec)
-        return
-    if r is None:
-        raise DomainError("t5 payloads delimit only with the background")
-    inner = zeros(r).size
-    if inner:
-        _scan_codeword(reader, codec)
-    if n - inner:
-        _scan_codeword(reader, codec)
+        _read_ranked(reader, 1 << m)
+    elif scenario == "t4":
+        read_codeword(reader, codec)
+    elif r is None:
+        raise DomainError(f"{scenario} payloads delimit only with the background")
+    elif scenario in ("t2", "t3"):
+        _read_ranked(reader, zeros(r).size)
+    else:
+        inner = zeros(r).size
+        for side in (inner, (1 << m) - inner):
+            if side:
+                read_codeword(reader, codec)
 
 
 def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
@@ -459,7 +442,6 @@ def read_transmission(
     scanner = BitReader(data, bit_offset=start)
     _scan_payload(scenario, codec, m, scanner, r)
     nbits = scanner.bits_read - start
-    collector = BitReader(data, bit_offset=start)
-    payload = tuple(collector.read_bit() for _ in range(nbits))
+    payload = Bits(BitReader(data, bit_offset=start).read_bits(nbits), nbits)
     tx = Transmission(scenario, m, codec, seed, params, payload)
     return tx, offset + HEADER_BYTES + (nbits + 7) // 8

@@ -212,6 +212,11 @@ def _elias_overhead(k: float, c: float) -> float:
     return lg + 2.0 * math.log2(lg) + c
 
 
+def _linear_rate(density: float, n: float) -> float:
+    """Linear-codec bits per point: one per constrained cell, plus elias(J)."""
+    return density + _elias_overhead(n * density + 2.0, 5.0) / n
+
+
 def _analytic_bounds(
     scenario: str, law: LawSpec, m: int, codec: str | None
 ) -> tuple[float, float]:
@@ -245,7 +250,7 @@ def _analytic_bounds(
         lam = lambda_fn(a, b)
         lo += w * lam
         if codec == "linear":
-            up += w * (a + b) + _elias_overhead(w * n * (a + b) + 2.0, 5.0) / n
+            up += _linear_rate(w * (a + b), n)
         else:
             nl = w * n * lam
             lg = math.log2(nl) if nl > 1.0 else 0.0
@@ -381,7 +386,7 @@ def sweep_lambda_vs_naive(
         if not (0.0 <= p_a and 0.0 <= p_b and p_a + p_b <= 1.0):
             raise DomainError(f"({p_a}, {p_b}) lies outside the simplex")
         lam = lambda_fn(p_a, p_b)
-        lin = (p_a + p_b) + _elias_overhead(n * (p_a + p_b) + 2.0, 5.0) / n
+        lin = _linear_rate(p_a + p_b, n)
         rows.append(
             f"{p_a:.6f},{p_b:.6f},{binary_entropy(p_a):.6f},"
             f"{binary_entropy(p_b):.6f},{lin:.6f},{lam:.6f}"

@@ -3,14 +3,17 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicast.bitcodec import (
+    Bits,
     BitReader,
     BitWriter,
     binom,
+    bits_to_int,
     elias_delta_decode,
     elias_delta_encode,
     elias_delta_length,
@@ -20,6 +23,7 @@ from logicast.bitcodec import (
 )
 from logicast.errors import (
     DomainError,
+    MalformedCodeword,
     RankOutOfRange,
     TruncatedStream,
     WidthOverflow,
@@ -244,3 +248,136 @@ def test_stream_roundtrip_random_fields(fields):
     r = BitReader(data)
     for value, width in wrote:
         assert r.read_bits(width) == value
+
+
+# ------------------------------------------- packed stream against bit lists
+# The reference keeps the stream as a plain list of 0/1 ints and packs it
+# with numpy, so it shares no code with the integer-backed writer/reader.
+
+
+def _field_bits(value: int, width: int) -> list[int]:
+    return [(value >> s) & 1 for s in range(width - 1, -1, -1)]
+
+
+def _packed(bits: list[int]) -> bytes:
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+def _unpacked(data: bytes) -> list[int]:
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+
+
+def _reference_field(bits: list[int], pos: int, width: int) -> tuple[int, int]:
+    if pos + width > len(bits):
+        raise TruncatedStream("reference ran out")
+    return int("".join(map(str, bits[pos : pos + width])) or "0", 2), pos + width
+
+
+def _reference_elias(bits: list[int], pos: int) -> tuple[int, int]:
+    """(value, end) of the Elias-delta codeword at `pos`, read bit by bit."""
+    zeros = 0
+    while True:
+        if pos >= len(bits):
+            raise TruncatedStream("reference ran out")
+        if bits[pos]:
+            break
+        zeros += 1
+        pos += 1
+        if zeros > 57:
+            raise MalformedCodeword("reference prefix cap")
+    length, pos = _reference_field(bits, pos, zeros + 1)
+    low, pos = _reference_field(bits, pos, length - 1)
+    return (1 << (length - 1)) | low, pos
+
+
+_fields = st.lists(
+    st.integers(min_value=0, max_value=200).flatmap(
+        lambda w: st.tuples(st.integers(min_value=0, max_value=(1 << w) - 1), st.just(w))
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(_fields)
+def test_writer_matches_packbits_reference(fields):
+    w = BitWriter()
+    ref: list[int] = []
+    for value, width in fields:
+        w.write_bits(value, width)
+        ref += _field_bits(value, width)
+    assert w.bit_length == len(ref)
+    assert w.to_bytes() == _packed(ref)
+    assert w.to_bits() == Bits(int("".join(map(str, ref)) or "0", 2), len(ref))
+    assert w.to_bits().to_bytes() == _packed(ref)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=40), st.data())
+def test_reader_matches_reference_at_any_offset(data, draw):
+    ref = _unpacked(data)
+    offset = draw.draw(st.integers(min_value=0, max_value=len(ref)))
+    widths = draw.draw(st.lists(st.integers(min_value=0, max_value=90), max_size=8))
+    r = BitReader(data, bit_offset=offset)
+    pos = offset
+    for width in widths:
+        if pos + width > len(ref):
+            with pytest.raises(TruncatedStream):
+                r.read_bits(width)
+            return
+        want, pos = _reference_field(ref, pos, width)
+        assert r.read_bits(width) == want
+        assert r.bits_read == pos
+
+
+@settings(max_examples=500)
+@given(st.binary(max_size=40), st.data())
+def test_elias_reader_on_arbitrary_bytes(data, draw):
+    """Any input decodes like the reference or raises one of its two errors."""
+    ref = _unpacked(data)
+    offset = draw.draw(st.integers(min_value=0, max_value=len(ref)))
+    try:
+        want = _reference_elias(ref, offset)
+    except (TruncatedStream, MalformedCodeword) as exc:
+        with pytest.raises(type(exc)):
+            BitReader(data, bit_offset=offset).read_elias_delta()
+        return
+    r = BitReader(data, bit_offset=offset)
+    assert (r.read_elias_delta(), r.bits_read) == want
+
+
+def test_elias_length_prefix_cap():
+    # 57 zeros still name a length (2^57 bits, which the stream lacks) ...
+    w = BitWriter()
+    w.write_bits(1, 58)
+    w.write_bits(0, 200)
+    with pytest.raises(TruncatedStream):
+        BitReader(w.to_bytes()).read_elias_delta()
+    # ... but a 58th zero is corruption, whatever follows
+    w = BitWriter()
+    w.write_bits(1, 59)
+    w.write_bits(0, 200)
+    with pytest.raises(MalformedCodeword):
+        BitReader(w.to_bytes()).read_elias_delta()
+    with pytest.raises(MalformedCodeword):
+        BitReader(bytes(8)).read_elias_delta()
+
+
+def test_bits_value_type():
+    assert len(Bits(5, 3)) == 3 and Bits(5, 3).to_bytes() == b"\xa0"
+    assert Bits(0, 0).to_bytes() == b""
+    with pytest.raises(DomainError):
+        Bits(8, 3)
+    r = BitReader(Bits(0b101, 3))
+    assert r.read_bits(3) == 0b101
+    with pytest.raises(TruncatedStream):
+        r.read_bit()
+
+
+def test_bits_to_int_accepts_only_bits():
+    assert bits_to_int([1, 0, 1]) == 5 and bits_to_int([]) == 0
+    assert bits_to_int(np.array([1, 1], dtype=np.int64)) == 3
+    # 32 and 95 would pass as ' ' and '_' if the digits were parsed as text
+    for bad in ([0, 2], [-1], [32, 1], [1, 95, 1], ["1"]):
+        with pytest.raises(DomainError):
+            bits_to_int(bad)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import logicast.partition as partition
-from logicast.bitcodec import BitReader, BitWriter, elias_delta_length
+from logicast.bitcodec import Bits, BitReader, BitWriter
 from logicast.errors import (
     DomainError,
     DuplicateColumns,
@@ -20,18 +20,14 @@ from logicast.partition import (
     SharedRandomness,
     TernaryVector,
     binary_entropy,
-    cheaper_side,
     cw_check,
     cw_matrix,
     lambda_fn,
     linear_decode,
     linear_encode,
-    naive_decode,
-    naive_encode,
     random_decode,
     random_encode,
-    rho,
-    shannon_partition_bounds,
+    read_codeword,
     total_distortion,
 )
 from logicast.randomness import MASK64, draw, draw_array
@@ -123,15 +119,6 @@ def test_ternary_vector_immutable():
         x.entries[0] = 1
 
 
-def test_rho_table():
-    assert rho(0, 1) == 1
-    assert rho(1, 0) == 1
-    assert rho(0, 0) == 0
-    assert rho(1, 1) == 0
-    assert rho(FREE, 0) == 0
-    assert rho(FREE, 1) == 0
-
-
 def test_total_distortion():
     x = _tv("01*1")
     assert total_distortion(x, np.array([0, 1, 0, 1], dtype=np.uint8)) == 0
@@ -186,55 +173,6 @@ def test_lambda_below_entropy_of_mixture():
             continue
         lam = rng.random()
         assert lambda_fn(a, b) < _h(lam * a + (1 - lam) * b)
-
-
-# ---------------------------------------------------------------- naive codec
-
-def test_naive_worked_example():
-    x = _tv("0**")
-    bits = naive_encode(x, "A")
-    # size header elias(1+1), then the rank of {0} in 2 bits
-    assert bits == [0, 1, 0, 0, 0, 0]
-    y = naive_decode(_reader(bits), 3, "A")
-    assert list(y) == [0, 1, 1]
-    assert total_distortion(x, y) == 0
-
-
-def test_naive_empty_side():
-    x = _tv("***")
-    assert naive_encode(x, "A") == [1]
-    y = naive_decode(_reader([1]), 3, "A")
-    assert list(y) == [1, 1, 1]
-    yb = naive_decode(_reader(naive_encode(x, "B")), 3, "B")
-    assert list(yb) == [0, 0, 0]
-
-
-def test_naive_roundtrip_random():
-    rng = random.Random(23)
-    for _ in range(150):
-        n = rng.randrange(1, 40)
-        x = _random_tv(rng, n)
-        side = rng.choice(["A", "B"])
-        bits = naive_encode(x, side)
-        reader = _reader(bits)
-        y = naive_decode(reader, n, side)
-        assert reader.bits_read == len(bits)
-        assert total_distortion(x, y) == 0
-
-
-def test_naive_bad_side_and_truncation():
-    x = _tv("01*")
-    with pytest.raises(DomainError):
-        naive_encode(x, "C")
-    bits = naive_encode(_tv("0101*1"), "B")
-    with pytest.raises(TruncatedStream):
-        naive_decode(BitReader(bytes([bits[0] << 7])), 6, "B")
-
-
-def test_cheaper_side():
-    assert cheaper_side(_tv("001*")) == "B"
-    assert cheaper_side(_tv("011*")) == "A"
-    assert cheaper_side(_tv("01**")) in ("A", "B")
 
 
 # --------------------------------------------------------------- random codec
@@ -352,6 +290,26 @@ def test_linear_codec_j_close_to_psi():
     assert sum(excesses) / len(excesses) <= 6.0
 
 
+def test_read_codeword_fields():
+    shared = SharedRandomness.for_law(77, 0.5, 0.5)
+    x = _random_tv(random.Random(59), 40)
+    bits = linear_encode(x, shared)
+    j, used = _read_elias(bits)
+    combo = int("".join(str(b) for b in bits[used:]), 2)
+    assert read_codeword(_reader(bits), "linear") == (j, combo)
+    assert read_codeword(_reader(bits[:used]), "random") == (j, 0)
+
+
+def test_linear_decode_truncated_combination():
+    shared = SharedRandomness.for_law(78, 0.5, 0.5)
+    x = _random_tv(random.Random(61), 40)
+    bits = linear_encode(x, shared)
+    short = bits[:-1]
+    reader = BitReader(Bits(int("".join(str(b) for b in short), 2), len(short)))
+    with pytest.raises(TruncatedStream):
+        linear_decode(reader, 40, shared)
+
+
 # ---------------------------------------------------- constant-weight columns
 
 WEIGHT2_4X6 = [
@@ -405,37 +363,7 @@ def test_cw_check_random_weight2_sets():
         assert cw_check(sub) is True
 
 
-# --------------------------------------------------------------------- bounds
-
-def test_bounds_worked_example():
-    lower, upper = shannon_partition_bounds(4096, 0.1, 0.1)
-    assert lower == pytest.approx(0.2, abs=1e-12)
-    lam = 0.2
-    expect = lam + (2 * math.log2(4096 * lam) + 3) / 4096
-    assert upper == pytest.approx(expect, abs=1e-12)
-
-
-def test_bounds_edges_and_domain():
-    with pytest.raises(DomainError):
-        shannon_partition_bounds(100, 0.7, 0.5)
-    with pytest.raises(DomainError):
-        shannon_partition_bounds(100, -0.1, 0.5)
-    with pytest.raises(DomainError):
-        shannon_partition_bounds(0, 0.1, 0.1)
-    lower, upper = shannon_partition_bounds(64, 0.0, 0.3)
-    assert lower == 0.0
-    assert 0.0 <= upper <= 3 / 64 + 1e-12
-
-
-def test_bounds_gap_vanishes():
-    gaps = []
-    for n in (1 << 8, 1 << 12, 1 << 16, 1 << 22):
-        lower, upper = shannon_partition_bounds(n, 0.15, 0.2)
-        assert upper >= lower
-        gaps.append(upper - lower)
-    assert gaps == sorted(gaps, reverse=True)
-    assert gaps[-1] < 1e-4
-
+# ------------------------------------------------ entropy, shared randomness
 
 def test_binary_entropy():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-12)
