@@ -1,4 +1,4 @@
-"""Multilinear polynomials over GF(2) and the propositional formulas they encode.
+"""Multilinear polynomials over GF(2) and the statement sets built from them.
 
 A monomial is a bitmask over variable indices: bit i-1 set means the variable
 x_i occurs. The empty mask is the constant 1. A polynomial is a set of
@@ -11,7 +11,7 @@ bit i-1 is the value of x_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import VariableOutOfRange
 
@@ -34,10 +34,6 @@ def monomial_vars(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def monomial_degree(mask: int) -> int:
-    return mask.bit_count()
 
 
 class Poly:
@@ -112,86 +108,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({sorted(self.masks)})"
-
-
-# ----------------------------------------------------------------- formulas
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise VariableOutOfRange(f"variable index must be >= 1, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
-
-
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Xor:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-Formula = Union[Var, Not, And, Or, Xor, Implies]
-
-
-def formula_to_poly(f: Formula) -> Poly:
-    """Polynomial whose value equals the truth value of `f` at every assignment."""
-    if isinstance(f, Var):
-        return Poly.variable(f.index)
-    if isinstance(f, Not):
-        return formula_to_poly(f.arg) + Poly.one()
-    a = formula_to_poly(f.lhs)
-    b = formula_to_poly(f.rhs)
-    if isinstance(f, And):
-        return a * b
-    if isinstance(f, Or):
-        return a + b + a * b
-    if isinstance(f, Xor):
-        return a + b
-    if isinstance(f, Implies):
-        return a * b + a + Poly.one()
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def statement_poly(f: Formula, asserted: bool) -> Poly:
-    """Member polynomial of a statement: vanishes exactly where the claim holds.
-
-    `asserted` True is the claim "f holds", so the member is truth(f) + 1;
-    False is the claim "f fails", so the member is truth(f) itself.
-    """
-    q = formula_to_poly(f)
-    return q + Poly.one() if asserted else q
-
-
-def formula_vars(f: Formula) -> int:
-    if isinstance(f, Var):
-        return f.index
-    if isinstance(f, Not):
-        return formula_vars(f.arg)
-    return max(formula_vars(f.lhs), formula_vars(f.rhs))
 
 
 # ------------------------------------------------------------------ PolySet

@@ -22,6 +22,7 @@ transmissions concatenate cleanly.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +59,9 @@ from .poly import PolySet
 from .randomness import MASK64, derive_seed
 
 MAGIC = b"LGC1"
-HEADER_BYTES = 24
+# magic, scenario tag, codec id, m, seed, four law parameters; big-endian
+_HEADER = struct.Struct(">4sBBHQ4H")
+HEADER_BYTES = _HEADER.size
 
 _TAG_OF = {"t1": 1, "t2": 2, "t3": 3, "t4": 4, "t5": 5}
 _NAME_OF = {v: k for k, v in _TAG_OF.items()}
@@ -101,14 +104,11 @@ class Transmission:
             raise DomainError("law parameters must be four 16-bit values")
 
     def to_bytes(self) -> bytes:
-        head = bytearray(MAGIC)
-        head.append(_TAG_OF[self.scenario])
-        head.append(_CODEC_ID[self.codec])
-        head += self.m.to_bytes(2, "big")
-        head += self.seed.to_bytes(8, "big")
-        for p in self.params:
-            head += p.to_bytes(2, "big")
-        return bytes(head) + self.payload.to_bytes()
+        head = _HEADER.pack(
+            MAGIC, _TAG_OF[self.scenario], _CODEC_ID[self.codec], self.m,
+            self.seed, *self.params,
+        )
+        return head + self.payload.to_bytes()
 
 
 # --------------------------------------------------------------------------
@@ -405,18 +405,17 @@ def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
     """
     if len(data) - offset < HEADER_BYTES:
         raise MalformedHeader("truncated header")
-    head = data[offset : offset + HEADER_BYTES]
-    if head[:4] != MAGIC:
-        raise MalformedHeader(f"bad magic {head[:4]!r}")
-    if head[4] not in _NAME_OF:
-        raise MalformedHeader(f"unknown scenario tag {head[4]}")
-    scenario = _NAME_OF[head[4]]
-    if head[5] not in _CODEC_NAME:
-        raise MalformedHeader(f"unknown codec id {head[5]}")
-    codec = _CODEC_NAME[head[5]]
+    magic, tag, codec_id, m = _HEADER.unpack_from(data, offset)[:4]
+    if magic != MAGIC:
+        raise MalformedHeader(f"bad magic {magic!r}")
+    if tag not in _NAME_OF:
+        raise MalformedHeader(f"unknown scenario tag {tag}")
+    scenario = _NAME_OF[tag]
+    if codec_id not in _CODEC_NAME:
+        raise MalformedHeader(f"unknown codec id {codec_id}")
+    codec = _CODEC_NAME[codec_id]
     if (codec is None) != (scenario in ("t1", "t2", "t3")):
         raise MalformedHeader("codec id inconsistent with scenario tag")
-    m = int.from_bytes(head[6:8], "big")
     if not 1 <= m <= M_MAX:
         raise MalformedHeader(f"universe size {m} unsupported")
     return scenario, codec, m
@@ -431,17 +430,13 @@ def read_transmission(
     to find their own end.
     """
     scenario, codec, m = peek_header(data, offset)
-    head = data[offset : offset + HEADER_BYTES]
     if r is not None and r.m != m:
         raise DomainError(f"background universe {r.m} does not match header {m}")
-    seed = int.from_bytes(head[8:16], "big")
-    params = tuple(
-        int.from_bytes(head[16 + 2 * i : 18 + 2 * i], "big") for i in range(4)
-    )
+    seed, *params = _HEADER.unpack_from(data, offset)[4:]
     start = (offset + HEADER_BYTES) * 8
     scanner = BitReader(data, bit_offset=start)
     _scan_payload(scenario, codec, m, scanner, r)
     nbits = scanner.bits_read - start
     payload = Bits(BitReader(data, bit_offset=start).read_bits(nbits), nbits)
-    tx = Transmission(scenario, m, codec, seed, params, payload)
+    tx = Transmission(scenario, m, codec, seed, tuple(params), payload)
     return tx, offset + HEADER_BYTES + (nbits + 7) // 8

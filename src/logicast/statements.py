@@ -8,211 +8,201 @@ Each nonempty line is one statement. Two forms exist:
 Formula connectives bind NOT > AND > XOR > OR > IMPLIES, with IMPLIES
 right-associative; a bare formula is read as asserted TRUE. `#` starts a
 comment. Variables are written x1, x2, ... (1-indexed).
+
+No syntax tree is built: each connective is applied to its operands'
+polynomials as parsed, and a raw line is read as a list of monomial masks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import StatementSyntaxError, VariableOutOfRange
-from .poly import (
-    And,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Poly,
-    PolySet,
-    Var,
-    Xor,
-    monomial_vars,
-    statement_poly,
-)
+from .poly import Poly, PolySet, monomial_vars
 
 _TOKEN_RE = re.compile(
-    r"""[ \t\r]+
+    r"""(?P<space>[ \t\r]+)
       | (?P<comment>\#.*)
       | (?P<word>[A-Za-z]+[0-9]*)
       | (?P<sym>[()+*=])
       | (?P<digit>[01])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"NOT", "AND", "OR", "XOR", "IMPLIES", "is", "TRUE", "FALSE"}
 _SYMS = {"(": "LP", ")": "RP", "+": "PLUS", "*": "STAR", "=": "EQ"}
+_ONE = Poly.one()
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # VAR | keyword name | LP RP PLUS STAR EQ | ZERO | ONE | END
-    value: int  # variable index when kind == VAR
-    line: int
-    col: int
+def _tokenize_line(text: str, line_no: int) -> list[tuple[str, int, int]]:
+    """Tokens as (kind, value, col) tuples, ending with an END token.
 
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        mo = _TOKEN_RE.match(text, pos)
-        if mo is None:
-            raise StatementSyntaxError(
-                f"unexpected character {text[pos]!r}", line_no, pos + 1
-            )
-        col = pos + 1
-        pos = mo.end()
-        if mo.lastgroup == "comment":
-            break
-        if mo.lastgroup is None:
+    kind is VAR, a keyword, LP RP PLUS STAR EQ, ZERO or ONE; value is the
+    variable index when kind is VAR.
+    """
+    tokens = []
+    for mo in _TOKEN_RE.finditer(text):
+        group = mo.lastgroup
+        col = mo.start() + 1
+        if group == "space":
             continue
-        if mo.lastgroup == "word":
-            word = mo.group("word")
+        if group == "comment":
+            break
+        if group == "word":
+            word = mo.group()
             if word in _KEYWORDS:
-                tokens.append(_Token(word, 0, line_no, col))
+                tokens.append((word, 0, col))
             elif word[0] == "x" and word[1:].isdigit():
                 index = int(word[1:])
                 if index < 1:
                     raise VariableOutOfRange(
                         f"line {line_no}, col {col}: variables are 1-indexed, got {word}"
                     )
-                tokens.append(_Token("VAR", index, line_no, col))
+                tokens.append(("VAR", index, col))
             else:
                 raise StatementSyntaxError(f"unknown token {word!r}", line_no, col)
-        elif mo.lastgroup == "sym":
-            tokens.append(_Token(_SYMS[mo.group("sym")], 0, line_no, col))
+        elif group == "sym":
+            tokens.append((_SYMS[mo.group()], 0, col))
+        elif group == "digit":
+            tokens.append(("ONE" if mo.group() == "1" else "ZERO", 0, col))
         else:
-            kind = "ONE" if mo.group("digit") == "1" else "ZERO"
-            tokens.append(_Token(kind, 0, line_no, col))
-    tokens.append(_Token("END", 0, line_no, len(text) + 1))
+            raise StatementSyntaxError(
+                f"unexpected character {mo.group()!r}", line_no, col
+            )
+    tokens.append(("END", 0, len(text) + 1))
     return tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, int, int]], line_no: int):
         self.tokens = tokens
+        self.line_no = line_no
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def kind(self) -> str:
+        return self.tokens[self.i][0]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, int, int]:
         tok = self.tokens[self.i]
-        if tok.kind != "END":
+        if tok[0] != "END":
             self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise StatementSyntaxError(f"expected {what}", tok.line, tok.col)
-        return self.next()
+    def error(self, message: str) -> StatementSyntaxError:
+        return StatementSyntaxError(message, self.line_no, self.tokens[self.i][2])
+
+    def expect(self, kind: str, what: str) -> None:
+        if self.kind() != kind:
+            raise self.error(f"expected {what}")
+        self.next()
 
 
 # ------------------------------------------------------------ formula parser
+# Each level returns the truth polynomial of what it parsed.
 
-def _parse_formula(cur: _Cursor) -> Formula:
-    return _parse_implies(cur)
-
-
-def _parse_implies(cur: _Cursor) -> Formula:
-    lhs = _parse_or(cur)
-    if cur.peek().kind == "IMPLIES":
+def _parse_implies(cur: _Cursor) -> Poly:
+    a = _parse_or(cur)
+    if cur.kind() == "IMPLIES":
         cur.next()
-        return Implies(lhs, _parse_implies(cur))  # right-associative
-    return lhs
+        b = _parse_implies(cur)  # right-associative
+        return a * b + a + _ONE
+    return a
 
 
-def _parse_or(cur: _Cursor) -> Formula:
-    f = _parse_xor(cur)
-    while cur.peek().kind == "OR":
+def _parse_or(cur: _Cursor) -> Poly:
+    a = _parse_xor(cur)
+    while cur.kind() == "OR":
         cur.next()
-        f = Or(f, _parse_xor(cur))
-    return f
+        b = _parse_xor(cur)
+        a = a + b + a * b
+    return a
 
 
-def _parse_xor(cur: _Cursor) -> Formula:
-    f = _parse_and(cur)
-    while cur.peek().kind == "XOR":
+def _parse_xor(cur: _Cursor) -> Poly:
+    a = _parse_and(cur)
+    while cur.kind() == "XOR":
         cur.next()
-        f = Xor(f, _parse_and(cur))
-    return f
+        a = a + _parse_and(cur)
+    return a
 
 
-def _parse_and(cur: _Cursor) -> Formula:
-    f = _parse_unary(cur)
-    while cur.peek().kind == "AND":
+def _parse_and(cur: _Cursor) -> Poly:
+    a = _parse_unary(cur)
+    while cur.kind() == "AND":
         cur.next()
-        f = And(f, _parse_unary(cur))
-    return f
+        a = a * _parse_unary(cur)
+    return a
 
 
-def _parse_unary(cur: _Cursor) -> Formula:
-    tok = cur.peek()
-    if tok.kind == "NOT":
+def _parse_unary(cur: _Cursor) -> Poly:
+    kind = cur.kind()
+    if kind == "NOT":
         cur.next()
-        return Not(_parse_unary(cur))
-    if tok.kind == "VAR":
+        return _parse_unary(cur) + _ONE
+    if kind == "VAR":
+        return Poly.variable(cur.next()[1])
+    if kind == "LP":
         cur.next()
-        return Var(tok.value)
-    if tok.kind == "LP":
-        cur.next()
-        f = _parse_formula(cur)
+        a = _parse_implies(cur)
         cur.expect("RP", "')'")
-        return f
-    raise StatementSyntaxError("expected a variable, NOT, or '('", tok.line, tok.col)
+        return a
+    raise cur.error("expected a variable, NOT, or '('")
 
 
 def _parse_formula_line(cur: _Cursor) -> Poly:
-    f = _parse_formula(cur)
+    """Member polynomial of a formula statement: zero exactly where it holds.
+
+    "f is TRUE" (or bare f) gives truth(f) + 1; "f is FALSE" gives truth(f).
+    """
+    truth = _parse_implies(cur)
     asserted = True
-    if cur.peek().kind == "is":
+    if cur.kind() == "is":
         cur.next()
-        tok = cur.peek()
-        if tok.kind == "TRUE":
+        if cur.kind() == "TRUE":
             cur.next()
-        elif tok.kind == "FALSE":
+        elif cur.kind() == "FALSE":
             cur.next()
             asserted = False
         else:
-            raise StatementSyntaxError("expected TRUE or FALSE after 'is'", tok.line, tok.col)
+            raise cur.error("expected TRUE or FALSE after 'is'")
     cur.expect("END", "end of statement")
-    return statement_poly(f, asserted)
+    return truth + _ONE if asserted else truth
 
 
 # --------------------------------------------------------- raw polynomial mode
 
-def _parse_poly_factor(cur: _Cursor) -> Poly:
-    tok = cur.peek()
-    if tok.kind == "VAR":
+def _parse_term(cur: _Cursor) -> int | None:
+    """Monomial mask of one product of factors; None when a factor is 0."""
+    mask = 0
+    vanishes = False
+    while True:
+        if cur.kind() not in ("VAR", "ONE", "ZERO"):
+            raise cur.error("expected a variable, 1, or 0")
+        kind, value, _ = cur.next()
+        if kind == "VAR":
+            mask |= 1 << (value - 1)
+        elif kind == "ZERO":
+            vanishes = True
+        if cur.kind() != "STAR":
+            return None if vanishes else mask
         cur.next()
-        return Poly.variable(tok.value)
-    if tok.kind == "ONE":
-        cur.next()
-        return Poly.one()
-    if tok.kind == "ZERO":
-        cur.next()
-        return Poly.zero()
-    raise StatementSyntaxError("expected a variable, 1, or 0", tok.line, tok.col)
 
 
 def _parse_poly_line(cur: _Cursor) -> Poly:
-    total = Poly.zero()
+    terms = []
     while True:
-        term = _parse_poly_factor(cur)
-        while cur.peek().kind == "STAR":
-            cur.next()
-            term = term * _parse_poly_factor(cur)
-        total = total + term
-        if cur.peek().kind == "PLUS":
-            cur.next()
-            continue
-        break
+        mask = _parse_term(cur)
+        if mask is not None:
+            terms.append(mask)
+        if cur.kind() != "PLUS":
+            break
+        cur.next()
     cur.expect("EQ", "'='")
     cur.expect("ZERO", "'0' on the right-hand side")
     cur.expect("END", "end of statement")
-    return total
+    return Poly(terms)
 
 
 # ------------------------------------------------------------------ public
@@ -226,13 +216,14 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     seen_m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
-        if tokens[0].kind == "END":
+        if tokens[0][0] == "END":
             continue
-        cur = _Cursor(tokens)
-        if any(t.kind == "EQ" for t in tokens):
-            q = _parse_poly_line(cur)
-        else:
-            q = _parse_formula_line(cur)
+        cur = _Cursor(tokens, line_no)
+        raw_poly = any(tok[0] == "EQ" for tok in tokens)
+        try:
+            q = _parse_poly_line(cur) if raw_poly else _parse_formula_line(cur)
+        except RecursionError:
+            raise StatementSyntaxError("statement nests too deeply", line_no, 1) from None
         polys.add(q)
         seen_m = max(seen_m, q.max_var())
     if m is None:

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line surface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import logicast
 from logicast.algset import entails, zeros
 from logicast.cli import main
 from logicast.statements import parse_statements
@@ -242,6 +245,18 @@ def test_prove_syntax_error(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+def test_prove_deep_nesting_is_a_syntax_error(tmp_path, capsys):
+    k = tmp_path / "k.logic"
+    k.write_text("x1\n" + "NOT " * 5000 + "x1\n")
+    q = tmp_path / "q.logic"
+    q.write_text("x1 = 0\n")
+    code, stdout, stderr = run(capsys, ["prove", "--knowledge", str(k),
+                                        "--query", str(q)])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: StatementSyntaxError: line 2, col 1: ")
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_t1_report(capsys):
@@ -347,10 +362,14 @@ def test_sweep_rejects_malformed_grid(capsys):
 # ---------------------------------------------------------------- process
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same logicast as this test, installed or not
+    src = str(Path(logicast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "logicast.cli",
          "bounds", "--scenario", "t4", "--ps", "0.25", "--pq", "0.75"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "lambda=0.500000" in proc.stdout

@@ -1,50 +1,11 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicast.errors import VariableOutOfRange
-from logicast.poly import (
-    And,
-    Implies,
-    Not,
-    Or,
-    Poly,
-    PolySet,
-    Var,
-    Xor,
-    formula_to_poly,
-    monomial_degree,
-    monomial_from_vars,
-    monomial_vars,
-    statement_poly,
-)
-
-
-def _eval_formula(f, assign) -> int:
-    """Oracle: truth value of a formula under assign: {index: bit}."""
-    if isinstance(f, Var):
-        return assign[f.index]
-    if isinstance(f, Not):
-        return 1 - _eval_formula(f.arg, assign)
-    a = _eval_formula(f.lhs, assign)
-    b = _eval_formula(f.rhs, assign)
-    if isinstance(f, And):
-        return a & b
-    if isinstance(f, Or):
-        return a | b
-    if isinstance(f, Xor):
-        return a ^ b
-    if isinstance(f, Implies):
-        return (1 - a) | b
-    raise TypeError(f)
-
-
-def _assign_to_point(assign, m):
-    return sum(assign[i] << (i - 1) for i in range(1, m + 1))
+from logicast.poly import Poly, PolySet, monomial_from_vars, monomial_vars
 
 
 def p(*termvars) -> Poly:
@@ -58,7 +19,6 @@ def test_monomial_helpers():
     assert monomial_from_vars(()) == 0
     assert monomial_from_vars((1, 3)) == 0b101
     assert monomial_vars(0b101) == (1, 3)
-    assert monomial_degree(0b101) == 2
     with pytest.raises(VariableOutOfRange):
         monomial_from_vars((0,))
 
@@ -119,61 +79,6 @@ def test_eval_is_ring_morphism(data):
     point = data.draw(st.integers(min_value=0, max_value=2**6 - 1))
     assert (a + b).eval(point) == a.eval(point) ^ b.eval(point)
     assert (a * b).eval(point) == a.eval(point) & b.eval(point)
-
-
-# --------------------------------------------------------- formula conversion
-
-def test_connective_truth_tables_exhaustive():
-    a, b = Var(1), Var(2)
-    cases = [Not(a), And(a, b), Or(a, b), Xor(a, b), Implies(a, b)]
-    for f in cases:
-        q = formula_to_poly(f)
-        for bits in itertools.product((0, 1), repeat=2):
-            assign = {1: bits[0], 2: bits[1]}
-            point = _assign_to_point(assign, 2)
-            assert q.eval(point) == _eval_formula(f, assign), f
-
-
-def test_known_polynomial_forms():
-    a, b = Var(1), Var(2)
-    assert formula_to_poly(Not(a)) == p((1,), ())
-    assert formula_to_poly(And(a, b)) == p((1, 2))
-    assert formula_to_poly(Or(a, b)) == p((1,), (2,), (1, 2))
-    assert formula_to_poly(Xor(a, b)) == p((1,), (2,))
-    assert formula_to_poly(Implies(a, b)) == p((1, 2), (1,), ())
-
-
-def test_statement_polarity():
-    f = Or(Var(1), Var(2))
-    # asserted TRUE: member vanishes exactly on satisfying assignments
-    assert statement_poly(f, True) == formula_to_poly(f) + Poly.one()
-    assert statement_poly(f, False) == formula_to_poly(f)
-
-
-def _formulas(max_var=3, depth=3):
-    leaves = st.builds(Var, st.integers(min_value=1, max_value=max_var))
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(Not, sub),
-            st.builds(And, sub, sub),
-            st.builds(Or, sub, sub),
-            st.builds(Xor, sub, sub),
-            st.builds(Implies, sub, sub),
-        ),
-        max_leaves=10,
-    )
-
-
-@settings(max_examples=200)
-@given(_formulas())
-def test_formula_poly_faithful_on_all_assignments(f):
-    q = formula_to_poly(f)
-    m = 3
-    for bits in itertools.product((0, 1), repeat=m):
-        assign = {i + 1: bits[i] for i in range(m)}
-        point = _assign_to_point(assign, m)
-        assert q.eval(point) == _eval_formula(f, assign)
 
 
 # ------------------------------------------------------------------- PolySet

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,53 @@ def test_syntax_error_position():
     assert ei2.value.line == 1
 
 
+# (exception, line, col) for one malformed line after a valid one
+@pytest.mark.parametrize(
+    "bad, error, col",
+    [
+        ("x1 & x2", StatementSyntaxError, 4),
+        ("x1 NAND x2", StatementSyntaxError, 4),
+        ("x0 AND x1", VariableOutOfRange, 1),
+        ("x1 AND ( x2 OR x3", StatementSyntaxError, 18),
+        ("x1 is MAYBE", StatementSyntaxError, 7),
+        ("x1 + x2 = 1", StatementSyntaxError, 11),
+        ("x1 AND x2 = 0", StatementSyntaxError, 4),
+        ("x1 AND", StatementSyntaxError, 7),
+    ],
+)
+def test_error_positions(bad, error, col):
+    with pytest.raises(error) as ei:
+        parse_statements(f"x1 OR x2\n{bad}\n")
+    assert type(ei.value) is error
+    assert str(ei.value).startswith(f"line 2, col {col}: ")
+    if error is StatementSyntaxError:
+        assert (ei.value.line, ei.value.col) == (2, col)
+
+
+@pytest.mark.parametrize(
+    "deep",
+    [
+        "( " * 1000 + "x1" + " )" * 1000,
+        "NOT " * 5000 + "x1",
+        " IMPLIES ".join(["x1"] * 2000),
+    ],
+    ids=["parentheses", "not", "implies"],
+)
+def test_deep_nesting_is_a_syntax_error(deep):
+    with pytest.raises(StatementSyntaxError) as ei:
+        parse_statements(f"x1 OR x2\n\n{deep}\n")
+    assert (ei.value.line, ei.value.col) == (3, 1)
+    assert "nests too deeply" in str(ei.value)
+
+
+def test_long_flat_chain_parses():
+    # a flat chain nests nothing, however long it is
+    text = " OR ".join(f"x{i % 4 + 1}" for i in range(3000))
+    assert parse_statements(f"{text} is FALSE\n") == parse_statements(
+        "x1 OR x2 OR x3 OR x4 is FALSE\n"
+    )
+
+
 def test_unknown_token_rejected():
     with pytest.raises(StatementSyntaxError):
         parse_statements("x1 NAND x2\n")
@@ -119,6 +168,110 @@ def test_raw_mode_rejects_formula_tokens():
         parse_statements("x1 AND x2 = 0\n")
     with pytest.raises(StatementSyntaxError):
         parse_statements("x1 + x2 = 1\n")
+
+
+# ------------------------------------------------------- formula semantics
+# A formula is a tuple tree: ("var", i), ("not", f) or (op, f, g) for op in
+# and/or/xor/implies. It is rendered to text and parsed; the truth polynomial
+# ("f is FALSE" gives truth(f) itself) must match the oracle everywhere.
+
+_ORACLE = {
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "implies": lambda a, b: (1 - a) | b,
+}
+_PREC = {"implies": 0, "or": 1, "xor": 2, "and": 3, "not": 4, "var": 5}
+
+
+def _eval_formula(f, assign) -> int:
+    """Oracle: truth value of a formula under assign: {index: bit}."""
+    if f[0] == "var":
+        return assign[f[1]]
+    if f[0] == "not":
+        return 1 - _eval_formula(f[1], assign)
+    return _ORACLE[f[0]](_eval_formula(f[1], assign), _eval_formula(f[2], assign))
+
+
+def _render(f, minimal: bool) -> str:
+    """Formula text: every operand parenthesised, or only where precedence
+    (NOT > AND > XOR > OR > IMPLIES, IMPLIES right-associative) needs it."""
+    if f[0] == "var":
+        return f"x{f[1]}"
+
+    def operand(g, lowest):
+        text = _render(g, minimal)
+        return text if minimal and _PREC[g[0]] >= lowest else f"( {text} )"
+
+    if f[0] == "not":
+        return f"NOT {operand(f[1], _PREC['not'])}"
+    prec = _PREC[f[0]]
+    left, right = (prec + 1, prec) if f[0] == "implies" else (prec, prec + 1)
+    return f"{operand(f[1], left)} {f[0].upper()} {operand(f[2], right)}"
+
+
+def _truth_poly(f, minimal: bool) -> Poly:
+    (q,) = parse_statements(f"{_render(f, minimal)} is FALSE\n").polys
+    return q
+
+
+def _assign_to_point(assign, m):
+    return sum(assign[i] << (i - 1) for i in range(1, m + 1))
+
+
+def _assert_faithful(f, m):
+    for minimal in (False, True):
+        q = _truth_poly(f, minimal)
+        for bits in itertools.product((0, 1), repeat=m):
+            assign = {i + 1: bits[i] for i in range(m)}
+            assert q.eval(_assign_to_point(assign, m)) == _eval_formula(f, assign), (
+                _render(f, minimal)
+            )
+
+
+def test_connective_truth_tables_exhaustive():
+    a, b = ("var", 1), ("var", 2)
+    for f in [("not", a), *((op, a, b) for op in _ORACLE)]:
+        _assert_faithful(f, 2)
+
+
+def test_known_polynomial_forms():
+    def truth(text):
+        (q,) = parse_statements(f"{text} is FALSE\n").polys
+        return q
+
+    assert truth("NOT x1") == p((1,), ())
+    assert truth("x1 AND x2") == p((1, 2))
+    assert truth("x1 OR x2") == p((1,), (2,), (1, 2))
+    assert truth("x1 XOR x2") == p((1,), (2,))
+    assert truth("x1 IMPLIES x2") == p((1, 2), (1,), ())
+
+
+def test_statement_polarity():
+    (truth,) = parse_statements("x1 OR x2 is FALSE\n").polys
+    # asserted TRUE: the member vanishes exactly on satisfying assignments
+    for text in ("x1 OR x2 is TRUE\n", "x1 OR x2\n"):
+        assert parse_statements(text).polys == frozenset({truth + Poly.one()})
+    assert truth == p((1,), (2,), (1, 2))
+
+
+def _formulas(max_var=3):
+    leaves = st.tuples(st.just("var"), st.integers(min_value=1, max_value=max_var))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(st.just("not"), sub),
+            st.tuples(st.sampled_from(sorted(_ORACLE)), sub, sub),
+        ),
+        max_leaves=10,
+    )
+
+
+@settings(max_examples=200)
+@given(_formulas())
+def test_formula_poly_faithful_on_all_assignments(f):
+    _assert_faithful(f, 3)
+    assert _truth_poly(f, False) == _truth_poly(f, True)
 
 
 # ----------------------------------------------------------------- rendering
