@@ -1,15 +1,17 @@
 """Algebraic sets: the common zeros of a PolySet, and the converse map.
 
 Points are assignment indices (bit i-1 of the index is the value of x_i).
-Membership for all 2^m points is held in one Python integer, and the
-polynomial <-> truth-table conversions run through the subset-XOR (Moebius)
-transform, which is an involution over GF(2) and costs O(m * 2^m).
+Membership for all 2^m points is held in one Python integer.  Members cross
+to and from numpy in one call each way (`to_bool_array`/`from_bool_array`),
+never one point at a time.  The polynomial <-> truth-table conversions run
+through the subset-XOR (Moebius) transform, which is an involution over
+GF(2) and costs O(m * 2^m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -49,12 +51,13 @@ class AlgSet:
     @classmethod
     def from_points(cls, m: int, points: Iterable[int]) -> "AlgSet":
         _check_m(m)
-        bits = 0
-        for pt in points:
+        pts = list(points)
+        for pt in pts:
             if pt < 0 or pt >> m:
                 raise DomainError(f"point {pt} outside the {m}-variable space")
-            bits |= 1 << pt
-        return cls(m, bits)
+        arr = np.zeros(1 << m, dtype=bool)
+        arr[pts] = True
+        return cls.from_bool_array(m, arr)
 
     @classmethod
     def from_bool_array(cls, m: int, arr: np.ndarray) -> "AlgSet":
@@ -68,16 +71,9 @@ class AlgSet:
     def __contains__(self, point: int) -> bool:
         return 0 <= point < (1 << self.m) and (self.bits >> point) & 1 == 1
 
-    def points(self) -> Iterator[int]:
-        """Member points in ascending order."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
     def points_list(self) -> list[int]:
-        return list(self.points())
+        """Member points in ascending order."""
+        return np.flatnonzero(self.to_bool_array()).tolist()
 
     def to_bool_array(self) -> np.ndarray:
         n = 1 << self.m
@@ -142,11 +138,7 @@ def reconstruct(a: AlgSet) -> PolySet:
     (equivalently 1 plus the sum of the point indicators of `a`), so it also
     generates the largest ideal vanishing on `a`.
     """
-    table = np.ones(1 << a.m, dtype=np.uint8)
-    members = np.fromiter(a.points(), dtype=np.int64, count=a.size)
-    if members.size:
-        table[members] = 0
-    coeffs = _xor_subset_transform(table, a.m)
+    coeffs = _xor_subset_transform(~a.to_bool_array(), a.m)
     q = Poly()
-    q.masks = frozenset(int(t) for t in np.nonzero(coeffs)[0])
+    q.masks = frozenset(np.flatnonzero(coeffs).tolist())
     return PolySet(a.m, frozenset({q}))

@@ -8,6 +8,7 @@ proof), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from .errors import LogicastError
 from .groebner import entails_groebner
 from .poly import PolySet
 from .protocols import (
+    BACKGROUND_SCENARIOS,
+    PARTITION_SCENARIOS,
     peek_header,
     read_transmission,
     t1_decode,
@@ -45,8 +48,6 @@ class _UsageError(Exception):
 
 
 _SCENARIOS = ("t1", "t2", "t3", "t4", "t5")
-_NEEDS_BACKGROUND = ("t2", "t3", "t5")
-_NEEDS_QUERY = ("t4", "t5")
 
 
 def _load_statements(path: str, m: int | None) -> PolySet:
@@ -54,7 +55,7 @@ def _load_statements(path: str, m: int | None) -> PolySet:
 
 
 def _codec_for(scenario: str, flag: str | None) -> str | None:
-    if scenario in _NEEDS_QUERY:
+    if scenario in PARTITION_SCENARIOS:
         return flag or "linear"
     if flag is not None:
         raise _UsageError(f"{scenario} does not take --codec")
@@ -65,13 +66,13 @@ def _codec_for(scenario: str, flag: str | None) -> str | None:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     scenario = args.scenario
-    if scenario in _NEEDS_BACKGROUND and not args.background:
+    if scenario in BACKGROUND_SCENARIOS and not args.background:
         raise _UsageError(f"{scenario} needs --background")
-    if scenario not in _NEEDS_BACKGROUND and args.background:
+    if scenario not in BACKGROUND_SCENARIOS and args.background:
         raise _UsageError(f"{scenario} does not take --background")
-    if scenario in _NEEDS_QUERY and not args.query:
+    if scenario in PARTITION_SCENARIOS and not args.query:
         raise _UsageError(f"{scenario} needs --query")
-    if scenario not in _NEEDS_QUERY and args.query:
+    if scenario not in PARTITION_SCENARIOS and args.query:
         raise _UsageError(f"{scenario} does not take --query")
     codec = _codec_for(scenario, args.codec)
 
@@ -99,7 +100,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     data = Path(args.infile).read_bytes()
     scenario, _, m = peek_header(data)
-    if scenario in _NEEDS_BACKGROUND:
+    if scenario in BACKGROUND_SCENARIOS:
         if not args.background:
             raise _UsageError(f"{scenario} needs --background to decode")
         r = _load_statements(args.background, m)
@@ -182,7 +183,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     law = _law_from_flags(args.scenario, args)
     rep = bounds_table(args.scenario, law, args.m, codec=codec)
     lines = rep.lines()
-    if args.scenario in ("t4", "t5"):
+    if args.scenario in PARTITION_SCENARIOS:
         lines.append(f"lambda={rep.lower_bound:.6f}")
     print("\n".join(lines))
     return 0
@@ -196,6 +197,8 @@ def _parse_grid(spec: str) -> list[float]:
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"grid {spec!r} is not numeric") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise _UsageError(f"grid {spec!r} is not finite")
     if step <= 0 or stop < start:
         raise _UsageError("grid must increase from start to stop")
     count = int(round((stop - start) / step)) + 1

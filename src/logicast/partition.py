@@ -225,11 +225,14 @@ def _fair_row(seed: int, row: int, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
+def _pack_le(bits: np.ndarray) -> int:
+    """A 0/1 array as one int, element i at bit i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _fair_row_packed(seed: int, row: int, psi: np.ndarray) -> int:
     # Row restricted to the constrained columns, packed LSB-first.
-    full = _fair_row(seed, row, int(psi[-1]) + 1)
-    picked = np.packbits(full[psi], bitorder="little")
-    return int.from_bytes(picked.tobytes(), "little")
+    return _pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi])
 
 
 def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
@@ -241,15 +244,12 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     the random prefix to reach full rank.
     """
     psi = x.psi()
-    residue = 0
-    for i, c in enumerate(psi.tolist()):
-        if x.entries[c]:
-            residue |= 1 << i
+    residue = _pack_le(x.entries[psi] == 1)
     # pivot bit -> (reduced row, combination of original rows)
     basis: dict[int, tuple[int, int]] = {}
     combo = 0
     j = 0
-    while residue or j == 0:
+    while True:
         j += 1
         if j > J_MAX:
             raise SearchExhausted(f"no solvable prefix within {J_MAX} rows")
@@ -270,6 +270,8 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
             bv, bc = basis[pivot]
             residue ^= bv
             combo ^= bc
+        if not residue:
+            break
     bits = elias_delta_encode(j)
     bits.extend((combo >> r) & 1 for r in range(j))
     return bits

@@ -69,7 +69,7 @@ class Poly:
         return not self.masks
 
     def max_var(self) -> int:
-        return max((t.bit_length() for t in self.masks), default=0)
+        return max(self.masks, default=0).bit_length()
 
     def degree(self) -> int:
         return max((t.bit_count() for t in self.masks), default=0)

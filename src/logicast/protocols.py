@@ -68,6 +68,11 @@ _NAME_OF = {v: k for k, v in _TAG_OF.items()}
 _CODEC_ID = {None: 0, "random": 1, "linear": 2}
 _CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
 
+# Scenarios that code psi(s, q) with a partition codec, so take a codec and
+# a query; and scenarios whose decoder holds the shared background r.
+PARTITION_SCENARIOS = ("t4", "t5")
+BACKGROUND_SCENARIOS = ("t2", "t3", "t5")
+
 # Law parameters ride in the header as 16-bit fixed point, value/65536.
 PARAM_SCALE = 65536
 
@@ -92,7 +97,7 @@ class Transmission:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.codec not in _CODEC_ID:
             raise DomainError(f"unknown codec {self.codec!r}")
-        if (self.codec is None) != (self.scenario in ("t1", "t2", "t3")):
+        if (self.codec is None) == (self.scenario in PARTITION_SCENARIOS):
             raise DomainError("codec choice and scenario disagree")
         if not 1 <= self.m <= M_MAX:
             raise DomainError(f"universe size {self.m} unsupported")
@@ -220,9 +225,9 @@ def _ranked_within(
     if not entails(s, r):
         raise NotEntailed("statements do not entail the background")
     zs, zr = zeros(s), zeros(r)
-    position = {pt: i for i, pt in enumerate(zr.points_list())}
+    ranked = np.flatnonzero(zs.to_bool_array()[zr.to_bool_array()]).tolist()
     body = BitWriter()
-    _write_ranked(body, zr.size, [position[pt] for pt in zs.points_list()])
+    _write_ranked(body, zr.size, ranked)
     n = 1 << s.m
     dens_s = p_s if p_s is not None else zs.size / n
     dens_r = p_r if p_r is not None else zr.size / n
@@ -241,10 +246,10 @@ def t2_decode(tx: Transmission, r: PolySet) -> PolySet:
         raise DomainError(f"expected a t2/t3 transmission, got {tx.scenario}")
     if r.m != tx.m:
         raise DomainError(f"background universe {r.m} does not match header {tx.m}")
-    points = zeros(r).points_list()
-    n = len(points)
+    points = np.flatnonzero(zeros(r).to_bool_array())
+    n = points.size
     members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
-    return reconstruct(AlgSet.from_points(tx.m, [points[i] for i in members]))
+    return reconstruct(AlgSet.from_points(tx.m, points[list(members)]))
 
 
 def t3_decode(tx: Transmission, r: PolySet) -> PolySet:
@@ -414,7 +419,7 @@ def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
     if codec_id not in _CODEC_NAME:
         raise MalformedHeader(f"unknown codec id {codec_id}")
     codec = _CODEC_NAME[codec_id]
-    if (codec is None) != (scenario in ("t1", "t2", "t3")):
+    if (codec is None) == (scenario in PARTITION_SCENARIOS):
         raise MalformedHeader("codec id inconsistent with scenario tag")
     if not 1 <= m <= M_MAX:
         raise MalformedHeader(f"universe size {m} unsupported")

@@ -13,11 +13,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .algset import AlgSet, entails, reconstruct, zeros
-from .errors import ContractViolation, DomainError
+from .algset import M_MAX, AlgSet, entails, reconstruct, zeros
+from .errors import ContractViolation, DomainError, UniverseTooLarge
 from .partition import binary_entropy, lambda_fn
 from .poly import PolySet
 from .protocols import (
+    PARTITION_SCENARIOS,
     t1_decode,
     t1_encode,
     t2_decode,
@@ -138,7 +139,7 @@ def sample(
 
 # ------------------------------------------------------------------ trials
 
-def _validate_combo(scenario: str, law: LawSpec, codec: str | None) -> None:
+def _validate_combo(scenario: str, law: LawSpec, m: int, codec: str | None) -> None:
     if scenario not in _LAW_FOR:
         raise DomainError(f"unknown scenario {scenario!r}")
     want = _LAW_FOR[scenario]
@@ -147,11 +148,15 @@ def _validate_combo(scenario: str, law: LawSpec, codec: str | None) -> None:
             f"scenario {scenario} takes a {want.__name__} law, "
             f"got {type(law).__name__}"
         )
-    if scenario in ("t4", "t5"):
+    if scenario in PARTITION_SCENARIOS:
         if codec not in ("random", "linear"):
             raise DomainError("scenarios t4/t5 need codec 'random' or 'linear'")
     elif codec is not None:
         raise DomainError(f"scenario {scenario} does not take a partition codec")
+    if m < 1:
+        raise DomainError(f"universe size m must be at least 1, got {m}")
+    if m > M_MAX:
+        raise UniverseTooLarge(f"2^{m} assignments exceed the supported 2^{M_MAX}")
 
 
 def _one_trial(
@@ -319,7 +324,7 @@ def run_trials(
     against the scenario's contract; a breach raises ContractViolation
     rather than polluting the average.
     """
-    _validate_combo(scenario, law, codec)
+    _validate_combo(scenario, law, m, codec)
     if trials < 1:
         raise DomainError("trials must be positive")
     n = 1 << m
@@ -354,7 +359,7 @@ def bounds_table(
     scenario: str, law: LawSpec, m: int, codec: str | None = None
 ) -> RateReport:
     """Analytic bounds only, packaged as a trial-free report."""
-    _validate_combo(scenario, law, codec)
+    _validate_combo(scenario, law, m, codec)
     lo, up = _analytic_bounds(scenario, law, m, codec)
     nan = float("nan")
     return RateReport(
@@ -381,6 +386,8 @@ def sweep_lambda_vs_naive(
     (its binary entropy), the linear codec's finite-n rate, and the optimal
     Lambda.  Points must stay inside the simplex p_a + p_b <= 1.
     """
+    if n < 1:
+        raise DomainError(f"block length n must be at least 1, got {n}")
     rows = ["p_a,p_b,h_a,h_b,linear_rate,lambda"]
     for p_a, p_b in grid:
         if not (0.0 <= p_a and 0.0 <= p_b and p_a + p_b <= 1.0):

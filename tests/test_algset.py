@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicast.algset import M_MAX, AlgSet, entails, reconstruct, zeros
 from logicast.errors import DomainError, UniverseTooLarge
@@ -27,7 +30,7 @@ def _zeros_oracle(ps: PolySet) -> set[int]:
 def _reconstruct_oracle(a: AlgSet) -> Poly:
     """Oracle: 1 + sum over members of the product of coordinate indicators."""
     total = Poly.one()
-    for c in a.points():
+    for c in a.points_list():
         prod = Poly.one()
         for i in range(1, a.m + 1):
             bit = (c >> (i - 1)) & 1
@@ -37,6 +40,16 @@ def _reconstruct_oracle(a: AlgSet) -> Poly:
             prod = prod * ind
         total = total + prod
     return total
+
+
+def _points_oracle(bits: int) -> list[int]:
+    """Oracle: members in ascending order by peeling the lowest set bit."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def _random_polyset(rng: random.Random, m: int, npolys: int) -> PolySet:
@@ -53,7 +66,7 @@ def test_algset_basics():
     a = AlgSet.from_points(3, [1, 4, 6])
     assert a.size == 3
     assert 4 in a and 0 not in a
-    assert list(a.points()) == [1, 4, 6]
+    assert a.points_list() == [1, 4, 6]
     assert a.complement().size == 5
     assert a.issubset(AlgSet.full(3))
     assert AlgSet.empty(3).issubset(a)
@@ -62,10 +75,24 @@ def test_algset_basics():
 
 
 def test_algset_rejects_bad_points():
-    with pytest.raises(DomainError):
-        AlgSet.from_points(2, [4])
-    with pytest.raises(DomainError):
-        AlgSet.from_points(2, [-1])
+    # the message names the first point out of range
+    for m, pts, bad in [(2, [4], 4), (2, [-1], -1), (2, [1, 5, -1], 5),
+                        (3, [0, -2, 8], -2), (0, [0, 1], 1)]:
+        msg = f"point {bad} outside the {m}-variable space"
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            AlgSet.from_points(m, pts)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_points_list_matches_lowest_bit_walk(data):
+    m = data.draw(st.integers(min_value=0, max_value=10))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << m)) - 1))
+    a = AlgSet(m, bits)
+    pts = a.points_list()
+    assert pts == _points_oracle(bits)
+    assert all(type(pt) is int for pt in pts)
+    assert AlgSet.from_points(m, pts) == a
 
 
 def test_bool_array_roundtrip():
@@ -84,7 +111,7 @@ def test_zeros_conjunction_pair():
     )
     z = zeros(ps)
     assert z.size == 6
-    assert list(z.points()) == [1, 2, 3, 4, 5, 6]
+    assert z.points_list() == [1, 2, 3, 4, 5, 6]
 
 
 def test_zeros_simple_sets():
@@ -99,7 +126,7 @@ def test_zeros_matches_bruteforce_oracle():
     for _ in range(150):
         m = rng.randrange(0, 7)
         ps = _random_polyset(rng, m, rng.randrange(0, 4))
-        assert set(zeros(ps).points()) == _zeros_oracle(ps)
+        assert set(zeros(ps).points_list()) == _zeros_oracle(ps)
 
 
 def test_zeros_universe_cap():

@@ -301,6 +301,20 @@ def test_simulate_bad_probability_is_domain_error(capsys):
     assert "DomainError" in stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("m, error", [("30", "UniverseTooLarge"),
+                                      ("-3", "DomainError"),
+                                      ("0", "DomainError")])
+def test_out_of_range_m_is_rejected_up_front(capsys, command, m, error):
+    argv = [command, "--scenario", "t1", "--ps", "0.2", "--m", m]
+    if command == "simulate":
+        argv += ["--trials", "1"]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {error}: ")
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bounds_t4_prints_lambda(capsys):
@@ -354,9 +368,20 @@ def test_sweep_drops_pairs_outside_simplex(capsys):
 
 
 def test_sweep_rejects_malformed_grid(capsys):
-    code, _, stderr = run(capsys, ["sweep", "--grid", "zero-to-one"])
-    assert code == 2
-    assert "grid" in stderr
+    for spec in ("zero-to-one", "nan:0.1:0.3", "inf:1:inf", "0.1:nan:0.3",
+                 "0.1:0.1:inf"):
+        code, _, stderr = run(capsys, ["sweep", "--grid", spec])
+        assert code == 2, spec
+        assert "grid" in stderr
+
+
+def test_sweep_rejects_nonpositive_block_length(capsys):
+    for n in ("0", "-5"):
+        code, stdout, stderr = run(capsys, ["sweep", "--grid", "0.1:0.1:0.3",
+                                            "--n", n])
+        assert code == 1, n
+        assert stdout == ""
+        assert "DomainError" in stderr
 
 
 # ---------------------------------------------------------------- process

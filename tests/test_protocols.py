@@ -6,7 +6,7 @@ import pytest
 
 from logicast import algset
 from logicast.algset import AlgSet, entails, reconstruct, zeros
-from logicast.bitcodec import elias_delta_length, rank_width
+from logicast.bitcodec import BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
     DomainError,
     MalformedHeader,
@@ -219,6 +219,25 @@ def test_t2_roundtrip_and_width():
             elias_delta_length(k + 1) + rank_width(zeros(r).size, k)
         )
         assert zeros(t2_decode(tx, r)) == zeros(s)
+
+
+def test_t2_payload_matches_position_ranking_oracle():
+    # oracle: each member of Z(s) is ranked by its position in the ascending
+    # enumeration of Z(r), looked up point by point
+    for m in (10, 12):
+        for seed in (1, 2, 3):
+            s, r = _random_nested(random.Random(seed), m, 0.1, 0.5)
+            zs, zr = zeros(s), zeros(r)
+            position = {pt: i for i, pt in enumerate(
+                pt for pt in range(1 << m) if pt in zr)}
+            ranked = [position[pt] for pt in range(1 << m) if pt in zs]
+            want = BitWriter()
+            want.write_elias_delta(len(ranked) + 1)
+            want.write_bits(subset_rank(zr.size, ranked),
+                            rank_width(zr.size, len(ranked)))
+            tx = t2_encode(s, r, seed=seed)
+            assert tx.payload == want.to_bits()
+            assert zeros(t2_decode(tx, r)) == zs
 
 
 def test_t2_full_background_matches_t1():
