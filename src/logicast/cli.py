@@ -189,6 +189,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+_GRID_MAX = 1001  # points per sweep axis; the CSV has up to about half its square
+
+
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -202,6 +205,8 @@ def _parse_grid(spec: str) -> list[float]:
     if step <= 0 or stop < start:
         raise _UsageError("grid must increase from start to stop")
     count = int(round((stop - start) / step)) + 1
+    if count > _GRID_MAX:
+        raise _UsageError(f"grid {spec!r} has {count} points, more than {_GRID_MAX}")
     axis = [round(start + i * step, 12) for i in range(count)]
     return [a for a in axis if a <= stop + 1e-12]
 

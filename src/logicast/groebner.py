@@ -29,7 +29,7 @@ from itertools import count
 from typing import Iterable
 
 from .algset import entails as _entails_points
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError, PreconditionViolated, UniverseTooLarge
 from .poly import Poly, PolySet
 
 __all__ = [
@@ -41,6 +41,10 @@ __all__ = [
     "monomial_key",
     "leading_term",
 ]
+
+
+# `_tables` holds 2^m probes of up to 2^m bits: about 300 MB at m = 16.
+GB_M_MAX = 16
 
 
 def monomial_key(mask: int, m: int) -> int:
@@ -71,6 +75,8 @@ def _tables(m: int):
     single-bit probes, an or-of-64 coarsening of those probes for skipping
     dead stretches, and for each variable bit b the packed positions whose
     mask contains b."""
+    if m > GB_M_MAX:
+        raise UniverseTooLarge(f"Groebner tables support m <= {GB_M_MAX}, got m={m}")
     n = 1 << m
     desc = tuple(sorted(range(n), key=lambda t: monomial_key(t, m), reverse=True))
     descbit = tuple(1 << mask for mask in desc)
@@ -110,29 +116,22 @@ class _Reducer:
     """Reduction against an append-only element list, with a divisor cache.
 
     Cached hits stay valid forever because elements are never removed or
-    edited; cached misses are wiped whenever an element is appended.
+    edited.  Misses are not cached: every append would void them, and
+    caching them measured no faster.
     """
 
-    __slots__ = ("elems", "hi", "desc", "descbit", "blocks", "_hits", "_misses")
+    __slots__ = ("elems", "hi", "desc", "descbit", "blocks", "_hits")
 
     def __init__(self, elems, m: int):
         self.elems = elems
         self.desc, self.descbit, self.blocks, self.hi = _tables(m)
         self._hits: dict[int, int] = {}
-        self._misses: set[int] = set()
-
-    def append(self, lt: int, body: int) -> None:
-        self.elems.append((lt, body))
-        self._misses.clear()
 
     def _divisor(self, mono: int) -> int:
-        if mono in self._misses:
-            return -1
         for k, (lt, _) in enumerate(self.elems):
             if lt & mono == lt:
                 self._hits[mono] = k
                 return k
-        self._misses.add(mono)
         return -1
 
     def _reduce(self, acc: int, collect: bool):
@@ -210,7 +209,7 @@ def _buchberger(gens: Iterable[int], m: int):
             if (lt >> b) & 1:
                 # the pair against xb*xb = xb carries one extra degree unit
                 heappush(heap, (monomial_key(lt, m) + (1 << m), next(tick), 1, idx, b))
-        red.append(lt, acc)
+        elems.append((lt, acc))
         lts.append(lt)
 
     def chained(lti: int, ltj: int, lcm: int) -> bool:

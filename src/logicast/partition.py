@@ -52,11 +52,13 @@ class TernaryVector:
     __slots__ = ("entries",)
 
     def __init__(self, values: Iterable[int]) -> None:
-        arr = np.array(list(values), dtype=np.int8)
+        # one call for an array; the range check precedes the int8 cast
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values))
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("ternary vector must be non-empty")
         if np.any((arr < 0) | (arr > FREE)):
             raise DomainError("ternary entries must be 0, 1, or FREE")
+        arr = arr.astype(np.int8, copy=False)
         arr.flags.writeable = False
         self.entries = arr
 
@@ -184,11 +186,13 @@ def random_encode(
 ) -> list[int]:
     """Index of the first codebook row agreeing with x on its constraints.
 
-    Requires both densities positive; a zero density would make rows
-    that never match the opposite side.  Raises SearchExhausted past
-    J_MAX rows.
+    A side whose density is 0 must have no constrained cells: a codebook
+    matched to that law never shows that side's value.  With bias 0 every
+    cell is 1, so a vector with no 0 cells matches row 1 outright.  Raises
+    SearchExhausted past J_MAX rows.
     """
-    if p_a <= 0.0 or p_b <= 0.0:
+    e = x.entries
+    if (p_a <= 0.0 and np.any(e == 0)) or (p_b <= 0.0 and np.any(e == 1)):
         raise DomainError("random codec needs strictly positive densities")
     psi = x.psi()
     if psi.size == 0:
@@ -239,9 +243,10 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     """Shortest generator prefix whose span hits x on its constraints.
 
     Emits elias(J) followed by the J combination bits M, where the
-    reconstruction is M applied to the first J generator rows.  J
-    exceeds the number of constraints only by the few rows needed for
-    the random prefix to reach full rank.
+    reconstruction is M applied to the first J generator rows.  J stays
+    near the number of constraints, on either side of it: a few rows
+    above it when the prefix needs them to reach full rank, below it
+    when the target already lies in the span of a shorter prefix.
     """
     psi = x.psi()
     residue = _pack_le(x.entries[psi] == 1)

@@ -14,6 +14,11 @@ law parameters) followed by a self-delimiting payload bit stream:
 * t5: psi(s, q) split along the background's zero set, each part coded
   with its own codebook so conditional densities can differ.
 
+t1 and t4 are t2 and t5 against the empty background, whose zero set is
+every assignment: one ranked layout and one split-partition layout carry
+all five scenarios, and only the tag byte and t1's zero background
+density in the header tell them apart.
+
 Payloads are decodable from the header plus whatever the decoder is
 assumed to know already (the background r for t2, t3, t5).  Nothing in
 the stream is byte-padded except the tail of each payload, so
@@ -34,7 +39,6 @@ from .bitcodec import (
     BitReader,
     BitWriter,
     bits_to_int,
-    elias_delta_encode,
     rank_width,
     subset_rank,
     subset_unrank,
@@ -156,38 +160,27 @@ def psi(s: PolySet, q: PolySet) -> TernaryVector:
 
 def _empirical_pair(entries: np.ndarray) -> tuple[float, float]:
     # densities of the zero side and of the query's zero set, read off
-    # the vector itself so encoder defaults need no law input
+    # the vector itself so encoder defaults need no law input; an empty
+    # side reads (0, 0)
     ln = entries.size
+    if not ln:
+        return 0.0, 0.0
     z = int(np.count_nonzero(entries == 0))
     o = int(np.count_nonzero(entries == 1))
     return z / ln, (ln - o) / ln
 
 
 # --------------------------------------------------------------------------
-# t1: blank-slate receiver
+# t1/t2/t3: the zero set ranked inside the background's zero set
 
 
 def t1_encode(s: PolySet, seed: int = 0, p_s: float | None = None) -> Transmission:
-    zs = zeros(s)
-    n = 1 << s.m
-    body = BitWriter()
-    _write_ranked(body, n, zs.points_list())
-    dens = p_s if p_s is not None else zs.size / n
-    return Transmission(
-        "t1", s.m, None, seed, (quantize_param(dens), 0, 0, 0), body.to_bits()
-    )
+    # the empty background; its density 0.0 keeps header slot 1 at 0
+    return _ranked_within(s, PolySet(s.m, frozenset()), "t1", seed, p_s, 0.0)
 
 
 def t1_decode(tx: Transmission) -> PolySet:
-    if tx.scenario != "t1":
-        raise DomainError(f"expected a t1 transmission, got {tx.scenario}")
-    n = 1 << tx.m
-    members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
-    return reconstruct(AlgSet.from_points(tx.m, members))
-
-
-# --------------------------------------------------------------------------
-# t2/t3: receiver holding entailed background
+    return _ranked_decode(tx, PolySet(tx.m, frozenset()), ("t1",))
 
 
 def t2_encode(
@@ -222,9 +215,9 @@ def _ranked_within(
 ) -> Transmission:
     if s.m != r.m:
         raise DomainError(f"universe mismatch: {s.m} vs {r.m}")
-    if not entails(s, r):
-        raise NotEntailed("statements do not entail the background")
     zs, zr = zeros(s), zeros(r)
+    if not zs.issubset(zr):
+        raise NotEntailed("statements do not entail the background")
     ranked = np.flatnonzero(zs.to_bool_array()[zr.to_bool_array()]).tolist()
     body = BitWriter()
     _write_ranked(body, zr.size, ranked)
@@ -241,15 +234,25 @@ def _ranked_within(
     )
 
 
-def t2_decode(tx: Transmission, r: PolySet) -> PolySet:
-    if tx.scenario not in ("t2", "t3"):
-        raise DomainError(f"expected a t2/t3 transmission, got {tx.scenario}")
+def _check_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> None:
+    if tx.scenario not in scenarios:
+        raise DomainError(
+            f"expected a {'/'.join(scenarios)} transmission, got {tx.scenario}"
+        )
     if r.m != tx.m:
         raise DomainError(f"background universe {r.m} does not match header {tx.m}")
+
+
+def _ranked_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> PolySet:
+    _check_decode(tx, r, scenarios)
     points = np.flatnonzero(zeros(r).to_bool_array())
     n = points.size
     members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
-    return reconstruct(AlgSet.from_points(tx.m, points[list(members)]))
+    return reconstruct(AlgSet.from_points(tx.m, points[list(members)].tolist()))
+
+
+def t2_decode(tx: Transmission, r: PolySet) -> PolySet:
+    return _ranked_decode(tx, r, ("t2", "t3"))
 
 
 def t3_decode(tx: Transmission, r: PolySet) -> PolySet:
@@ -258,7 +261,9 @@ def t3_decode(tx: Transmission, r: PolySet) -> PolySet:
 
 
 # --------------------------------------------------------------------------
-# t4/t5: goal-directed coding through the partition device
+# t4/t5: psi(s, q) split along the background's zero set, one partition
+# codeword per non-empty side: inside Z(r) under the seed, then outside
+# under a derived seed
 
 
 def _side_shared(seed: int, q_zero: int, q_query: int) -> SharedRandomness:
@@ -274,17 +279,12 @@ def _write_partition(
     shared = _side_shared(seed, q_zero, q_query)
     if codec == "linear":
         bits = linear_encode(x, shared)
-    elif codec != "random":
-        raise DomainError(f"unknown codec {codec!r}")
-    elif q_zero == 0:
-        if np.any(x.entries == 0):
-            raise DomainError("law claims an empty zero side against the vector")
-        # bias 0 makes every codebook cell 1, so row 1 matches outright
-        bits = elias_delta_encode(1)
-    else:
+    elif codec == "random":
         bits = random_encode(
             x, q_zero / PARAM_SCALE, (PARAM_SCALE - q_query) / PARAM_SCALE, shared
         )
+    else:
+        raise DomainError(f"unknown codec {codec!r}")
     body.write_bits(bits_to_int(bits), len(bits))
 
 
@@ -306,22 +306,12 @@ def t4_encode(
     p_q: float | None = None,
 ) -> Transmission:
     """Partition codeword for psi(s, q); decoder lands between s and q."""
-    x = psi(s, q)
-    emp_s, emp_q = _empirical_pair(x.entries)
-    qs = quantize_param(p_s if p_s is not None else emp_s)
-    qq = quantize_param(p_q if p_q is not None else emp_q)
-    body = BitWriter()
-    _write_partition(body, x, codec, seed, qs, qq)
-    return Transmission("t4", s.m, codec, seed, (qs, qq, 0, 0), body.to_bits())
+    empty = PolySet(s.m, frozenset())
+    return _split_encode("t4", s, q, empty, codec, seed, (p_s, p_q, None, None))
 
 
 def t4_decode(tx: Transmission) -> PolySet:
-    if tx.scenario != "t4":
-        raise DomainError(f"expected a t4 transmission, got {tx.scenario}")
-    n = 1 << tx.m
-    reader = BitReader(tx.payload)
-    y = _decode_partition(reader, n, tx.codec, tx.seed, tx.params[0], tx.params[1])
-    return reconstruct(AlgSet.from_bool_array(tx.m, y == 0))
+    return _split_decode(tx, PolySet(tx.m, frozenset()), ("t4",))
 
 
 def t5_encode(
@@ -338,46 +328,47 @@ def t5_encode(
     codebook covers each coordinate, so the sandwich survives
     misinformation.  An empty side contributes no payload bits.
     """
+    return _split_encode("t5", s, q, r, codec, seed, conditionals or (None,) * 4)
+
+
+def _split_encode(
+    scenario: str, s: PolySet, q: PolySet, r: PolySet, codec: str, seed: int,
+    conditionals: tuple[float | None, ...],
+) -> Transmission:
+    # a law parameter given as None is read off its side of the vector
     x = psi(s, q)
     if r.m != s.m:
         raise DomainError(f"universe mismatch: {s.m} vs {r.m}")
     mask = zeros(r).to_bool_array()
-    inside, outside = x.entries[mask], x.entries[~mask]
-    if conditionals is None:
-        cin = _empirical_pair(inside) if inside.size else (0.0, 0.0)
-        cout = _empirical_pair(outside) if outside.size else (0.0, 0.0)
-        conditionals = (*cin, *cout)
-    qp = tuple(quantize_param(c) for c in conditionals)
+    sides = (x.entries[mask], x.entries[~mask])
+    empirical = (*_empirical_pair(sides[0]), *_empirical_pair(sides[1]))
+    qp = tuple(
+        quantize_param(e if c is None else c) for c, e in zip(conditionals, empirical)
+    )
     body = BitWriter()
-    if inside.size:
-        _write_partition(body, TernaryVector(inside), codec, seed, qp[0], qp[1])
-    if outside.size:
-        _write_partition(
-            body, TernaryVector(outside), codec, derive_seed(seed, 1), qp[2], qp[3]
-        )
-    return Transmission("t5", s.m, codec, seed, qp, body.to_bits())
+    for k, side_seed in enumerate((seed, derive_seed(seed, 1))):
+        if sides[k].size:
+            x_side = TernaryVector(sides[k])
+            _write_partition(body, x_side, codec, side_seed, *qp[2 * k : 2 * k + 2])
+    return Transmission(scenario, s.m, codec, seed, qp, body.to_bits())
+
+
+def _split_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> PolySet:
+    _check_decode(tx, r, scenarios)
+    mask = zeros(r).to_bool_array()
+    reader = BitReader(tx.payload)
+    y = np.empty(mask.size, dtype=np.uint8)
+    for k, side_seed in enumerate((tx.seed, derive_seed(tx.seed, 1))):
+        side = mask if k == 0 else ~mask
+        n = int(np.count_nonzero(side))
+        if n:
+            params = tx.params[2 * k : 2 * k + 2]
+            y[side] = _decode_partition(reader, n, tx.codec, side_seed, *params)
+    return reconstruct(AlgSet.from_bool_array(tx.m, y == 0))
 
 
 def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
-    if tx.scenario != "t5":
-        raise DomainError(f"expected a t5 transmission, got {tx.scenario}")
-    if r.m != tx.m:
-        raise DomainError(f"background universe {r.m} does not match header {tx.m}")
-    n = 1 << tx.m
-    mask = zeros(r).to_bool_array()
-    inner = int(np.count_nonzero(mask))
-    reader = BitReader(tx.payload)
-    y = np.empty(n, dtype=np.uint8)
-    if inner:
-        y[mask] = _decode_partition(
-            reader, inner, tx.codec, tx.seed, tx.params[0], tx.params[1]
-        )
-    if n - inner:
-        y[~mask] = _decode_partition(
-            reader, n - inner, tx.codec, derive_seed(tx.seed, 1),
-            tx.params[2], tx.params[3],
-        )
-    return reconstruct(AlgSet.from_bool_array(tx.m, y == 0))
+    return _split_decode(tx, r, ("t5",))
 
 
 # --------------------------------------------------------------------------
@@ -387,19 +378,17 @@ def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
 def _scan_payload(
     scenario: str, codec: str | None, m: int, reader: BitReader, r: PolySet | None
 ) -> None:
-    if scenario == "t1":
-        _read_ranked(reader, 1 << m)
-    elif scenario == "t4":
-        read_codeword(reader, codec)
+    if scenario not in BACKGROUND_SCENARIOS:
+        r = PolySet(m, frozenset())
     elif r is None:
         raise DomainError(f"{scenario} payloads delimit only with the background")
-    elif scenario in ("t2", "t3"):
-        _read_ranked(reader, zeros(r).size)
-    else:
-        inner = zeros(r).size
+    inner = zeros(r).size
+    if scenario in PARTITION_SCENARIOS:
         for side in (inner, (1 << m) - inner):
             if side:
                 read_codeword(reader, codec)
+    else:
+        _read_ranked(reader, inner)
 
 
 def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:

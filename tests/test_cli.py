@@ -257,6 +257,17 @@ def test_prove_deep_nesting_is_a_syntax_error(tmp_path, capsys):
     assert stderr.startswith("error: StatementSyntaxError: line 2, col 1: ")
 
 
+def test_prove_groebner_rejects_large_universe(tmp_path, capsys):
+    # the engine's tables grow as 4^m, so m = 17 is refused before any is built
+    k = tmp_path / "k.logic"
+    k.write_text("x17 = 0\n")
+    code, stdout, stderr = run(capsys, ["prove", "--knowledge", str(k),
+                                        "--query", str(k), "--engine", "groebner"])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: UniverseTooLarge: ")
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_t1_report(capsys):
@@ -369,7 +380,7 @@ def test_sweep_drops_pairs_outside_simplex(capsys):
 
 def test_sweep_rejects_malformed_grid(capsys):
     for spec in ("zero-to-one", "nan:0.1:0.3", "inf:1:inf", "0.1:nan:0.3",
-                 "0.1:0.1:inf"):
+                 "0.1:0.1:inf", "0:0.00001:1"):
         code, _, stderr = run(capsys, ["sweep", "--grid", spec])
         assert code == 2, spec
         assert "grid" in stderr

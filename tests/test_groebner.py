@@ -5,8 +5,9 @@ import random
 import pytest
 
 from logicast.algset import entails, zeros
-from logicast.errors import DomainError, PreconditionViolated
+from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
+    GB_M_MAX,
     GroebnerBasis,
     entails_groebner,
     groebner_basis,
@@ -188,6 +189,14 @@ def test_entails_groebner_agrees_with_zero_sets():
 def test_entails_groebner_m_mismatch():
     with pytest.raises(DomainError):
         entails_groebner(PolySet.of(2, [p((1,))]), PolySet.of(3, [p((1,))]))
+
+
+def test_universe_cap():
+    big = PolySet.of(GB_M_MAX + 1, [p((GB_M_MAX + 1,))])
+    for call in (groebner_basis, lambda ps: delta(ps, ps),
+                 lambda ps: entails_groebner(ps, ps)):
+        with pytest.raises(UniverseTooLarge):
+            call(big)
 
 
 # -------------------------------------------------------------- deltas

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import logicast.partition as partition
-from logicast.bitcodec import Bits, BitReader, BitWriter
+from logicast.bitcodec import Bits, BitReader, BitWriter, elias_delta_encode
 from logicast.errors import (
     DomainError,
     DuplicateColumns,
@@ -113,6 +113,19 @@ def test_ternary_vector_validation():
         TernaryVector.from_string("01q")
 
 
+def test_ternary_vector_from_array():
+    src = np.array([0, 1, 2, 0], dtype=np.int8)
+    x = TernaryVector(src)
+    assert x == TernaryVector([0, 1, 2, 0])
+    assert x.entries.dtype == np.int8
+    src[0] = 1  # the vector holds its own copy
+    assert x.to_string() == "01*0"
+    # range is checked before the int8 cast, so 256 cannot wrap to 0
+    for bad in ([0, 256], [0, -1], [0, 3]):
+        with pytest.raises(DomainError):
+            TernaryVector(np.array(bad, dtype=np.int64))
+
+
 def test_ternary_vector_immutable():
     x = TernaryVector([0, 1, 2])
     with pytest.raises(ValueError):
@@ -207,6 +220,16 @@ def test_random_codec_requires_positive_law():
         random_encode(_tv("01"), 0.0, 0.5, shared)
     with pytest.raises(DomainError):
         random_encode(_tv("01"), 0.5, 0.0, shared)
+
+
+def test_random_codec_zero_density_side_without_cells():
+    # bias 0 makes every cell 1, bias 1 every cell 0: row 1 matches outright
+    for text, p_a, p_b, bias in (("1*1", 0.0, 0.5, 0), ("0**0", 0.5, 0.0, 1),
+                                 ("***", 0.0, 0.0, 0)):
+        shared = SharedRandomness(5, Fraction(bias))
+        assert random_encode(_tv(text), p_a, p_b, shared) == elias_delta_encode(1)
+    with pytest.raises(DomainError):
+        random_encode(_tv("1*0"), 0.0, 0.5, SharedRandomness(5, Fraction(0)))
 
 
 def test_random_codec_search_exhaustion(monkeypatch):
