@@ -112,8 +112,9 @@ class BitReader:
     def bits_read(self) -> int:
         return self._pos
 
-    def read_bit(self) -> int:
-        return self.read_bits(1)
+    @property
+    def bits_left(self) -> int:
+        return self._end - self._pos
 
     def read_bits(self, width: int) -> int:
         if width < 0:

@@ -13,10 +13,10 @@ Two codecs live here.
   matches every constrained cell, transmit the row index.  Approaches
   the optimum (a + b) * H(a / (a + b)) bits per coordinate, written
   :func:`lambda_fn`, at the price of an exponential search.
-* ``linear``: solve for a combination of shared random rows that
-  matches the constrained cells, transmit the combination.  Polynomial
-  work, but one bit per constrained cell: a + b bits per coordinate,
-  which meets :func:`lambda_fn` only when a = b.
+* ``linear``: solve for the combination of shared random rows that matches
+  the constrained cells (:func:`first_solvable_prefix`, reused by t3
+  decoding) and transmit it.  Polynomial work, but one bit per constrained
+  cell: a + b bits per coordinate, meeting :func:`lambda_fn` only at a = b.
 
 Both shared-randomness codecs draw their codebooks from a splitmix64
 keystream (see :mod:`logicast.randomness`), so encoder and decoder only
@@ -229,14 +229,44 @@ def _fair_row(seed: int, row: int, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
-def _pack_le(bits: np.ndarray) -> int:
+def pack_le(bits: np.ndarray) -> int:
     """A 0/1 array as one int, element i at bit i."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _fair_row_packed(seed: int, row: int, psi: np.ndarray) -> int:
     # Row restricted to the constrained columns, packed LSB-first.
-    return _pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi])
+    return pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi]) if psi.size else 0
+
+
+def first_solvable_prefix(rows: Iterable[int], target: int) -> tuple[int, int]:
+    """(J, combination) of the shortest prefix of packed GF(2) rows whose span
+    holds the target.  Bit k selects row k + 1, and only rows independent of
+    the rows before them are selected, so the combination is unique."""
+    # pivot bit -> (reduced row, combination of original rows)
+    basis: dict[int, tuple[int, int]] = {}
+    combo = 0
+    j = 0
+    for j, vec in enumerate(rows, start=1):
+        vec_combo = 1 << (j - 1)
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = (vec, vec_combo)
+                break
+            bv, bc = basis[pivot]
+            vec ^= bv
+            vec_combo ^= bc
+        while target:
+            pivot = target.bit_length() - 1
+            if pivot not in basis:
+                break
+            bv, bc = basis[pivot]
+            target ^= bv
+            combo ^= bc
+        if not target:
+            return j, combo
+    raise SearchExhausted(f"no solvable prefix within {j} rows")
 
 
 def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
@@ -249,34 +279,8 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     when the target already lies in the span of a shorter prefix.
     """
     psi = x.psi()
-    residue = _pack_le(x.entries[psi] == 1)
-    # pivot bit -> (reduced row, combination of original rows)
-    basis: dict[int, tuple[int, int]] = {}
-    combo = 0
-    j = 0
-    while True:
-        j += 1
-        if j > J_MAX:
-            raise SearchExhausted(f"no solvable prefix within {J_MAX} rows")
-        vec = _fair_row_packed(shared.seed, j, psi) if psi.size else 0
-        vec_combo = 1 << (j - 1)
-        while vec:
-            pivot = vec.bit_length() - 1
-            if pivot not in basis:
-                basis[pivot] = (vec, vec_combo)
-                break
-            bv, bc = basis[pivot]
-            vec ^= bv
-            vec_combo ^= bc
-        while residue:
-            pivot = residue.bit_length() - 1
-            if pivot not in basis:
-                break
-            bv, bc = basis[pivot]
-            residue ^= bv
-            combo ^= bc
-        if not residue:
-            break
+    rows = (_fair_row_packed(shared.seed, j, psi) for j in range(1, J_MAX + 1))
+    j, combo = first_solvable_prefix(rows, pack_le(x.entries[psi] == 1))
     bits = elias_delta_encode(j)
     bits.extend((combo >> r) & 1 for r in range(j))
     return bits

@@ -133,10 +133,6 @@ class PolySet:
     def of(cls, m: int, polys: Iterable[Poly]) -> "PolySet":
         return cls(m, frozenset(polys))
 
-    def normalize(self) -> "PolySet":
-        """Drop zero polynomials; they constrain nothing."""
-        return PolySet(self.m, frozenset(q for q in self.polys if not q.is_zero))
-
     def union(self, other: "PolySet") -> "PolySet":
         if other.m != self.m:
             raise VariableOutOfRange(

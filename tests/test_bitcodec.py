@@ -203,14 +203,14 @@ def test_reader_roundtrip_mixed_fields():
     assert r.read_elias_delta() == 40
     assert r.read_bits(4) == 0b1011
     assert r.read_elias_delta() == 1
-    assert r.read_bit() == 1
+    assert r.read_bits(1) == 1
     assert r.bits_read == w.bit_length
 
 
 def test_reader_truncation():
     r = BitReader(b"")
     with pytest.raises(TruncatedStream):
-        r.read_bit()
+        r.read_bits(1)
     w = BitWriter()
     w.write_bits(3, 2)
     r2 = BitReader(w.to_bytes())
@@ -218,7 +218,7 @@ def test_reader_truncation():
     # padding bits exist up to the byte boundary, then the stream ends
     r2.read_bits(6)
     with pytest.raises(TruncatedStream):
-        r2.read_bit()
+        r2.read_bits(1)
 
 
 def test_reader_bit_offset():
@@ -371,7 +371,7 @@ def test_bits_value_type():
     r = BitReader(Bits(0b101, 3))
     assert r.read_bits(3) == 0b101
     with pytest.raises(TruncatedStream):
-        r.read_bit()
+        r.read_bits(1)
 
 
 def test_bits_to_int_accepts_only_bits():

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from logicast.algset import entails, zeros
-from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
+from logicast.errors import DomainError, UniverseTooLarge
 from logicast.groebner import (
     GB_M_MAX,
     GroebnerBasis,
     entails_groebner,
     groebner_basis,
-    delta,
     leading_term,
     monomial_key,
     normal_form,
@@ -193,45 +192,7 @@ def test_entails_groebner_m_mismatch():
 
 def test_universe_cap():
     big = PolySet.of(GB_M_MAX + 1, [p((GB_M_MAX + 1,))])
-    for call in (groebner_basis, lambda ps: delta(ps, ps),
-                 lambda ps: entails_groebner(ps, ps)):
+    for call in (groebner_basis, lambda ps: entails_groebner(ps, ps)):
         with pytest.raises(UniverseTooLarge):
             call(big)
 
-
-# -------------------------------------------------------------- deltas
-
-def test_delta_simple():
-    u = PolySet.of(2, [p((1,)), p((2,))])
-    v = PolySet.of(2, [p((1,))])
-    d = delta(u, v)
-    assert d.polys == frozenset({p((2,))})
-    assert zeros(d.union(v)) == zeros(u)
-
-
-def test_delta_empty_when_nothing_new():
-    u = PolySet.of(2, [p((1,)), p((1, 2))])
-    v = PolySet.of(2, [p((1,))])
-    d = delta(u, v)
-    assert d.polys == frozenset()
-
-
-def test_delta_requires_entailment():
-    with pytest.raises(PreconditionViolated):
-        delta(PolySet.of(2, [p((1,))]), PolySet.of(2, [p((2,))]))
-
-
-def test_delta_contract_random():
-    rng = random.Random(91)
-    done = 0
-    while done < 60:
-        m = rng.randrange(1, 6)
-        v = _random_polyset(rng, m, rng.randrange(1, 3))
-        extra = _random_polyset(rng, m, rng.randrange(1, 3))
-        u = v.union(extra)  # guarantees u entails v
-        d = delta(u, v)
-        assert zeros(d.union(v)) == zeros(u)
-        for q in d.polys:
-            assert not q.is_zero
-            assert not entails(v, PolySet.of(m, [q]))
-        done += 1
