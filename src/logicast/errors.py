@@ -54,6 +54,10 @@ class NotEntailed(LogicastError):
     """A precondition of the form `s entails t` does not hold."""
 
 
+class PreconditionViolated(LogicastError):
+    """A documented operation precondition does not hold."""
+
+
 class ContractViolation(LogicastError):
     """A decoded result failed its correctness contract during trials."""
 

@@ -28,8 +28,8 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable
 
-from .algset import entails as _entails_points  # hooked by bench/tracing.py
-from .errors import DomainError, UniverseTooLarge
+from .algset import entails as _entails_points
+from .errors import DomainError, PreconditionViolated, UniverseTooLarge
 from .poly import Poly, PolySet
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "groebner_basis",
     "normal_form",
     "entails_groebner",
+    "delta",
     "monomial_key",
     "leading_term",
 ]
@@ -309,3 +310,20 @@ def entails_groebner(s: PolySet, t: PolySet) -> bool:
         raise DomainError(f"variable counts differ: {s.m} vs {t.m}")
     gb = groebner_basis(s)
     return all(normal_form(q, gb).is_zero for q in t.polys)
+
+
+def delta(u: PolySet, v: PolySet) -> PolySet:
+    """Incremental residue of u over v: normal forms of u's members modulo
+    the ideal of v, with the ones v already implies dropped.
+
+    Requires u to entail v; the result d then satisfies
+    zeros(d union v) == zeros(u), and no member of d follows from v alone.
+    """
+    if u.m != v.m:
+        raise DomainError(f"variable counts differ: {u.m} vs {v.m}")
+    if not _entails_points(u, v):
+        raise PreconditionViolated("the update must entail the background")
+    gb = groebner_basis(v)
+    residue = {normal_form(q, gb) for q in u.polys}
+    residue.discard(Poly.zero())
+    return PolySet(u.m, frozenset(residue))

@@ -14,9 +14,9 @@ Two codecs live here.
   the optimum (a + b) * H(a / (a + b)) bits per coordinate, written
   :func:`lambda_fn`, at the price of an exponential search.
 * ``linear``: solve for the combination of shared random rows that matches
-  the constrained cells (:func:`first_solvable_prefix`, reused by t3
-  decoding) and transmit it.  Polynomial work, but one bit per constrained
-  cell: a + b bits per coordinate, meeting :func:`lambda_fn` only at a = b.
+  the constrained cells (:func:`first_solvable_prefix`) and transmit it.
+  Polynomial work, but one bit per constrained cell: a + b bits per
+  coordinate, meeting :func:`lambda_fn` only at a = b.
 
 Both shared-randomness codecs draw their codebooks from a splitmix64
 keystream (see :mod:`logicast.randomness`), so encoder and decoder only
@@ -229,20 +229,19 @@ def _fair_row(seed: int, row: int, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
-def pack_le(bits: np.ndarray) -> int:
+def _pack_le(bits: np.ndarray) -> int:
     """A 0/1 array as one int, element i at bit i."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _fair_row_packed(seed: int, row: int, psi: np.ndarray) -> int:
     # Row restricted to the constrained columns, packed LSB-first.
-    return pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi]) if psi.size else 0
+    return _pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi]) if psi.size else 0
 
 
 def first_solvable_prefix(rows: Iterable[int], target: int) -> tuple[int, int]:
-    """(J, combination) of the shortest prefix of packed GF(2) rows whose span
-    holds the target.  Bit k selects row k + 1, and only rows independent of
-    the rows before them are selected, so the combination is unique."""
+    """(J, combination) of the shortest prefix of packed GF(2) rows spanning the
+    target; bit k picks row k + 1, only from rows independent of earlier ones."""
     # pivot bit -> (reduced row, combination of original rows)
     basis: dict[int, tuple[int, int]] = {}
     combo = 0
@@ -280,7 +279,7 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     """
     psi = x.psi()
     rows = (_fair_row_packed(shared.seed, j, psi) for j in range(1, J_MAX + 1))
-    j, combo = first_solvable_prefix(rows, pack_le(x.entries[psi] == 1))
+    j, combo = first_solvable_prefix(rows, _pack_le(x.entries[psi] == 1))
     bits = elias_delta_encode(j)
     bits.extend((combo >> r) & 1 for r in range(j))
     return bits

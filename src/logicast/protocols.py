@@ -7,8 +7,8 @@ law parameters) followed by a self-delimiting payload bit stream:
 * t1: the whole zero set, sent as size plus combinatorial rank.
 * t2: the zero set ranked inside the background's zero set, which both
   parties can enumerate.
-* t3: the same bits as t2; the decoder hands back only the increment
-  over the background: the normal form modulo r, solved for on Z(r).
+* t3: the same bits as t2; the decoder additionally strips everything
+  the background already proves and hands back only the increment.
 * t4: a partition codeword for the ternary vector psi(s, q), letting
   the reconstruction land anywhere between Z(s) and Z(q).
 * t5: psi(s, q) split along the background's zero set, each part coded
@@ -27,7 +27,6 @@ transmissions concatenate cleanly.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,21 +49,18 @@ from .errors import (
     MalformedHeader,
     NotEntailed,
     TruncatedStream,
-    UniverseTooLarge,
 )
-from .groebner import GB_M_MAX, monomial_key
+from .groebner import delta
 from .partition import (
     SharedRandomness,
     TernaryVector,
-    first_solvable_prefix,
     linear_decode,
     linear_encode,
-    pack_le,
     random_decode,
     random_encode,
     read_codeword,
 )
-from .poly import Poly, PolySet
+from .poly import PolySet
 from .randomness import MASK64, derive_seed
 
 MAGIC = b"LGC1"
@@ -140,9 +136,9 @@ def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
     k = reader.read_elias_delta() - 1
     if k > n:
         raise MalformedCodeword(f"zero set size {k} exceeds the {n} candidates")
-    # C(n, k) >= (n / k')^k', k' = min(k, n - k): check before building C(n, k)
+    # C(n, k) >= (n // k')^k', k' = min(k, n - k): check before building C(n, k)
     k_low = min(k, n - k)
-    if k_low and reader.bits_left < k_low * math.log2(n / k_low) - 1:
+    if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
         raise TruncatedStream("bit stream exhausted")
     return k, reader.read_bits(rank_width(n, k))
 
@@ -265,20 +261,8 @@ def t2_decode(tx: Transmission, r: PolySet) -> PolySet:
 
 
 def t3_decode(tx: Transmission, r: PolySet) -> PolySet:
-    """Decode, then keep only the normal form modulo r, dropped when zero.
-
-    r's ideal vanishes exactly on Z(r), so the normal form is the sum of
-    standard monomials (those whose values on Z(r) are independent of all
-    smaller ones; Buchberger-Moeller) that equals the statement on Z(r)."""
-    if tx.m > GB_M_MAX:
-        raise UniverseTooLarge(f"t3 decoding supports m <= {GB_M_MAX}, got m={tx.m}")
-    zs = zeros(t2_decode(tx, r)).to_bool_array()
-    points = np.flatnonzero(zeros(r).to_bool_array())
-    monos = sorted(range(1 << tx.m), key=lambda t: monomial_key(t, tx.m))
-    rows = (pack_le(points & t == t) for t in monos)
-    j, combo = first_solvable_prefix(rows, pack_le(~zs[points]))
-    nf = Poly(t for k, t in enumerate(monos[:j]) if combo >> k & 1)
-    return PolySet(tx.m, frozenset({nf} if combo else ()))
+    """Decode, then keep only what the background does not already prove."""
+    return delta(t2_decode(tx, r), r)
 
 
 # --------------------------------------------------------------------------

@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from logicast.algset import entails, zeros
-from logicast.errors import DomainError, UniverseTooLarge
+from logicast.algset import AlgSet, entails, reconstruct, zeros
+from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
     GB_M_MAX,
     GroebnerBasis,
     entails_groebner,
     groebner_basis,
+    delta,
     leading_term,
     monomial_key,
     normal_form,
 )
+from logicast.partition import first_solvable_prefix
 from logicast.poly import Poly, PolySet, monomial_from_vars
+from logicast.simlab import Nested, sample
 
 
 def p(*termvars) -> Poly:
@@ -192,7 +196,76 @@ def test_entails_groebner_m_mismatch():
 
 def test_universe_cap():
     big = PolySet.of(GB_M_MAX + 1, [p((GB_M_MAX + 1,))])
-    for call in (groebner_basis, lambda ps: entails_groebner(ps, ps)):
+    for call in (groebner_basis, lambda ps: delta(ps, ps),
+                 lambda ps: entails_groebner(ps, ps)):
         with pytest.raises(UniverseTooLarge):
             call(big)
 
+
+# -------------------------------------------------------------- deltas
+
+def test_delta_simple():
+    u = PolySet.of(2, [p((1,)), p((2,))])
+    v = PolySet.of(2, [p((1,))])
+    d = delta(u, v)
+    assert d.polys == frozenset({p((2,))})
+    assert zeros(d.union(v)) == zeros(u)
+
+
+def test_delta_empty_when_nothing_new():
+    u = PolySet.of(2, [p((1,)), p((1, 2))])
+    v = PolySet.of(2, [p((1,))])
+    d = delta(u, v)
+    assert d.polys == frozenset()
+
+
+def test_delta_requires_entailment():
+    with pytest.raises(PreconditionViolated):
+        delta(PolySet.of(2, [p((1,))]), PolySet.of(2, [p((2,))]))
+
+
+def test_delta_contract_random():
+    rng = random.Random(91)
+    done = 0
+    while done < 60:
+        m = rng.randrange(1, 6)
+        v = _random_polyset(rng, m, rng.randrange(1, 3))
+        extra = _random_polyset(rng, m, rng.randrange(1, 3))
+        u = v.union(extra)  # guarantees u entails v
+        d = delta(u, v)
+        assert zeros(d.union(v)) == zeros(u)
+        for q in d.polys:
+            assert not q.is_zero
+            assert not entails(v, PolySet.of(m, [q]))
+        done += 1
+
+
+def _packed(bits: np.ndarray) -> int:
+    return sum(1 << i for i in np.flatnonzero(bits).tolist())
+
+
+def _point_normal_form(q: Poly, r: PolySet) -> Poly:
+    """Oracle without Buchberger: r's ideal vanishes exactly on Z(r), so the
+    normal form of q is the combination of standard monomials (values on Z(r)
+    independent of every smaller monomial's) that equals q on Z(r)."""
+    points = np.flatnonzero(zeros(r).to_bool_array())
+    monos = sorted(range(1 << r.m), key=lambda t: monomial_key(t, r.m))
+    rows = (_packed(points & t == t) for t in monos)
+    target = _packed(~zeros(PolySet.of(r.m, [q])).to_bool_array()[points])
+    j, combo = first_solvable_prefix(rows, target)
+    return Poly(t for k, t in enumerate(monos[:j]) if combo >> k & 1)
+
+
+def test_delta_matches_point_normal_forms():
+    # t3's backgrounds, and criterion 07's draw: Z(s) a random part of a
+    # random Z(r); s is reconstructed from Z(s), as t2 decoding returns it
+    pairs = [sample(Nested(0.15, 0.5), m, seed)[1] for m in range(3, 10) for seed in (1, 2, 3)]
+    rng = random.Random(709)
+    for _ in range(60):
+        m = rng.randrange(2, 8)
+        pts_r = rng.sample(range(1 << m), rng.randint(1, 1 << m))
+        pts_s = [pt for pt in pts_r if rng.random() < 0.6] or pts_r[:1]
+        pairs.append(tuple(reconstruct(AlgSet.from_points(m, pts)) for pts in (pts_s, pts_r)))
+    for s, r in pairs:
+        want = {_point_normal_form(q, r) for q in s.polys} - {Poly.zero()}
+        assert delta(s, r).polys == want

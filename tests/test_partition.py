@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from logicast.partition import (
     binary_entropy,
     cw_check,
     cw_matrix,
+    first_solvable_prefix,
     lambda_fn,
     linear_decode,
     linear_encode,
@@ -331,6 +335,29 @@ def test_linear_decode_truncated_combination():
     reader = BitReader(Bits(int("".join(str(b) for b in short), 2), len(short)))
     with pytest.raises(TruncatedStream):
         linear_decode(reader, 40, shared)
+
+
+def test_first_solvable_prefix_matches_bruteforce():
+    rng = random.Random(97)
+    for _ in range(300):
+        rows = [rng.getrandbits(6) for _ in range(rng.randint(1, 10))]
+        target = rng.getrandbits(6)
+        # rows independent of the rows before them
+        free = [k for k in range(len(rows)) if all(
+            reduce(xor, (rows[i] for i in sub), 0) != rows[k]
+            for n in range(k + 1) for sub in combinations(range(k), n))]
+        hits = [(j, sub) for j in range(1, len(rows) + 1)
+                for n in range(j + 1) for sub in combinations(range(j), n)
+                if reduce(xor, (rows[i] for i in sub), 0) == target]
+        if not hits:
+            with pytest.raises(SearchExhausted):
+                first_solvable_prefix(iter(rows), target)
+            continue
+        j = hits[0][0]
+        on_profile = [sub for jj, sub in hits if jj == j and set(sub) <= set(free)]
+        assert len(on_profile) == 1
+        want = sum(1 << i for i in on_profile[0])
+        assert first_solvable_prefix(iter(rows), target) == (j, want)
 
 
 # ---------------------------------------------------- constant-weight columns

@@ -1,31 +1,20 @@
 from __future__ import annotations
 
 import random
-from functools import reduce
-from itertools import combinations
-from operator import xor
 
 import pytest
 
 from logicast import algset, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
-from logicast.bitcodec import (
-    Bits,
-    BitWriter,
-    elias_delta_length,
-    rank_width,
-    subset_rank,
-)
+from logicast.bitcodec import BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
     DomainError,
     MalformedHeader,
     NotEntailed,
-    SearchExhausted,
     TruncatedStream,
-    UniverseTooLarge,
 )
-from logicast.groebner import entails_groebner, groebner_basis, normal_form
-from logicast.partition import FREE, first_solvable_prefix
+from logicast.groebner import entails_groebner
+from logicast.partition import FREE
 from logicast.poly import Poly, PolySet
 from logicast.protocols import (
     Transmission,
@@ -44,7 +33,6 @@ from logicast.protocols import (
     t5_decode,
     t5_encode,
 )
-from logicast.simlab import Nested, sample
 
 V = Poly.variable
 
@@ -323,71 +311,6 @@ def test_t3_decode_accepts_t2_transmission():
     s, r = _random_nested(rng, 5, 0.3, 0.8)
     delta = t3_decode(t2_encode(s, r), r)
     assert zeros(delta.union(r)) == zeros(s)
-
-
-def _buchberger_increment(tx: Transmission, r: PolySet) -> frozenset:
-    # slow oracle: normal forms of the decoded statement modulo r's reduced
-    # Groebner basis, the zero polynomial dropped
-    gb = groebner_basis(r)
-    return frozenset({normal_form(q, gb) for q in t2_decode(tx, r)} - {Poly.zero()})
-
-
-def test_t3_decode_matches_buchberger_on_nested_backgrounds():
-    for m in range(3, 10):
-        for seed in (1, 2, 3):
-            (_, _), (s, r) = sample(Nested(0.15, 0.5), m, seed)
-            tx = t3_encode(s, r, seed=seed)
-            assert t3_decode(tx, r).polys == _buchberger_increment(tx, r)
-
-
-def test_t3_decode_matches_buchberger_on_random_pairs():
-    # criterion 07's draw: a random background zero set of any size, and a
-    # random part of it as Z(s)
-    rng = random.Random(709)
-    for i in range(60):
-        m = rng.randrange(2, 8)
-        pts_r = rng.sample(range(1 << m), rng.randint(1, 1 << m))
-        pts_s = [p for p in pts_r if rng.random() < 0.6] or pts_r[:1]
-        s, r = _sigma_of(m, pts_s), _sigma_of(m, pts_r)
-        tx = t3_encode(s, r, seed=i)
-        assert t3_decode(tx, r).polys == _buchberger_increment(tx, r)
-
-
-def test_t3_roundtrip_at_m12():
-    (zs, _), (s, r) = sample(Nested(0.15, 0.5), 12, 1)
-    d = t3_decode(t3_encode(s, r, seed=1), r)
-    assert zeros(d.union(r)) == zs
-    for w in d:
-        assert not entails(r, PolySet.of(12, [w]))
-
-
-def test_t3_decode_refuses_large_universe():
-    tx = Transmission("t3", 17, None, 0, (0, 0, 0, 0), Bits(0, 0))
-    with pytest.raises(UniverseTooLarge):
-        t3_decode(tx, PolySet(17, frozenset()))
-
-
-def test_first_solvable_prefix_matches_bruteforce():
-    rng = random.Random(97)
-    for _ in range(300):
-        rows = [rng.getrandbits(6) for _ in range(rng.randint(1, 10))]
-        target = rng.getrandbits(6)
-        # rows independent of the rows before them
-        free = [k for k in range(len(rows)) if all(
-            reduce(xor, (rows[i] for i in sub), 0) != rows[k]
-            for n in range(k + 1) for sub in combinations(range(k), n))]
-        hits = [(j, sub) for j in range(1, len(rows) + 1)
-                for n in range(j + 1) for sub in combinations(range(j), n)
-                if reduce(xor, (rows[i] for i in sub), 0) == target]
-        if not hits:
-            with pytest.raises(SearchExhausted):
-                first_solvable_prefix(iter(rows), target)
-            continue
-        j = hits[0][0]
-        on_profile = [sub for jj, sub in hits if jj == j and set(sub) <= set(free)]
-        assert len(on_profile) == 1
-        want = sum(1 << i for i in on_profile[0])
-        assert first_solvable_prefix(iter(rows), target) == (j, want)
 
 
 def test_challenge_stage_both_engines():
