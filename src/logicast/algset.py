@@ -41,14 +41,6 @@ class AlgSet:
             raise DomainError("membership bits outside the assignment space")
 
     @classmethod
-    def empty(cls, m: int) -> "AlgSet":
-        return cls(m, 0)
-
-    @classmethod
-    def full(cls, m: int) -> "AlgSet":
-        return cls(m, (1 << (1 << m)) - 1)
-
-    @classmethod
     def from_points(cls, m: int, points: Iterable[int]) -> "AlgSet":
         _check_m(m)
         pts = list(points)
@@ -80,20 +72,9 @@ class AlgSet:
         raw = self.bits.to_bytes((n + 7) // 8, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little").astype(bool)
 
-    def complement(self) -> "AlgSet":
-        return AlgSet(self.m, self.bits ^ ((1 << (1 << self.m)) - 1))
-
     def issubset(self, other: "AlgSet") -> bool:
         self._check_peer(other)
         return self.bits & ~other.bits == 0
-
-    def __and__(self, other: "AlgSet") -> "AlgSet":
-        self._check_peer(other)
-        return AlgSet(self.m, self.bits & other.bits)
-
-    def __or__(self, other: "AlgSet") -> "AlgSet":
-        self._check_peer(other)
-        return AlgSet(self.m, self.bits | other.bits)
 
     def _check_peer(self, other: "AlgSet") -> None:
         if self.m != other.m:

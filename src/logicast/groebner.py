@@ -20,6 +20,9 @@ S-polynomial against the implicit idempotency relation, and skipping it is
 what makes textbook Buchberger wrong in this ring.  The coprime-leading-term
 shortcut is equally invalid here, so the only pruning applied is the chain
 criterion, whose syzygy argument does not depend on the coefficient ring.
+
+Reducers look divisors up in one table over all 2^m monomials, and one pass
+in ascending leading-term order makes the completed basis minimal and reduced.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable
+
+import numpy as np
 
 from .algset import entails as _entails_points
 from .errors import DomainError, PreconditionViolated, UniverseTooLarge
@@ -73,8 +78,8 @@ def leading_term(q: Poly, m: int) -> int:
 def _tables(m: int):
     """Per-m data: monomial masks in descending order, the matching packed
     single-bit probes, an or-of-64 coarsening of those probes for skipping
-    dead stretches, and for each variable bit b the packed positions whose
-    mask contains b."""
+    dead stretches, for each variable bit b the packed positions whose
+    mask contains b, and every mask as a read-only numpy index array."""
     if m > GB_M_MAX:
         raise UniverseTooLarge(f"Groebner tables support m <= {GB_M_MAX}, got m={m}")
     n = 1 << m
@@ -95,7 +100,9 @@ def _tables(m: int):
             pat |= pat << width
             width <<= 1
         hi.append(pat)
-    return desc, descbit, tuple(blocks), tuple(hi)
+    monos = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    monos.flags.writeable = False
+    return desc, descbit, tuple(blocks), tuple(hi), monos
 
 
 def _xb_mul(acc: int, b: int, hi) -> int:
@@ -113,26 +120,24 @@ def _mono_mul(acc: int, u: int, hi) -> int:
 
 
 class _Reducer:
-    """Reduction against an append-only element list, with a divisor cache.
+    """Reduction against an append-only element list through a divisor table.
 
-    Cached hits stay valid forever because elements are never removed or
-    edited.  Misses are not cached: every append would void them, and
-    caching them measured no faster.
+    `div[mono]` is the index of the first element whose leading term
+    divides mono, or -1 if none does.  Elements are never removed and their
+    leading terms never change, so an entry never changes once set and
+    `append` fills only the still-empty multiples of the new leading term.
     """
 
-    __slots__ = ("elems", "hi", "desc", "descbit", "blocks", "_hits")
+    __slots__ = ("elems", "div", "monos", "hi", "desc", "descbit", "blocks")
 
-    def __init__(self, elems, m: int):
-        self.elems = elems
-        self.desc, self.descbit, self.blocks, self.hi = _tables(m)
-        self._hits: dict[int, int] = {}
+    def __init__(self, m: int):
+        self.elems: list[tuple[int, int]] = []
+        self.desc, self.descbit, self.blocks, self.hi, self.monos = _tables(m)
+        self.div = np.full(self.monos.size, -1, dtype=np.int32)
 
-    def _divisor(self, mono: int) -> int:
-        for k, (lt, _) in enumerate(self.elems):
-            if lt & mono == lt:
-                self._hits[mono] = k
-                return k
-        return -1
+    def append(self, lt: int, body: int) -> None:
+        self.div[(self.monos & lt == lt) & (self.div < 0)] = len(self.elems)
+        self.elems.append((lt, body))
 
     def _reduce(self, acc: int, collect: bool):
         """Shared loop of `top` and `full`; returns (residue, irreducible lt).
@@ -143,7 +148,7 @@ class _Reducer:
         """
         descbit, desc, blocks = self.descbit, self.desc, self.blocks
         hi, elems = self.hi, self.elems
-        hits_get = self._hits.get
+        div = self.div.data  # indexing the memoryview yields plain ints
         out = 0
         ptr = 0
         while acc:
@@ -155,9 +160,7 @@ class _Reducer:
                 ptr += 1
                 continue
             mono = desc[ptr]
-            idx = hits_get(mono)
-            if idx is None:
-                idx = self._divisor(mono)
+            idx = div[mono]
             if idx < 0:
                 if not collect:
                     return acc, mono
@@ -184,8 +187,8 @@ class _Reducer:
         return self._reduce(acc, collect=True)[0]
 
 
-def _buchberger(gens: Iterable[int], m: int):
-    red = _Reducer([], m)
+def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
+    red = _Reducer(m)
     elems = red.elems
     lts: list[int] = []
     heap: list[tuple[int, int, int, int, int]] = []
@@ -209,7 +212,7 @@ def _buchberger(gens: Iterable[int], m: int):
             if (lt >> b) & 1:
                 # the pair against xb*xb = xb carries one extra degree unit
                 heappush(heap, (monomial_key(lt, m) + (1 << m), next(tick), 1, idx, b))
-        elems.append((lt, acc))
+        red.append(lt, acc)
         lts.append(lt)
 
     def chained(lti: int, ltj: int, lcm: int) -> bool:
@@ -243,18 +246,15 @@ def _buchberger(gens: Iterable[int], m: int):
         else:
             add(_xb_mul(elems[a][1], b, hi))
 
-    # minimal basis: drop any element whose leading term another one divides
-    kept = [
-        (lt, body)
-        for i, (lt, body) in enumerate(elems)
-        if not any(j != i and elems[j][0] & lt == elems[j][0] for j in range(len(elems)))
-    ]
-    kept.sort(key=lambda e: monomial_key(e[0], m))
-    # inter-reduce tails so no monomial anywhere is divisible by a peer's lead
-    for i in range(len(kept)):
-        others = _Reducer(kept[:i] + kept[i + 1 :], m)
-        kept[i] = (kept[i][0], others.full(kept[i][1]))
-    return kept
+    # A proper divisor has a smaller degree, so it is kept before its
+    # multiples are met; no leading term divides a smaller monomial, so a
+    # tail reduced against every kept element is reduced against the others.
+    out = _Reducer(m)
+    for lt, body in sorted(elems, key=lambda e: monomial_key(e[0], m)):
+        if out.div[lt] < 0:
+            out.append(lt, body)
+    out.elems[:] = [(lt, (1 << lt) | out.full(body ^ (1 << lt))) for lt, body in out.elems]
+    return out
 
 
 def _pack(q: Poly, m: int) -> int:
@@ -280,10 +280,10 @@ class GroebnerBasis:
 
     __slots__ = ("m", "polys", "_reducer")
 
-    def __init__(self, m: int, elems: list[tuple[int, int]]):
+    def __init__(self, m: int, reducer: _Reducer):
         self.m = m
-        self._reducer = _Reducer(list(elems), m)
-        self.polys = tuple(_unpack(body) for _, body in elems)
+        self._reducer = reducer
+        self.polys = tuple(_unpack(body) for _, body in reducer.elems)
 
     def __len__(self) -> int:
         return len(self.polys)

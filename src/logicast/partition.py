@@ -221,22 +221,17 @@ def random_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.nda
 # linear codec: first solvable prefix of a random generator matrix
 
 
-def _fair_row(seed: int, row: int, n: int) -> np.ndarray:
-    """Row of the fair generator matrix over all n columns, dtype uint8."""
+def _fair_row(seed: int, row: int, n: int) -> int:
+    """Row of the fair generator matrix over n columns, column i at bit i."""
     nblk = (n + 63) >> 6
     keys = (np.uint64(row) << np.uint64(COL_SHIFT)) | np.arange(nblk, dtype=np.uint64)
     words = draw_array(seed, keys).astype("<u8", copy=False)
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
+    return int.from_bytes(words.tobytes(), "little") & ((1 << n) - 1)
 
 
 def _pack_le(bits: np.ndarray) -> int:
     """A 0/1 array as one int, element i at bit i."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _fair_row_packed(seed: int, row: int, psi: np.ndarray) -> int:
-    # Row restricted to the constrained columns, packed LSB-first.
-    return _pack_le(_fair_row(seed, row, int(psi[-1]) + 1)[psi]) if psi.size else 0
 
 
 def first_solvable_prefix(rows: Iterable[int], target: int) -> tuple[int, int]:
@@ -277,9 +272,12 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     above it when the prefix needs them to reach full rank, below it
     when the target already lies in the span of a shorter prefix.
     """
-    psi = x.psi()
-    rows = (_fair_row_packed(shared.seed, j, psi) for j in range(1, J_MAX + 1))
-    j, combo = first_solvable_prefix(rows, _pack_le(x.entries[psi] == 1))
+    # masking keeps the column order, so J and the combination are those of
+    # the rows restricted to the constrained columns
+    care = _pack_le(x.entries != FREE)
+    n = care.bit_length()
+    rows = (_fair_row(shared.seed, j, n) & care for j in range(1, J_MAX + 1))
+    j, combo = first_solvable_prefix(rows, _pack_le(x.entries == 1))
     bits = elias_delta_encode(j)
     bits.extend((combo >> r) & 1 for r in range(j))
     return bits
@@ -287,12 +285,13 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
 
 def linear_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.ndarray:
     j, combo = read_codeword(reader, "linear")
-    y = np.zeros(n, dtype=np.uint8)
+    y = 0
     # row 1's bit was sent first, so it is the top bit of the combination
     for row, bit in enumerate(f"{combo:0{j}b}", start=1):
         if bit == "1":
             y ^= _fair_row(shared.seed, row, n)
-    return y
+    raw = np.frombuffer(y.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def read_codeword(reader: BitReader, codec: str) -> tuple[int, int]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import StatementSyntaxError, VariableOutOfRange
+from .algset import M_MAX
+from .errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
 from .poly import Poly, PolySet, monomial_vars
 
 _TOKEN_RE = re.compile(
@@ -36,13 +37,35 @@ _SYMS = {"(": "LP", ")": "RP", "+": "PLUS", "*": "STAR", "=": "EQ"}
 _ONE = Poly.one()
 
 
-def _tokenize_line(text: str, line_no: int) -> list[tuple[str, int, int]]:
+# canonical variable names; any other spelling goes through _variable_index
+_NAMES = {f"x{i}": i for i in range(1, M_MAX + 1)}
+
+
+def _variable_index(word: str, m: int | None, where: str) -> int:
+    """Index of a variable word not in _NAMES, range-checked before the parser
+    turns it into the mask 1 << (index - 1), an index-bit integer."""
+    digits = word[1:].lstrip("0")
+    if not digits:
+        raise VariableOutOfRange(f"{where}: variables are 1-indexed, got {word}")
+    # int() refuses more than 4300 digits; any index this long is past M_MAX
+    index = int(digits) if len(digits) <= 9 else M_MAX + 1
+    if m is not None and index > m:
+        raise VariableOutOfRange(
+            f"{where}: statements use {word} but only {m} variables were declared"
+        )
+    if index > M_MAX:
+        raise UniverseTooLarge(f"{where}: {word} is beyond the supported {M_MAX} variables")
+    return index
+
+
+def _tokenize_line(text: str, line_no: int, m: int | None) -> list[tuple[str, int, int]]:
     """Tokens as (kind, value, col) tuples, ending with an END token.
 
     kind is VAR, a keyword, LP RP PLUS STAR EQ, ZERO or ONE; value is the
     variable index when kind is VAR.
     """
     tokens = []
+    limit = M_MAX if m is None else m
     for mo in _TOKEN_RE.finditer(text):
         group = mo.lastgroup
         col = mo.start() + 1
@@ -54,12 +77,10 @@ def _tokenize_line(text: str, line_no: int) -> list[tuple[str, int, int]]:
             word = mo.group()
             if word in _KEYWORDS:
                 tokens.append((word, 0, col))
+            elif word in _NAMES and _NAMES[word] <= limit:
+                tokens.append(("VAR", _NAMES[word], col))
             elif word[0] == "x" and word[1:].isdigit():
-                index = int(word[1:])
-                if index < 1:
-                    raise VariableOutOfRange(
-                        f"line {line_no}, col {col}: variables are 1-indexed, got {word}"
-                    )
+                index = _variable_index(word, m, f"line {line_no}, col {col}")
                 tokens.append(("VAR", index, col))
             else:
                 raise StatementSyntaxError(f"unknown token {word!r}", line_no, col)
@@ -211,11 +232,12 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     """Parse a statement file into a PolySet.
 
     The variable count is `m` when given, else the largest index used.
+    A variable past `m` or past algset.M_MAX is refused as it is read.
     """
     polys: set[Poly] = set()
     seen_m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
+        tokens = _tokenize_line(raw, line_no, m)
         if tokens[0][0] == "END":
             continue
         cur = _Cursor(tokens, line_no)
@@ -226,13 +248,7 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
             raise StatementSyntaxError("statement nests too deeply", line_no, 1) from None
         polys.add(q)
         seen_m = max(seen_m, q.max_var())
-    if m is None:
-        m = seen_m
-    elif seen_m > m:
-        raise VariableOutOfRange(
-            f"statements use x{seen_m} but only {m} variables were declared"
-        )
-    return PolySet(m, frozenset(polys))
+    return PolySet(seen_m if m is None else m, frozenset(polys))
 
 
 def poly_to_text(q: Poly) -> str:

@@ -67,11 +67,9 @@ def test_algset_basics():
     assert a.size == 3
     assert 4 in a and 0 not in a
     assert a.points_list() == [1, 4, 6]
-    assert a.complement().size == 5
-    assert a.issubset(AlgSet.full(3))
-    assert AlgSet.empty(3).issubset(a)
-    assert (a & a.complement()) == AlgSet.empty(3)
-    assert (a | a.complement()) == AlgSet.full(3)
+    assert a.issubset(AlgSet(3, (1 << 8) - 1))
+    assert AlgSet(3, 0).issubset(a)
+    assert not a.issubset(AlgSet.from_points(3, [1, 4]))
 
 
 def test_algset_rejects_bad_points():
@@ -170,8 +168,8 @@ def test_reconstruct_two_point_set():
 
 
 def test_reconstruct_edge_sets():
-    assert reconstruct(AlgSet.empty(2)).polys == frozenset({Poly.one()})
-    assert reconstruct(AlgSet.full(2)).polys == frozenset({Poly.zero()})
+    assert reconstruct(AlgSet(2, 0)).polys == frozenset({Poly.one()})
+    assert reconstruct(AlgSet(2, (1 << 4) - 1)).polys == frozenset({Poly.zero()})
 
 
 def test_reconstruct_roundtrip_exhaustive_small():

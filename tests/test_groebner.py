@@ -269,3 +269,27 @@ def test_delta_matches_point_normal_forms():
     for s, r in pairs:
         want = {_point_normal_form(q, r) for q in s.polys} - {Poly.zero()}
         assert delta(s, r).polys == want
+
+
+def _point_basis(r: PolySet) -> tuple[Poly, ...]:
+    """Oracle without Buchberger: the reduced basis is t + NF(t) over the
+    minimal non-standard monomials t (NF(t) != t), ascending; a proper
+    divisor has a smaller degree, so it is met before its multiples."""
+    lead: list[int] = []
+    basis = []
+    for t in sorted(range(1 << r.m), key=lambda t: monomial_key(t, r.m)):
+        if any(u & t == u for u in lead):
+            continue
+        nf = _point_normal_form(Poly([t]), r)
+        if nf != Poly([t]):
+            lead.append(t)
+            basis.append(Poly([t]) + nf)
+    return tuple(basis)
+
+
+def test_reduced_basis_matches_point_oracle():
+    systems = [sample(Nested(0.15, 0.5), m, seed)[1][1] for m in range(3, 9) for seed in (1, 2, 3)]
+    rng = random.Random(811)
+    systems += [_random_polyset(rng, rng.randrange(1, 6), rng.randrange(1, 4)) for _ in range(120)]
+    for r in systems:
+        assert groebner_basis(r).polys == _point_basis(r)

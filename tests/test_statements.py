@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicast.errors import StatementSyntaxError, VariableOutOfRange
+import logicast
+from logicast.errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
 from logicast.poly import Poly, PolySet, monomial_from_vars
 from logicast.statements import parse_statements, poly_to_text, render_statements
 
@@ -91,6 +96,7 @@ def test_raw_terms_collapse_mod_2():
 def test_explicit_variable_count():
     ps = parse_statements("x1 is TRUE\n", m=4)
     assert ps.m == 4
+    assert parse_statements("x002 is TRUE\n", m=2) == parse_statements("x2 is TRUE\n", m=2)
     with pytest.raises(VariableOutOfRange):
         parse_statements("x3 is TRUE\n", m=2)
 
@@ -98,6 +104,41 @@ def test_explicit_variable_count():
 def test_zero_indexed_variable_rejected():
     with pytest.raises(VariableOutOfRange):
         parse_statements("x0 AND x1 is FALSE\n")
+
+
+_HUGE_INDEX_CHILD = """
+import resource, sys
+from pathlib import Path
+from logicast.cli import main
+from logicast.statements import parse_statements
+# cap the address space so that a 2^index-bit mask fails here, not the machine
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for m in (12, None):
+    try:
+        parse_statements("x1000000000000 = 0\\n", m)
+        print("parsed")
+    except Exception as e:
+        print(type(e).__name__)
+path = Path(sys.argv[1])
+path.write_text("x10000000000 = 0\\n")
+try:
+    code = main(["encode", "--scenario", "t1", "--vars", "12", "--in", str(path), "--out", sys.argv[2]])
+    print(code)
+except MemoryError:
+    print("MemoryError")
+"""
+
+
+def test_huge_variable_index_is_refused_before_any_mask(tmp_path):
+    src = str(Path(logicast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_INDEX_CHILD, str(tmp_path / "s.logic"), str(tmp_path / "s.lgc")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.split() == ["VariableOutOfRange", "UniverseTooLarge", "1"], proc.stderr
+    assert proc.stderr.startswith("error: VariableOutOfRange: line 1, col 1: ")
 
 
 def test_syntax_error_position():
@@ -121,6 +162,8 @@ def test_syntax_error_position():
         ("x1 + x2 = 1", StatementSyntaxError, 11),
         ("x1 AND x2 = 0", StatementSyntaxError, 4),
         ("x1 AND", StatementSyntaxError, 7),
+        ("x1 + x25 = 0", UniverseTooLarge, 6),
+        pytest.param("x" + "9" * 5000 + " = 0", UniverseTooLarge, 1, id="past-int-digit-cap"),
     ],
 )
 def test_error_positions(bad, error, col):
