@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitcodec import BitReader, binom, elias_delta_encode
-from .errors import DomainError, DuplicateColumns, SearchExhausted
+from .errors import DomainError, DuplicateColumns, MalformedCodeword, SearchExhausted
 from .randomness import MASK64, draw_array
 
 FREE = 2
@@ -301,6 +301,8 @@ def read_codeword(reader: BitReader, codec: str) -> tuple[int, int]:
     the linear codec follows J with J combination bits, row 1 first.
     """
     j = reader.read_elias_delta()
+    if j > J_MAX:  # no encoder emits it, and the row keys would overflow
+        raise MalformedCodeword(f"row index {j} exceeds J_MAX = {J_MAX}")
     return j, reader.read_bits(j) if codec == "linear" else 0
 
 

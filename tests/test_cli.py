@@ -9,7 +9,10 @@ import pytest
 
 import logicast
 from logicast.algset import entails, zeros
+from logicast.bitcodec import BitWriter
 from logicast.cli import main
+from logicast.partition import J_MAX
+from logicast.protocols import Transmission
 from logicast.statements import parse_statements
 
 ALICE = "NOT (x1 AND x2 AND x3)\nNOT (NOT x1 AND NOT x2 AND NOT x3)\n"
@@ -160,6 +163,21 @@ def test_decode_rejects_corrupt_magic(tmp_path, capsys):
     assert "MalformedHeader" in stderr
 
 
+@pytest.mark.parametrize("codec", ["linear", "random"])
+@pytest.mark.parametrize("j", [J_MAX + 1, 1 << 40, 1 << 70])
+def test_decode_rejects_row_index_past_j_max(tmp_path, capsys, codec, j):
+    body = BitWriter()
+    body.write_elias_delta(j)
+    tx = tmp_path / "tx.bin"
+    tx.write_bytes(Transmission("t4", 3, codec, 0, (16384, 32768, 0, 0),
+                                body.to_bits()).to_bytes())
+    code, stdout, stderr = run(capsys, ["decode", "--in", str(tx),
+                                        "--out", str(tmp_path / "d.logic")])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: MalformedCodeword: ")
+
+
 def test_t4_cli_roundtrip_is_sandwiched(tmp_path, capsys):
     src = tmp_path / "s.logic"
     src.write_text("x1 = 0\nx2 = 0\n")
@@ -258,7 +276,7 @@ def test_prove_deep_nesting_is_a_syntax_error(tmp_path, capsys):
 
 
 def test_prove_groebner_rejects_large_universe(tmp_path, capsys):
-    # the engine's tables grow as 4^m, so m = 17 is refused before any is built
+    # the engine stops at GB_M_MAX = 16, so m = 17 is refused before any work
     k = tmp_path / "k.logic"
     k.write_text("x17 = 0\n")
     code, stdout, stderr = run(capsys, ["prove", "--knowledge", str(k),

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logicast
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
@@ -200,6 +205,29 @@ def test_universe_cap():
                  lambda ps: entails_groebner(ps, ps)):
         with pytest.raises(UniverseTooLarge):
             call(big)
+
+
+_RSS_AT_CAP = """
+import resource
+from logicast.groebner import GB_M_MAX, groebner_basis
+from logicast.poly import Poly, PolySet
+gb = groebner_basis(PolySet(GB_M_MAX, frozenset([Poly([1 << (GB_M_MAX - 1)])])))
+assert len(gb) == 1
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_memory_at_universe_cap():
+    # the basis of x16 = 0 in a fresh process: packed polynomials and the
+    # per-m tables are Θ(m·2^m) bits, so the peak is mostly the interpreter
+    src = str(Path(logicast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_AT_CAP], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 120 * 1024  # ru_maxrss is in KiB on Linux
 
 
 # -------------------------------------------------------------- deltas

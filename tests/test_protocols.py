@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicast import algset, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.bitcodec import BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
     DomainError,
+    LogicastError,
+    MalformedCodeword,
     MalformedHeader,
     NotEntailed,
     TruncatedStream,
 )
 from logicast.groebner import entails_groebner
-from logicast.partition import FREE
+from logicast.partition import FREE, J_MAX
 from logicast.poly import Poly, PolySet
 from logicast.protocols import (
     Transmission,
@@ -472,3 +477,73 @@ def test_peek_header_reads_scenario_and_universe():
         peek_header(blob[:10])
     with pytest.raises(MalformedHeader):
         peek_header(b"XXXX" + blob[4:])
+
+
+# ------------------------------------------------------------ hostile input
+
+def _t4_with_row_index(codec: str, j: int) -> Transmission:
+    """A t4 transmission at m=3 whose one codeword claims row index j."""
+    body = BitWriter()
+    body.write_elias_delta(j)
+    return Transmission("t4", 3, codec, 0, (16384, 32768, 0, 0), body.to_bits())
+
+
+@pytest.mark.parametrize("codec", ["linear", "random"])
+@pytest.mark.parametrize("j", [J_MAX + 1, 1 << 40, 1 << 70])
+def test_row_index_past_j_max_is_malformed(codec, j):
+    # no encoder emits J > J_MAX; past 2^38 the row keys wrap in uint64
+    tx = _t4_with_row_index(codec, j)
+    with pytest.raises(MalformedCodeword):
+        read_transmission(tx.to_bytes())
+    with pytest.raises(MalformedCodeword):
+        t4_decode(tx)
+
+
+def test_row_index_at_j_max_still_reads():
+    tx = _t4_with_row_index("random", J_MAX)
+    assert read_transmission(tx.to_bytes())[0] == tx
+
+
+@lru_cache(maxsize=None)
+def _valid_transmission(scenario: str, codec: str, m: int, seed: int):
+    """(bytes, background) of one valid transmission; background None for t1/t4."""
+    rng = random.Random(seed * 100 + m)
+    s, q = _random_nested(rng, m, 0.3, 0.7)
+    if scenario == "t1":
+        return t1_encode(s, seed=seed).to_bytes(), None
+    if scenario in ("t2", "t3"):
+        encode = t2_encode if scenario == "t2" else t3_encode
+        return encode(s, q, seed=seed).to_bytes(), q
+    if scenario == "t4":
+        return t4_encode(s, q, codec=codec, seed=seed).to_bytes(), None
+    r = _sigma_of(m, [i for i in range(1 << m) if rng.random() < 0.5])
+    return t5_encode(s, q, r, codec=codec, seed=seed).to_bytes(), r
+
+
+_DECODERS = {"t1": t1_decode, "t2": t2_decode, "t3": t3_decode,
+             "t4": t4_decode, "t5": t5_decode}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_payload_decodes_or_raises_logicast_error(data):
+    scenario = data.draw(st.sampled_from(sorted(_DECODERS)))
+    m = data.draw(st.integers(3, 5))
+    codec = data.draw(st.sampled_from(["linear", "random"] if m <= 4 else ["linear"]))
+    blob, r = _valid_transmission(scenario, codec, m, data.draw(st.integers(0, 3)))
+    head, payload = blob[: protocols.HEADER_BYTES], bytearray(blob[protocols.HEADER_BYTES :])
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+        if op == "flip" and payload:
+            i = data.draw(st.integers(0, len(payload) - 1))
+            payload[i] ^= 1 << data.draw(st.integers(0, 7))
+        elif op == "truncate":
+            del payload[data.draw(st.integers(0, len(payload))) :]
+        elif op == "append":
+            payload += data.draw(st.binary(min_size=1, max_size=8))
+    try:
+        tx, _ = read_transmission(head + bytes(payload), r=r)
+        decoded = _DECODERS[scenario](tx, r) if r is not None else _DECODERS[scenario](tx)
+    except LogicastError:
+        return
+    assert decoded.m == m
