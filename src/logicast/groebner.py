@@ -51,8 +51,8 @@ __all__ = [
 
 
 # A cap on work: the tables are Θ(m·2^m) bits, but every reduction step costs
-# a few 2^m-bit operations, and a basis of five sparse statements took 0.56 s
-# at m = 15 and 5.4 s at m = 16 (2-core VM, CPython 3.11).
+# a few 2^m-bit operations, and bases of five random sparse statements already
+# take up to about 5 s at m = 15..16 (2-core VM, CPython 3.11).
 GB_M_MAX = 16
 
 
