@@ -51,8 +51,8 @@ __all__ = [
 
 
 # A cap on work: the tables are Θ(m·2^m) bits, but every reduction step costs
-# a few 2^m-bit operations, and bases of five random sparse statements already
-# take up to about 5 s at m = 15..16 (2-core VM, CPython 3.11).
+# a few 2^m-bit operations, and bases of five random sparse statements took up
+# to 4.3 s at m = 15 and 4.0 s at m = 16 (2-core VM, CPython 3.11).
 GB_M_MAX = 16
 
 
@@ -110,8 +110,9 @@ def _mono_mul(acc: int, u: int, has, m: int) -> int:
     while u:
         low = u & -u
         b = low.bit_length() - 1
-        keep = acc & has[b]
-        acc = ((acc ^ keep) >> (1 << (m - 1 - b))) ^ keep
+        # the shift lands a term that lacks xb inside has[b] and one that
+        # has it outside, so the mask keeps exactly the moved and kept terms
+        acc = (acc ^ acc >> (1 << (m - 1 - b))) & has[b]
         u ^= low
     return acc
 
@@ -119,11 +120,10 @@ def _mono_mul(acc: int, u: int, has, m: int) -> int:
 class _Reducer:
     """Reduction against an append-only element list through a divisor table.
 
-    Each element is (leading term, packed body, the body's positions when
-    it has at most 2m terms, else None).  `div[p]` is the index of the
-    first element whose leading term divides the monomial at position p,
-    or -1 if none does, and `multiples[d]` packs the positions of degree d
-    where it is not -1.  Elements are never removed and their leading terms
+    Each element is (leading term, packed body).  `div[p]` is the index of
+    the first element whose leading term divides the monomial at position
+    p, or -1 if none does, and `multiples[d]` packs the positions of degree
+    d where it is not -1.  Elements are never removed and their leading terms
     never change, so an entry never changes once set and `append` fills
     only the still-empty multiples of the new leading term.
     """
@@ -132,7 +132,7 @@ class _Reducer:
 
     def __init__(self, m: int):
         self.m = m
-        self.elems: list[tuple[int, int, list[int] | None]] = []
+        self.elems: list[tuple[int, int]] = []
         self.pos, self.classes, self.has = _tables(m)
         self.div = np.full(self.pos.size, -1, dtype=np.int32)
         self.multiples = [0] * (m + 1)
@@ -142,8 +142,7 @@ class _Reducer:
         self.div[fresh] = len(self.elems)
         packed = _bitmask(fresh)
         self.multiples = [old | packed & c for old, c in zip(self.multiples, self.classes)]
-        sparse = body.bit_count() <= 2 * self.m
-        self.elems.append((lt, body, _positions(body, self.m).tolist() if sparse else None))
+        self.elems.append((lt, body))
 
     def _reduce(self, acc: int, masks):
         """Reduce the top monomial of acc inside masks[d], the highest class
@@ -162,14 +161,8 @@ class _Reducer:
             idx = div[p]
             if idx < 0:
                 return acc, p
-            lt, body, terms = elems[idx]
-            u = pos[p] ^ lt
-            if terms is not None and len(terms) <= 2 * u.bit_count():
-                pu = pos[u]  # pos(t*u) = pos(t) & pos(u): fewer big-int ops
-                for q in terms:
-                    acc ^= 1 << (q & pu)
-            else:
-                acc ^= _mono_mul(body, u, has, m)
+            lt, body = elems[idx]
+            acc ^= _mono_mul(body, pos[p] ^ lt, has, m)
         return acc, -1
 
     def top(self, acc: int):
@@ -230,8 +223,8 @@ def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
     while heap:
         _, _, kind, a, b = heappop(heap)
         if kind == 0:
-            lta, pa, _ = elems[a]
-            ltb, pb, _ = elems[b]
+            lta, pa = elems[a]
+            ltb, pb = elems[b]
             lcm = lta | ltb
             if chained(lta, ltb, lcm):
                 continue
@@ -243,14 +236,13 @@ def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
     # multiples are met; no leading term divides a smaller monomial, so a
     # tail reduced against every kept element is reduced against the others.
     out = _Reducer(m)
-    for lt, body, _ in sorted(elems, key=lambda e: monomial_key(e[0], m)):
+    for lt, body in sorted(elems, key=lambda e: monomial_key(e[0], m)):
         if out.div[pos[lt]] < 0:
             out.append(lt, body)
-    final = _Reducer(m)
-    for lt, body, _ in out.elems:
-        lead = 1 << pos[lt]
-        final.append(lt, lead | out.full(body ^ lead))
-    return final
+    out.elems[:] = [
+        (lt, (1 << pos[lt]) | out.full(body ^ (1 << pos[lt]))) for lt, body in out.elems
+    ]
+    return out
 
 
 def _positions(acc: int, m: int) -> np.ndarray:
@@ -279,7 +271,7 @@ class GroebnerBasis:
     def __init__(self, m: int, reducer: _Reducer):
         self.m = m
         self._reducer = reducer
-        self.polys = tuple(_unpack(body, m) for _, body, _ in reducer.elems)
+        self.polys = tuple(_unpack(body, m) for _, body in reducer.elems)
 
     def __len__(self) -> int:
         return len(self.polys)
