@@ -22,7 +22,7 @@ from logicast.groebner import (
     monomial_key,
     normal_form,
 )
-from logicast.partition import first_solvable_prefix
+from logicast.partition import first_solvable_prefix, pack_columns
 from logicast.poly import Poly, PolySet, monomial_from_vars
 from logicast.simlab import Nested, sample
 
@@ -268,19 +268,17 @@ def test_delta_contract_random():
         done += 1
 
 
-def _packed(bits: np.ndarray) -> int:
-    return sum(1 << i for i in np.flatnonzero(bits).tolist())
-
-
 def _point_normal_form(q: Poly, r: PolySet) -> Poly:
     """Oracle without Buchberger: r's ideal vanishes exactly on Z(r), so the
     normal form of q is the combination of standard monomials (values on Z(r)
     independent of every smaller monomial's) that equals q on Z(r)."""
     points = np.flatnonzero(zeros(r).to_bool_array())
     monos = sorted(range(1 << r.m), key=lambda t: monomial_key(t, r.m))
-    rows = (_packed(points & t == t) for t in monos)
-    target = _packed(~zeros(PolySet.of(r.m, [q])).to_bool_array()[points])
-    j, combo = first_solvable_prefix(rows, target)
+    target = ~zeros(PolySet.of(r.m, [q])).to_bool_array()[points]
+    # one row per point: each monomial's value there, then q's
+    at = np.array(monos)
+    values = np.column_stack([points[:, None] & at == at, target])
+    j, combo = first_solvable_prefix(pack_columns(values.astype(np.uint8)), len(monos))
     return Poly(t for k, t in enumerate(monos[:j]) if combo >> k & 1)
 
 

@@ -4,17 +4,20 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import xor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logicast.partition as partition
 from logicast.bitcodec import Bits, BitReader, BitWriter, elias_delta_encode
 from logicast.errors import (
     DomainError,
     DuplicateColumns,
+    MalformedCodeword,
     SearchExhausted,
     TruncatedStream,
 )
@@ -29,6 +32,7 @@ from logicast.partition import (
     lambda_fn,
     linear_decode,
     linear_encode,
+    pack_columns,
     random_decode,
     random_encode,
     read_codeword,
@@ -337,6 +341,53 @@ def test_linear_decode_truncated_combination():
         linear_decode(reader, 40, shared)
 
 
+def _incremental_prefix(rows, target: int) -> tuple[int, int]:
+    """The bigint pivot loop the packed eliminator replaced, kept as its oracle."""
+    # pivot bit -> (reduced row, combination of original rows)
+    basis: dict[int, tuple[int, int]] = {}
+    combo = 0
+    j = 0
+    for j, vec in enumerate(rows, start=1):
+        vec_combo = 1 << (j - 1)
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = (vec, vec_combo)
+                break
+            bv, bc = basis[pivot]
+            vec ^= bv
+            vec_combo ^= bc
+        while target:
+            pivot = target.bit_length() - 1
+            if pivot not in basis:
+                break
+            bv, bc = basis[pivot]
+            target ^= bv
+            combo ^= bc
+        if not target:
+            return j, combo
+    raise SearchExhausted(f"no solvable prefix within {j} rows")
+
+
+def _system(rows: list[int], target: int, k: int) -> np.ndarray:
+    """Packed transposed system: row i holds bit i of every generator row,
+    then bit i of the target."""
+    cols = [*rows, target]
+    bits = np.array([[(v >> i) & 1 for v in cols] for i in range(k)], dtype=np.uint8)
+    return pack_columns(bits.reshape(k, len(cols)))
+
+
+def _solve(rows: list[int], target: int, k: int) -> tuple[int, int]:
+    return first_solvable_prefix(_system(rows, target, k), len(rows))
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except SearchExhausted as exc:
+        return str(exc)
+
+
 def test_first_solvable_prefix_matches_bruteforce():
     rng = random.Random(97)
     for _ in range(300):
@@ -351,13 +402,169 @@ def test_first_solvable_prefix_matches_bruteforce():
                 if reduce(xor, (rows[i] for i in sub), 0) == target]
         if not hits:
             with pytest.raises(SearchExhausted):
-                first_solvable_prefix(iter(rows), target)
+                _solve(rows, target, 6)
             continue
         j = hits[0][0]
         on_profile = [sub for jj, sub in hits if jj == j and set(sub) <= set(free)]
         assert len(on_profile) == 1
         want = sum(1 << i for i in on_profile[0])
-        assert first_solvable_prefix(iter(rows), target) == (j, want)
+        assert _solve(rows, target, 6) == (j, want)
+
+
+@st.composite
+def _prefix_systems(draw):
+    """(rows, target, k): k constraints, not a multiple of 8 or 64 in general;
+    zero rows, single-constraint rows, repeated rows and rows that are sums
+    of earlier rows (often in an earlier 8-column block); targets 0, in the
+    span, or random."""
+    k = draw(st.integers(0, 150))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, 200))):
+        kind = rng.randrange(5) if rows else 0
+        if kind == 0:
+            rows.append(rng.getrandbits(k) if rng.random() < 0.9 else 0)
+        elif kind == 4:
+            rows.append(1 << rng.randrange(k) if k else 0)
+        elif kind == 1:
+            rows.append(rng.choice(rows))
+        else:
+            picked = rng.sample(rows, rng.randint(1, min(len(rows), 4)))
+            rows.append(reduce(xor, picked, 0))
+    kind = draw(st.sampled_from(["zero", "span", "random"]))
+    if kind == "zero" or not rows:
+        target = 0
+    elif kind == "span":
+        target = reduce(xor, (v for v in rows if rng.random() < 0.5), 0)
+    else:
+        target = rng.getrandbits(k)
+    return rows, target, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prefix_systems())
+def test_first_solvable_prefix_matches_incremental_oracle(case):
+    rows, target, k = case
+    want = _outcome(_incremental_prefix, iter(rows), target)
+    assert _outcome(_solve, rows, target, k) == want
+
+
+def test_first_solvable_prefix_low_rank_blocks():
+    # every block of 8 generator rows spans at most 3 dimensions, so most
+    # blocks find fewer pivots than columns
+    rng = random.Random(101)
+    for _ in range(20):
+        k = rng.randint(60, 140)
+        rows = []
+        for _ in range(rng.randint(100, 300)):
+            base = rows[-(len(rows) % 8):] if len(rows) % 8 >= 3 else []
+            rows.append(reduce(xor, rng.sample(base, 2), 0) if base else rng.getrandbits(k))
+        target = reduce(xor, (v for v in rows if rng.random() < 0.3), 0)
+        want = _outcome(_incremental_prefix, iter(rows), target)
+        assert _outcome(_solve, rows, target, k) == want
+
+
+def test_first_solvable_prefix_late_pivot():
+    # generator row 1 holds the first 60 constraints; row 2 only constraint
+    # 90, so its pivot sits past the first 32 rows that are nonzero in the
+    # block, all of which row 1 already explains
+    k = 100
+    rows = [(1 << 60) - 1, 1 << 90, 1 << 95]
+    assert _solve(rows, (1 << 60) - 1 ^ 1 << 90, k) == (2, 0b11)
+    assert _solve(rows, 1 << 95, k) == (3, 0b100)
+    assert _outcome(_solve, rows, 1 << 99, k) == "no solvable prefix within 3 rows"
+
+
+def _fair_rows(seed: int, care: int):
+    """Generator rows over the constrained columns, column i at bit i."""
+    nblk = (care.bit_length() + 63) >> 6
+    for row in range(1, partition.J_MAX + 1):
+        keys = (np.uint64(row) << np.uint64(partition.COL_SHIFT)) | np.arange(nblk, dtype=np.uint64)
+        words = draw_array(seed, keys).astype("<u8", copy=False)
+        yield int.from_bytes(words.tobytes(), "little") & care
+
+
+def _oracle_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
+    care = sum(1 << int(i) for i in x.psi())
+    target = sum(1 << int(i) for i in np.flatnonzero(x.entries == 1))
+    j, combo = _incremental_prefix(_fair_rows(shared.seed, care), target)
+    return elias_delta_encode(j) + [(combo >> r) & 1 for r in range(j)]
+
+
+def test_linear_decode_in_chunks_matches_row_xor(monkeypatch):
+    # one word per chunk: 8-row chunks, so J and the byte padding of the
+    # combination straddle chunk boundaries
+    monkeypatch.setattr(partition, "_CHUNK_WORDS", 1)
+    rng = random.Random(105)
+    for trial in range(30):
+        n, j = rng.randrange(1, 130), rng.randrange(1, 90)
+        combo = rng.getrandbits(j)
+        shared = SharedRandomness.for_law(14000 + trial, 0.5, 0.5)
+        rows = list(islice(_fair_rows(shared.seed, (1 << n) - 1), j))
+        want = reduce(xor, (rows[r] for r in range(j) if combo >> (j - 1 - r) & 1), 0)
+        bits = elias_delta_encode(j) + [(combo >> (j - 1 - r)) & 1 for r in range(j)]
+        y = linear_decode(_reader(bits), n, shared)
+        assert y.tolist() == [(want >> i) & 1 for i in range(n)]
+
+
+def test_linear_encode_matches_oracle():
+    rng = random.Random(103)
+    for trial in range(40):
+        x = _random_tv(rng, rng.randrange(1, 400), p_free=rng.uniform(0.0, 0.95))
+        shared = SharedRandomness.for_law(12000 + trial, 0.5, 0.5)
+        assert linear_encode(x, shared) == _oracle_encode(x, shared)
+
+
+def test_linear_encode_draws_more_rows_when_short(monkeypatch):
+    # no surplus: the first system has as many rows as constraints, and a
+    # square random system is rank deficient about 70% of the time
+    monkeypatch.setattr(partition, "_SURPLUS", 0)
+    calls = []
+    solve = partition.first_solvable_prefix
+
+    def counted(system, rows):
+        calls.append(rows)
+        return solve(system, rows)
+
+    monkeypatch.setattr(partition, "first_solvable_prefix", counted)
+    rng = random.Random(107)
+    for trial in range(50):
+        x = _random_tv(rng, rng.randrange(1, 301), p_free=rng.uniform(0.0, 0.8))
+        shared = SharedRandomness.for_law(13000 + trial, 0.5, 0.5)
+        assert linear_encode(x, shared) == _oracle_encode(x, shared)
+    assert len(calls) > 50  # some vectors took the retry
+
+
+def test_linear_encode_search_exhaustion(monkeypatch):
+    monkeypatch.setattr(partition, "J_MAX", 8)
+    rng = random.Random(109)
+    x = TernaryVector([rng.randrange(2) for _ in range(26)])
+    shared = SharedRandomness.for_law(7, 0.5, 0.5)
+    with pytest.raises(SearchExhausted, match=r"^no solvable prefix within 8 rows$"):
+        linear_encode(x, shared)
+
+
+def test_read_codeword_errors_name_field_and_offset():
+    shared = SharedRandomness.for_law(79, 0.5, 0.5)
+    bits = linear_encode(_random_tv(random.Random(67), 40), shared)
+    _, used = _read_elias(bits)
+    # three leading bits, then the codeword cut inside its combination bits
+    reader = BitReader(Bits(int("101" + "".join(map(str, bits[:-1])), 2), 3 + len(bits) - 1))
+    reader.read_bits(3)
+    with pytest.raises(TruncatedStream, match=rf"combination bits at bit {3 + used}\)$"):
+        read_codeword(reader, "linear")
+    # the Elias prefix itself cut short
+    reader = BitReader(Bits(int("101" + "".join(map(str, bits[:used - 1])), 2), 2 + used))
+    reader.read_bits(3)
+    with pytest.raises(TruncatedStream, match=r"row index at bit 3\)$"):
+        read_codeword(reader, "linear")
+    w = BitWriter()
+    w.write_bits(0b11, 2)
+    w.write_elias_delta(partition.J_MAX + 1)
+    reader = BitReader(w.to_bits())
+    reader.read_bits(2)
+    with pytest.raises(MalformedCodeword, match=r"exceeds J_MAX .* \(row index at bit 2\)$"):
+        read_codeword(reader, "random")
 
 
 # ---------------------------------------------------- constant-weight columns

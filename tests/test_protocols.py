@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logicast
 from logicast import algset, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.bitcodec import BitWriter, elias_delta_length, rank_width, subset_rank
@@ -502,6 +507,40 @@ def test_row_index_past_j_max_is_malformed(codec, j):
 def test_row_index_at_j_max_still_reads():
     tx = _t4_with_row_index("random", J_MAX)
     assert read_transmission(tx.to_bytes())[0] == tx
+
+
+_DECODE_UNDER_1GB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from logicast.bitcodec import BitWriter
+from logicast.errors import LogicastError
+from logicast.protocols import Transmission, read_transmission, t4_decode
+j = 1 << 20
+body = BitWriter()
+body.write_elias_delta(j)
+for _ in range(j >> 10):
+    body.write_bits((1 << 1024) - 1, 1024)
+data = Transmission("t4", 12, "linear", 7, (16384, 32768, 0, 0), body.to_bits()).to_bytes()
+assert len(data) < 132 * 1024
+try:
+    t4_decode(read_transmission(data)[0])
+    print("returned")
+except LogicastError as exc:
+    print("raised", type(exc).__name__)
+"""
+
+
+def test_linear_decode_memory_bounded_on_forged_row_count():
+    # 2^20 picked rows of 2^12 bits: 128 kB of payload, while drawing every
+    # picked row at once would take 512 MB of row words plus their keys
+    src = str(Path(logicast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DECODE_UNDER_1GB], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] in ("returned", "raised"), proc.stdout
 
 
 @lru_cache(maxsize=None)
