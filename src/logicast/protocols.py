@@ -132,15 +132,27 @@ def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
 
 
 def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
-    """(k, rank) of one count + rank codeword over n candidates."""
-    k = reader.read_elias_delta() - 1
-    if k > n:
-        raise MalformedCodeword(f"zero set size {k} exceeds the {n} candidates")
+    """(k, rank) of one count + rank codeword over n candidates.
+
+    A truncated or malformed field is re-raised with the field's name and
+    the reader's bit offset where it began.
+    """
+    at = reader.bits_read
+    try:
+        k = reader.read_elias_delta() - 1
+        if k > n:
+            raise MalformedCodeword(f"zero set size {k} exceeds the {n} candidates")
+    except (TruncatedStream, MalformedCodeword) as exc:
+        raise type(exc)(f"{exc} (zero set size at bit {at})") from None
+    at = reader.bits_read
     # C(n, k) >= (n // k')^k', k' = min(k, n - k): check before building C(n, k)
     k_low = min(k, n - k)
-    if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
-        raise TruncatedStream("bit stream exhausted")
-    return k, reader.read_bits(rank_width(n, k))
+    try:
+        if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
+            raise TruncatedStream("bit stream exhausted")
+        return k, reader.read_bits(rank_width(n, k))
+    except TruncatedStream as exc:
+        raise TruncatedStream(f"{exc} (rank at bit {at})") from None
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,9 @@ comment. Variables are written x1, x2, ... (1-indexed).
 
 No syntax tree is built: each connective is applied to its operands'
 polynomials as parsed, and a raw line is read as a list of monomial masks.
+A raw line in the canonical shape `render_statements` writes (factors
+spelled x<i> or 1, no comment) is read in bulk, by one match and two
+splits; every other line, and every error, goes through the tokenizer.
 """
 
 from __future__ import annotations
@@ -194,6 +197,33 @@ def _parse_formula_line(cur: _Cursor) -> Poly:
 
 # --------------------------------------------------------- raw polynomial mode
 
+# The raw-line grammar with factors limited to x<i> (no leading zero) and 1.
+# Every quantifier is possessive, so a near miss of any length fails in one
+# pass instead of backtracking.
+_FACTOR = r"(?:x[1-9][0-9]*+|1)"
+_BULK_LINE = re.compile(
+    rf"[ \t]*+{_FACTOR}(?:[ \t]*+[*+][ \t]*+{_FACTOR})*+[ \t]*+=[ \t]*+0[ \t]*+"
+)
+
+
+def _bulk_poly(line: str, bits: dict[str, int]) -> Poly | None:
+    """Polynomial of a line _BULK_LINE accepts whose factors are all keys of
+    `bits` (factor text -> mask bit); None for any other line."""
+    if not _BULK_LINE.fullmatch(line):
+        return None
+    lhs = line[: line.index("=")].replace(" ", "").replace("\t", "")
+    masks = []
+    try:
+        for term in lhs.split("+"):
+            mask = 0
+            for name in term.split("*"):
+                mask |= bits[name]
+            masks.append(mask)
+    except KeyError:  # a variable past the limit: the tokenizer reports it
+        return None
+    return Poly(masks)
+
+
 def _parse_term(cur: _Cursor) -> int | None:
     """Monomial mask of one product of factors; None when a factor is 0."""
     mask = 0
@@ -226,6 +256,21 @@ def _parse_poly_line(cur: _Cursor) -> Poly:
     return Poly(terms)
 
 
+# ------------------------------------------------------------------ lines
+
+def _parse_line(raw: str, line_no: int, m: int | None) -> Poly | None:
+    """Member polynomial of one line through the tokenizer; None when blank."""
+    tokens = _tokenize_line(raw, line_no, m)
+    if tokens[0][0] == "END":
+        return None
+    cur = _Cursor(tokens, line_no)
+    raw_poly = any(tok[0] == "EQ" for tok in tokens)
+    try:
+        return _parse_poly_line(cur) if raw_poly else _parse_formula_line(cur)
+    except RecursionError:
+        raise StatementSyntaxError("statement nests too deeply", line_no, 1) from None
+
+
 # ------------------------------------------------------------------ public
 
 def parse_statements(text: str, m: int | None = None) -> PolySet:
@@ -234,18 +279,17 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     The variable count is `m` when given, else the largest index used.
     A variable past `m` or past algset.M_MAX is refused as it is read.
     """
+    limit = M_MAX if m is None else m
+    bits = {name: 1 << (i - 1) for name, i in _NAMES.items() if i <= limit}
+    bits["1"] = 0
     polys: set[Poly] = set()
     seen_m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no, m)
-        if tokens[0][0] == "END":
-            continue
-        cur = _Cursor(tokens, line_no)
-        raw_poly = any(tok[0] == "EQ" for tok in tokens)
-        try:
-            q = _parse_poly_line(cur) if raw_poly else _parse_formula_line(cur)
-        except RecursionError:
-            raise StatementSyntaxError("statement nests too deeply", line_no, 1) from None
+        q = _bulk_poly(raw, bits)
+        if q is None:
+            q = _parse_line(raw, line_no, m)
+            if q is None:
+                continue
         polys.add(q)
         seen_m = max(seen_m, q.max_var())
     return PolySet(seen_m if m is None else m, frozenset(polys))
@@ -255,11 +299,11 @@ def poly_to_text(q: Poly) -> str:
     """Canonical text: terms in degree-major order, variables ascending."""
     if q.is_zero:
         return "0"
-    keyed = sorted(q.masks, key=lambda t: (-t.bit_count(), monomial_vars(t)))
-    parts = []
-    for t in keyed:
-        parts.append("1" if t == 0 else "*".join(f"x{i}" for i in monomial_vars(t)))
-    return " + ".join(parts)
+    names = [f"x{i}" for i in range(q.max_var() + 1)]
+    keyed = sorted((-t.bit_count(), monomial_vars(t)) for t in q.masks)
+    return " + ".join(
+        "*".join([names[i] for i in vs]) if vs else "1" for _, vs in keyed
+    )
 
 
 def render_statements(ps: PolySet) -> str:

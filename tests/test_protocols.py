@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import dataclasses
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import logicast
 from logicast import algset, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
-from logicast.bitcodec import BitWriter, elias_delta_length, rank_width, subset_rank
+from logicast.bitcodec import Bits, BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
     DomainError,
     LogicastError,
@@ -186,6 +187,28 @@ def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
     monkeypatch.setattr(protocols, "rank_width", no_width)
     with pytest.raises(TruncatedStream):
         read_transmission(blob)
+
+
+def test_ranked_codeword_errors_name_field_and_offset():
+    # the count is elias(k + 1) from bit 0; the rank follows it
+    s = _sigma_of(5, [0, 3, 9, 17, 30])
+    tx = t1_encode(s)
+    rank_at = elias_delta_length(5 + 1)
+    assert len(tx.payload) == rank_at + rank_width(32, 5)
+
+    def cut(nbits):
+        bits = Bits(tx.payload.value >> (len(tx.payload) - nbits), nbits)
+        return dataclasses.replace(tx, payload=bits)
+
+    with pytest.raises(TruncatedStream, match=rf"^bit stream exhausted \(rank at bit {rank_at}\)$"):
+        t1_decode(cut(rank_at + 3))
+    with pytest.raises(TruncatedStream, match=r"^bit stream exhausted \(zero set size at bit 0\)$"):
+        t1_decode(cut(rank_at - 1))
+    # a count past the 2^m candidates
+    body = BitWriter()
+    body.write_elias_delta(34)
+    with pytest.raises(MalformedCodeword, match=r"exceeds the 32 candidates \(zero set size at bit 0\)$"):
+        t1_decode(dataclasses.replace(tx, payload=body.to_bits()))
 
 
 def test_encode_determinism():

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logicast
-from logicast.errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
+from logicast import statements
+from logicast.errors import (
+    LogicastError,
+    StatementSyntaxError,
+    UniverseTooLarge,
+    VariableOutOfRange,
+)
 from logicast.poly import Poly, PolySet, monomial_from_vars
 from logicast.statements import parse_statements, poly_to_text, render_statements
 
@@ -347,3 +356,165 @@ def test_parse_render_roundtrip(mask_sets):
     m = max((q.max_var() for q in polys), default=0)
     ps = PolySet(m, polys)
     assert parse_statements(render_statements(ps), m=m) == ps
+
+
+# ------------------------------------------------- bulk raw-line path vs tokens
+# parse_statements reads canonical raw lines in bulk; the reference below
+# sends every line through the tokenizer and recursive descent instead.
+
+def _token_parse(text: str, m: int | None) -> PolySet:
+    polys, seen_m = set(), 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        q = statements._parse_line(raw, line_no, m)
+        if q is not None:
+            polys.add(q)
+            seen_m = max(seen_m, q.max_var())
+    return PolySet(seen_m if m is None else m, frozenset(polys))
+
+
+def _outcome(parse, text, m):
+    try:
+        return parse(text, m)
+    except LogicastError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def _random_polyset(rng: random.Random, m: int) -> PolySet:
+    polys = set()
+    for _ in range(rng.randint(0, 4)):
+        terms = rng.choice([0, 1, 2, rng.randint(0, 30)])
+        # and-ing two draws favours the low degrees real statements have
+        polys.add(Poly(rng.getrandbits(m) & rng.getrandbits(m) for _ in range(terms)))
+    return PolySet(m, frozenset(polys))
+
+
+_VAR = re.compile(r"x(\d+)")
+_STRAY = "!&()=+*01x# \t\u00a0AZ"
+
+
+def _sub_one(rng, pattern, line, repl):
+    """line with one random match of pattern replaced by repl(match)."""
+    found = list(re.finditer(pattern, line))
+    if not found:
+        return line
+    mo = rng.choice(found)
+    return line[: mo.start()] + repl(mo) + line[mo.end():]
+
+
+def _insert(rng, line, piece):
+    at = rng.randint(0, len(line))
+    return line[:at] + piece + line[at:]
+
+
+def _mutate(rng: random.Random, line: str, m: int) -> str:
+    kind = rng.randrange(13)
+    if kind == 0:  # blanks between tokens
+        return _sub_one(rng, r" ?[*+=] ?", line,
+                        lambda mo: rng.choice(["  ", "\t", " \t "]) + mo.group().strip()
+                        + rng.choice(["", " ", "\t\t"]))
+    if kind == 1:  # blanks, tabs or \r anywhere, names included
+        return _insert(rng, line, rng.choice([" ", "\t", "\r", " \r\n "]))
+    if kind == 2:
+        return _sub_one(rng, _VAR, line, lambda mo: "x0" + mo.group(1))
+    if kind == 3:  # 0 and 1 factors
+        return _sub_one(rng, r"x\d+|\b1\b", line,
+                        lambda mo: rng.choice(["0*", "1*", ""]) + mo.group()
+                        + rng.choice(["*0", "*1", ""]))
+    if kind == 4:  # repeated variable
+        return _sub_one(rng, _VAR, line, lambda mo: f"{mo.group()}*{mo.group()}")
+    if kind == 5:  # repeated or reordered terms
+        lhs, eq, rhs = line.partition("=")
+        terms = lhs.split("+")
+        terms.append(rng.choice(terms))
+        rng.shuffle(terms)
+        return "+".join(terms) + eq + rhs
+    if kind == 6:  # variables of a term in another order
+        return _sub_one(rng, r"x\d+\*x\d+", line,
+                        lambda mo: "*".join(reversed(mo.group().split("*"))))
+    if kind == 7:
+        return line + rng.choice([" # comment", "#", "\t# x1 + 1 = 0"])
+    if kind == 8:  # a variable past m, or past M_MAX
+        big = rng.choice([m + 1, m + 3, 25, 10**12])
+        return _sub_one(rng, _VAR, line, lambda mo: f"x{big}")
+    if kind == 9:  # the right-hand side dropped or wrong
+        return line.replace(" = 0", rng.choice(["", " =", " = 1", " = 00", " = 0 0"]))
+    if kind == 10:
+        return _insert(rng, line, rng.choice(_STRAY))
+    if kind == 11:  # a formula keyword among the terms
+        return _sub_one(rng, r" \+ ", line, lambda mo: rng.choice([" AND ", " XOR ", " is "]))
+    return line
+
+
+def _random_text(rng: random.Random, m: int) -> str:
+    lines = render_statements(_random_polyset(rng, m)).splitlines()
+    if rng.random() < 0.2:
+        lines.append("0 = 0")
+    if rng.random() < 0.2:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# note", "x1 OR x2"]))
+    # about half the lines get one mutation, a few of them a second one
+    lines = [_mutate(rng, ln, m) if rng.random() < 0.5 else ln for ln in lines]
+    for _ in range(rng.choice([0, 0, 1, 2]) if lines else 0):
+        i = rng.randrange(len(lines))
+        lines[i] = _mutate(rng, lines[i], m)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_bulk_path_matches_token_path():
+    rng = random.Random(20261018)
+    bulk_lines = 0
+    for trial in range(1500):
+        m = trial % 24 + 1
+        text = _random_text(rng, m)
+        bulk_lines += sum(
+            statements._BULK_LINE.fullmatch(ln) is not None for ln in text.splitlines()
+        )
+        for m_arg in (m, None):
+            assert _outcome(parse_statements, text, m_arg) == _outcome(_token_parse, text, m_arg), (
+                text, m_arg
+            )
+    # both paths get real work: canonical lines, and lines only tokens read
+    assert bulk_lines > 1000
+
+
+def test_canonical_lines_skip_the_tokenizer(monkeypatch):
+    rng = random.Random(5)
+    # every canonical line but the zero polynomial's "0 = 0", which has a 0 factor
+    sets = [_random_polyset(rng, m) for m in (1, 12, 24) for _ in range(5)]
+    texts = [render_statements(PolySet(ps.m, ps.polys - {Poly.zero()})) for ps in sets]
+    texts.append("x1*x2 + x3 + 1 = 0\n\tx2 *x1+  1\t=0  \n x12 = 0\n")
+    expected = [_token_parse(text, 24) for text in texts]
+
+    def no_tokens(*args):
+        raise AssertionError("tokenizer called on a canonical line")
+
+    monkeypatch.setattr(statements, "_tokenize_line", no_tokens)
+    assert [parse_statements(text, 24) for text in texts] == expected
+
+
+# 1 MB lines that almost match the bulk pattern, and two that match.  A
+# backtracking pattern would take hours on these; the possessive one is
+# linear.  A near miss then goes through the tokenizer, which takes about
+# 0.5 s per megabyte on a 2-core VM, so the bound is on the match itself.
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        pytest.param("x1 + " * 200_000, StatementSyntaxError, id="plus-without-rhs"),
+        pytest.param("x1 + " * 200_000 + "x2 = 1", StatementSyntaxError, id="wrong-rhs"),
+        pytest.param("x1  " * 250_000, StatementSyntaxError, id="terms-without-operators"),
+        pytest.param("x1*" * 250_000 + "x2 =", StatementSyntaxError, id="star-chain-without-zero"),
+        pytest.param("x1" + " " * 1_000_000 + "+ x2 = 0", None, id="million-blanks"),
+        pytest.param("x1 + " * 200_000 + "x2 = 0", None, id="canonical"),
+    ],
+)
+def test_megabyte_lines_match_in_linear_time(line, error):
+    start = time.process_time()
+    matched = statements._BULK_LINE.fullmatch(line) is not None
+    assert time.process_time() - start < 1.0
+    assert matched == (error is None)
+    start = time.process_time()
+    outcome = _outcome(parse_statements, line + "\n", 12)
+    if error is None:
+        assert time.process_time() - start < 1.0
+        assert isinstance(outcome, PolySet)
+    else:
+        assert outcome[0] is error
