@@ -444,10 +444,11 @@ def read_transmission(
     if r is not None and r.m != m:
         raise DomainError(f"background universe {r.m} does not match header {m}")
     seed, *params = _HEADER.unpack_from(data, offset)[4:]
-    start = (offset + HEADER_BYTES) * 8
-    scanner = BitReader(data, bit_offset=start)
+    # a reader from the payload's first bit: error offsets match t1_decode's
+    body = data[offset + HEADER_BYTES:]
+    scanner = BitReader(body)
     _scan_payload(scenario, codec, m, scanner, r)
-    nbits = scanner.bits_read - start
-    payload = Bits(BitReader(data, bit_offset=start).read_bits(nbits), nbits)
+    nbits = scanner.bits_read
+    payload = Bits(BitReader(body).read_bits(nbits), nbits)
     tx = Transmission(scenario, m, codec, seed, tuple(params), payload)
     return tx, offset + HEADER_BYTES + (nbits + 7) // 8

@@ -12,8 +12,8 @@ comment. Variables are written x1, x2, ... (1-indexed).
 No syntax tree is built: each connective is applied to its operands'
 polynomials as parsed, and a raw line is read as a list of monomial masks.
 A raw line in the canonical shape `render_statements` writes (factors
-spelled x<i> or 1, no comment) is read in bulk, by one match and two
-splits; every other line, and every error, goes through the tokenizer.
+spelled x<i> or 1, no comment) is read in bulk, by splits and a name ->
+bit table; every other line, and every error, goes through the tokenizer.
 """
 
 from __future__ import annotations
@@ -197,29 +197,21 @@ def _parse_formula_line(cur: _Cursor) -> Poly:
 
 # --------------------------------------------------------- raw polynomial mode
 
-# The raw-line grammar with factors limited to x<i> (no leading zero) and 1.
-# Every quantifier is possessive, so a near miss of any length fails in one
-# pass instead of backtracking.
-_FACTOR = r"(?:x[1-9][0-9]*+|1)"
-_BULK_LINE = re.compile(
-    rf"[ \t]*+{_FACTOR}(?:[ \t]*+[*+][ \t]*+{_FACTOR})*+[ \t]*+=[ \t]*+0[ \t]*+"
-)
-
-
 def _bulk_poly(line: str, bits: dict[str, int]) -> Poly | None:
-    """Polynomial of a line _BULK_LINE accepts whose factors are all keys of
-    `bits` (factor text -> mask bit); None for any other line."""
-    if not _BULK_LINE.fullmatch(line):
+    """Polynomial of a raw line whose factors, blanks and tabs around them
+    aside, are all keys of `bits` (factor text -> mask bit) and whose
+    right-hand side is a lone 0; None for any other line."""
+    lhs, _, rhs = line.partition("=")
+    if rhs.strip(" \t") != "0":
         return None
-    lhs = line[: line.index("=")].replace(" ", "").replace("\t", "")
     masks = []
     try:
         for term in lhs.split("+"):
             mask = 0
             for name in term.split("*"):
-                mask |= bits[name]
+                mask |= bits[name.strip(" \t")]
             masks.append(mask)
-    except KeyError:  # a variable past the limit: the tokenizer reports it
+    except KeyError:  # any other factor: the tokenizer reads or reports it
         return None
     return Poly(masks)
 

@@ -209,6 +209,14 @@ def test_ranked_codeword_errors_name_field_and_offset():
     body.write_elias_delta(34)
     with pytest.raises(MalformedCodeword, match=r"exceeds the 32 candidates \(zero set size at bit 0\)$"):
         t1_decode(dataclasses.replace(tx, payload=body.to_bits()))
+    # the framer counts from the payload's first bit too, wherever the
+    # transmission starts in the stream
+    lead = t1_encode(_sigma_of(5, [1, 2])).to_bytes()
+    blob = lead + tx.to_bytes()
+    for cut_bytes, field, at in ((0, "zero set size", 0), (1, "rank", rank_at)):
+        data = blob[: len(lead) + protocols.HEADER_BYTES + cut_bytes]
+        with pytest.raises(TruncatedStream, match=rf"^bit stream exhausted \({field} at bit {at}\)$"):
+            read_transmission(data, len(lead))
 
 
 def test_encode_determinism():

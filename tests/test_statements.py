@@ -465,8 +465,9 @@ def test_bulk_path_matches_token_path():
     for trial in range(1500):
         m = trial % 24 + 1
         text = _random_text(rng, m)
+        bits = {f"x{i}": 1 << (i - 1) for i in range(1, m + 1)} | {"1": 0}
         bulk_lines += sum(
-            statements._BULK_LINE.fullmatch(ln) is not None for ln in text.splitlines()
+            statements._bulk_poly(ln, bits) is not None for ln in text.splitlines()
         )
         for m_arg in (m, None):
             assert _outcome(parse_statements, text, m_arg) == _outcome(_token_parse, text, m_arg), (
@@ -491,30 +492,36 @@ def test_canonical_lines_skip_the_tokenizer(monkeypatch):
     assert [parse_statements(text, 24) for text in texts] == expected
 
 
-# 1 MB lines that almost match the bulk pattern, and two that match.  A
-# backtracking pattern would take hours on these; the possessive one is
-# linear.  A near miss then goes through the tokenizer, which takes about
-# 0.5 s per megabyte on a 2-core VM, so the bound is on the match itself.
+# Lines built from a unit repeated to a given size: near misses of the bulk
+# path (refused by it after a walk over the whole line) and two lines it
+# accepts.  The bulk attempt alone must stay linear on 1 MB.  A refused line
+# then goes through the tokenizer, which takes 0.5-1 s per megabyte on a
+# 2-core VM, so the whole parse is bounded on 256 kB lines: a quadratic step
+# on either path would take minutes there.
 @pytest.mark.parametrize(
-    "line, error",
+    "unit, tail, error",
     [
-        pytest.param("x1 + " * 200_000, StatementSyntaxError, id="plus-without-rhs"),
-        pytest.param("x1 + " * 200_000 + "x2 = 1", StatementSyntaxError, id="wrong-rhs"),
-        pytest.param("x1  " * 250_000, StatementSyntaxError, id="terms-without-operators"),
-        pytest.param("x1*" * 250_000 + "x2 =", StatementSyntaxError, id="star-chain-without-zero"),
-        pytest.param("x1" + " " * 1_000_000 + "+ x2 = 0", None, id="million-blanks"),
-        pytest.param("x1 + " * 200_000 + "x2 = 0", None, id="canonical"),
+        pytest.param("x1 + ", "", StatementSyntaxError, id="plus-without-rhs"),
+        pytest.param("x1 + ", "x2 = 1", StatementSyntaxError, id="wrong-rhs"),
+        pytest.param("x1  ", "", StatementSyntaxError, id="terms-without-operators"),
+        pytest.param("x1*", "x2 =", StatementSyntaxError, id="star-chain-without-zero"),
+        pytest.param("x1 + ", "x01 = 0", None, id="x01-in-the-last-term"),
+        pytest.param("x1 + ", "x2 = 0 #", None, id="comment-after-the-rhs"),
+        pytest.param(" ", "x1 + x2 = 0", None, id="blanks"),
+        pytest.param("x1 + ", "x2 = 0", None, id="canonical"),
     ],
 )
-def test_megabyte_lines_match_in_linear_time(line, error):
+def test_long_lines_parse_in_linear_time(unit, tail, error):
+    bits = {f"x{i}": 1 << (i - 1) for i in range(1, 13)} | {"1": 0}
+    line = unit * (1_000_000 // len(unit)) + tail
     start = time.process_time()
-    matched = statements._BULK_LINE.fullmatch(line) is not None
+    statements._bulk_poly(line, bits)
     assert time.process_time() - start < 1.0
-    assert matched == (error is None)
+    line = unit * (256_000 // len(unit)) + tail
     start = time.process_time()
     outcome = _outcome(parse_statements, line + "\n", 12)
+    assert time.process_time() - start < 1.0
     if error is None:
-        assert time.process_time() - start < 1.0
         assert isinstance(outcome, PolySet)
     else:
         assert outcome[0] is error
