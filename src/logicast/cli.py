@@ -18,7 +18,9 @@ from .groebner import entails_groebner
 from .poly import PolySet
 from .protocols import (
     BACKGROUND_SCENARIOS,
+    CODECS,
     PARTITION_SCENARIOS,
+    SCENARIOS,
     peek_header,
     read_transmission,
     t1_decode,
@@ -47,9 +49,6 @@ class _UsageError(Exception):
     """Flag combination rejected before any work happens."""
 
 
-_SCENARIOS = ("t1", "t2", "t3", "t4", "t5")
-
-
 def _load_statements(path: str, m: int | None) -> PolySet:
     return parse_statements(Path(path).read_text(), m)
 
@@ -66,30 +65,19 @@ def _codec_for(scenario: str, flag: str | None) -> str | None:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     scenario = args.scenario
-    if scenario in BACKGROUND_SCENARIOS and not args.background:
-        raise _UsageError(f"{scenario} needs --background")
-    if scenario not in BACKGROUND_SCENARIOS and args.background:
-        raise _UsageError(f"{scenario} does not take --background")
-    if scenario in PARTITION_SCENARIOS and not args.query:
-        raise _UsageError(f"{scenario} needs --query")
-    if scenario not in PARTITION_SCENARIOS and args.query:
-        raise _UsageError(f"{scenario} does not take --query")
+    for flag, takers in (("background", BACKGROUND_SCENARIOS), ("query", PARTITION_SCENARIOS)):
+        if (scenario in takers) != bool(getattr(args, flag)):
+            verb = "needs" if scenario in takers else "does not take"
+            raise _UsageError(f"{scenario} {verb} --{flag}")
     codec = _codec_for(scenario, args.codec)
 
-    s = _load_statements(args.infile, args.vars)
-    if scenario == "t1":
-        tx = t1_encode(s, seed=args.seed)
-    elif scenario in ("t2", "t3"):
-        r = _load_statements(args.background, args.vars)
-        enc = t2_encode if scenario == "t2" else t3_encode
-        tx = enc(s, r, seed=args.seed)
-    elif scenario == "t4":
-        q = _load_statements(args.query, args.vars)
-        tx = t4_encode(s, q, codec=codec, seed=args.seed)
-    else:
-        q = _load_statements(args.query, args.vars)
-        r = _load_statements(args.background, args.vars)
-        tx = t5_encode(s, q, r, codec=codec, seed=args.seed)
+    # the encoders take s, then q, then r: whichever of them the scenario uses
+    paths = (args.infile, args.query, args.background)
+    operands = [_load_statements(path, args.vars) for path in paths if path]
+    encode = {"t1": t1_encode, "t2": t2_encode, "t3": t3_encode,
+              "t4": t4_encode, "t5": t5_encode}[scenario]
+    kw = {} if codec is None else {"codec": codec}
+    tx = encode(*operands, seed=args.seed, **kw)
     Path(args.out).write_bytes(tx.to_bytes())
     print(f"payload_bits={len(tx.payload)}")
     return 0
@@ -100,20 +88,15 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     data = Path(args.infile).read_bytes()
     scenario, _, m = peek_header(data)
+    background = ()
     if scenario in BACKGROUND_SCENARIOS:
         if not args.background:
             raise _UsageError(f"{scenario} needs --background to decode")
-        r = _load_statements(args.background, m)
-        tx, _ = read_transmission(data, r=r)
-        if scenario == "t2":
-            out = t2_decode(tx, r)
-        elif scenario == "t3":
-            out = t3_decode(tx, r)
-        else:
-            out = t5_decode(tx, r)
-    else:
-        tx, _ = read_transmission(data)
-        out = t1_decode(tx) if scenario == "t1" else t4_decode(tx)
+        background = (_load_statements(args.background, m),)
+    tx, _ = read_transmission(data, 0, *background)
+    decode = {"t1": t1_decode, "t2": t2_decode, "t3": t3_decode,
+              "t4": t4_decode, "t5": t5_decode}[scenario]
+    out = decode(tx, *background)
     Path(args.out).write_text(render_statements(out))
     print(f"scenario={scenario}")
     return 0
@@ -238,13 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     enc = subs.add_parser("encode", help="encode a statement file")
-    enc.add_argument("--scenario", required=True, choices=_SCENARIOS)
+    enc.add_argument("--scenario", required=True, choices=SCENARIOS)
     enc.add_argument("--in", dest="infile", required=True, metavar="S.LOGIC")
     enc.add_argument("--background", metavar="R.LOGIC",
                      help="shared background (t2/t3/t5)")
     enc.add_argument("--query", metavar="Q.LOGIC", help="query density (t4/t5)")
     enc.add_argument("--vars", type=int, required=True, metavar="M")
-    enc.add_argument("--codec", choices=("random", "linear"),
+    enc.add_argument("--codec", choices=CODECS,
                      help="partition codec (t4/t5, default linear)")
     enc.add_argument("--seed", type=int, default=0)
     enc.add_argument("--out", required=True, metavar="TX.BIN")
@@ -264,18 +247,18 @@ def _build_parser() -> argparse.ArgumentParser:
     prv.set_defaults(func=cmd_prove)
 
     sim = subs.add_parser("simulate", help="Monte-Carlo rate measurement")
-    sim.add_argument("--scenario", required=True, choices=_SCENARIOS)
+    sim.add_argument("--scenario", required=True, choices=SCENARIOS)
     sim.add_argument("--m", type=int, default=12)
     sim.add_argument("--trials", type=int, default=200)
-    sim.add_argument("--codec", choices=("random", "linear"))
+    sim.add_argument("--codec", choices=CODECS)
     sim.add_argument("--seed", type=int, default=0)
     _add_law_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
     bnd = subs.add_parser("bounds", help="print analytic rate bounds")
-    bnd.add_argument("--scenario", required=True, choices=_SCENARIOS)
+    bnd.add_argument("--scenario", required=True, choices=SCENARIOS)
     bnd.add_argument("--m", type=int, default=12)
-    bnd.add_argument("--codec", choices=("random", "linear"))
+    bnd.add_argument("--codec", choices=CODECS)
     _add_law_flags(bnd)
     bnd.set_defaults(func=cmd_bounds)
 
@@ -287,10 +270,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

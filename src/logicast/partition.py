@@ -188,18 +188,15 @@ def _biased_row(shared: SharedRandomness, row: int, n: int) -> np.ndarray:
 # random codec: first matching codebook row
 
 
-def random_encode(
-    x: TernaryVector, p_a: float, p_b: float, shared: SharedRandomness
-) -> list[int]:
+def random_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     """Index of the first codebook row agreeing with x on its constraints.
 
-    A side whose density is 0 must have no constrained cells: a codebook
-    matched to that law never shows that side's value.  With bias 0 every
-    cell is 1, so a vector with no 0 cells matches row 1 outright.  Raises
-    SearchExhausted past J_MAX rows.
+    A codebook of bias 0 shows only 1 cells and one of bias 1 only 0 cells,
+    so x may then have no constrained cell of the other value; such a
+    vector matches row 1 outright.  Raises SearchExhausted past J_MAX rows.
     """
     e = x.entries
-    if (p_a <= 0.0 and np.any(e == 0)) or (p_b <= 0.0 and np.any(e == 1)):
+    if (shared.bias == 0 and np.any(e == 0)) or (shared.bias == 1 and np.any(e == 1)):
         raise DomainError("random codec needs strictly positive densities")
     psi = x.psi()
     if psi.size == 0:

@@ -71,9 +71,6 @@ class Poly:
     def max_var(self) -> int:
         return max(self.masks, default=0).bit_length()
 
-    def degree(self) -> int:
-        return max((t.bit_count() for t in self.masks), default=0)
-
     def eval(self, point: int) -> int:
         """Value at the assignment packed into `point` (bit i-1 = x_i)."""
         acc = 0

@@ -68,9 +68,12 @@ MAGIC = b"LGC1"
 _HEADER = struct.Struct(">4sBBHQ4H")
 HEADER_BYTES = _HEADER.size
 
-_TAG_OF = {"t1": 1, "t2": 2, "t3": 3, "t4": 4, "t5": 5}
+SCENARIOS = ("t1", "t2", "t3", "t4", "t5")
+_TAG_OF = {name: i for i, name in enumerate(SCENARIOS, 1)}
 _NAME_OF = {v: k for k, v in _TAG_OF.items()}
-_CODEC_ID = {None: 0, "random": 1, "linear": 2}
+# Partition codec names, in the order of their header ids 1, 2, ...
+CODECS = ("random", "linear")
+_CODEC_ID = {None: 0, **{name: i for i, name in enumerate(CODECS, 1)}}
 _CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
 
 # Scenarios that code psi(s, q) with a partition codec, so take a codec and
@@ -290,28 +293,12 @@ def _side_shared(seed: int, q_zero: int, q_query: int) -> SharedRandomness:
     return SharedRandomness(seed, Fraction(q_zero, q_zero + q_one))
 
 
-def _write_partition(
-    body: BitWriter, x: TernaryVector, codec: str, seed: int, q_zero: int, q_query: int
-) -> None:
-    shared = _side_shared(seed, q_zero, q_query)
-    if codec == "linear":
-        bits = linear_encode(x, shared)
-    elif codec == "random":
-        bits = random_encode(
-            x, q_zero / PARAM_SCALE, (PARAM_SCALE - q_query) / PARAM_SCALE, shared
-        )
-    else:
-        raise DomainError(f"unknown codec {codec!r}")
-    body.write_bits(bits_to_int(bits), len(bits))
-
-
-def _decode_partition(
-    reader: BitReader, n: int, codec: str, seed: int, q_zero: int, q_query: int
-) -> np.ndarray:
-    shared = _side_shared(seed, q_zero, q_query)
-    if codec == "random":
-        return random_decode(reader, n, shared)
-    return linear_decode(reader, n, shared)
+def _codec(name: str):
+    """The (encode, decode) pair of a partition codec, looked up at call time."""
+    pairs = {"random": (random_encode, random_decode), "linear": (linear_encode, linear_decode)}
+    if name not in pairs:
+        raise DomainError(f"unknown codec {name!r}")
+    return pairs[name]
 
 
 def t4_encode(
@@ -362,16 +349,19 @@ def _split_encode(
     qp = tuple(
         quantize_param(e if c is None else c) for c, e in zip(conditionals, empirical)
     )
+    encode, _ = _codec(codec)
     body = BitWriter()
     for k, side_seed in enumerate((seed, derive_seed(seed, 1))):
         if sides[k].size:
-            x_side = TernaryVector(sides[k])
-            _write_partition(body, x_side, codec, side_seed, *qp[2 * k : 2 * k + 2])
+            shared = _side_shared(side_seed, *qp[2 * k : 2 * k + 2])
+            bits = encode(TernaryVector(sides[k]), shared)
+            body.write_bits(bits_to_int(bits), len(bits))
     return Transmission(scenario, s.m, codec, seed, qp, body.to_bits())
 
 
 def _split_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> PolySet:
     _check_decode(tx, r, scenarios)
+    _, decode = _codec(tx.codec)
     mask = zeros(r).to_bool_array()
     reader = BitReader(tx.payload)
     y = np.empty(mask.size, dtype=np.uint8)
@@ -379,8 +369,8 @@ def _split_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> P
         side = mask if k == 0 else ~mask
         n = int(np.count_nonzero(side))
         if n:
-            params = tx.params[2 * k : 2 * k + 2]
-            y[side] = _decode_partition(reader, n, tx.codec, side_seed, *params)
+            shared = _side_shared(side_seed, *tx.params[2 * k : 2 * k + 2])
+            y[side] = decode(reader, n, shared)
     return reconstruct(AlgSet.from_bool_array(tx.m, y == 0))
 
 

@@ -18,6 +18,8 @@ from .errors import ContractViolation, DomainError, UniverseTooLarge
 from .partition import binary_entropy, lambda_fn
 from .poly import PolySet
 from .protocols import (
+    BACKGROUND_SCENARIOS,
+    CODECS,
     PARTITION_SCENARIOS,
     t1_decode,
     t1_encode,
@@ -149,8 +151,8 @@ def _validate_combo(scenario: str, law: LawSpec, m: int, codec: str | None) -> N
             f"got {type(law).__name__}"
         )
     if scenario in PARTITION_SCENARIOS:
-        if codec not in ("random", "linear"):
-            raise DomainError("scenarios t4/t5 need codec 'random' or 'linear'")
+        if codec not in CODECS:
+            raise DomainError(f"scenarios t4/t5 need codec {' or '.join(map(repr, CODECS))}")
     elif codec is not None:
         raise DomainError(f"scenario {scenario} does not take a partition codec")
     if m < 1:
@@ -159,52 +161,44 @@ def _validate_combo(scenario: str, law: LawSpec, m: int, codec: str | None) -> N
         raise UniverseTooLarge(f"2^{m} assignments exceed the supported 2^{M_MAX}")
 
 
+def _law_kwargs(scenario: str, law: LawSpec) -> dict[str, object]:
+    """The densities the encoder writes into the header: the law's own."""
+    if isinstance(law, Single):
+        return {"p_s": law.p_s}
+    if isinstance(law, Nested):
+        # the outer set is the query for t4 and the background for t2/t3
+        return {"p_s": law.p_s, "p_q" if scenario == "t4" else "p_r": law.p_q}
+    return {"conditionals": (law.p_s_in, law.p_q_in, law.p_s_out, law.p_q_out)}
+
+
 def _one_trial(
     scenario: str, law: LawSpec, m: int, trial_seed: int, codec: str | None
 ) -> int:
-    """Sample, encode, decode, enforce the contract; return payload bits."""
+    """Sample, encode, decode, enforce the contract; return payload bits.
+
+    The contract is Z(s) within the estimate within Z(q) for t4/t5, or
+    within Z(s) itself for t1-t3, whose estimate for t3 is the difference plus r.
+    """
     sets, stmts = sample(law, m, trial_seed)
-    if scenario == "t1":
-        (za,) = sets
-        (s,) = stmts
-        tx = t1_encode(s, seed=trial_seed, p_s=law.p_s)
-        if zeros(t1_decode(tx)) != za:
-            raise ContractViolation("t1 reconstruction differs from the source")
-    elif scenario == "t2":
-        (zs, _), (s, r) = sets, stmts
-        tx = t2_encode(s, r, seed=trial_seed, p_s=law.p_s, p_r=law.p_q)
-        if zeros(t2_decode(tx, r)) != zs:
-            raise ContractViolation("t2 reconstruction differs from the source")
-    elif scenario == "t3":
-        (zs, _), (s, r) = sets, stmts
-        tx = t3_encode(s, r, seed=trial_seed, p_s=law.p_s, p_r=law.p_q)
-        d = t3_decode(tx, r)
-        if zeros(d.union(r)) != zs:
-            raise ContractViolation("difference plus background misses the source")
-        for w in d:
-            if entails(r, PolySet.of(m, [w])):
-                raise ContractViolation(
-                    "difference member already follows from the background"
-                )
-    elif scenario == "t4":
-        (zs, zq), (s, q) = sets, stmts
-        tx = t4_encode(s, q, codec=codec, seed=trial_seed, p_s=law.p_s, p_q=law.p_q)
-        zhat = zeros(t4_decode(tx))
-        if not (zs.issubset(zhat) and zhat.issubset(zq)):
-            raise ContractViolation("t4 estimate escapes the sandwich")
-    else:
-        (zs, zq, _), (s, q, r) = sets, stmts
-        tx = t5_encode(
-            s,
-            q,
-            r,
-            codec=codec,
-            seed=trial_seed,
-            conditionals=(law.p_s_in, law.p_q_in, law.p_s_out, law.p_q_out),
-        )
-        zhat = zeros(t5_decode(tx, r))
-        if not (zs.issubset(zhat) and zhat.issubset(zq)):
-            raise ContractViolation("t5 estimate escapes the sandwich")
+    encode, decode = {"t1": (t1_encode, t1_decode), "t2": (t2_encode, t2_decode),
+                      "t3": (t3_encode, t3_decode), "t4": (t4_encode, t4_decode),
+                      "t5": (t5_encode, t5_decode)}[scenario]
+    kw = _law_kwargs(scenario, law)
+    if codec is not None:
+        kw["codec"] = codec
+    tx = encode(*stmts, seed=trial_seed, **kw)
+    # the background, when the scenario has one, is the last statement set
+    background = stmts[-1:] if scenario in BACKGROUND_SCENARIOS else ()
+    estimate = decode(tx, *background)
+    if scenario == "t3":
+        (r,) = background
+        if any(entails(r, PolySet.of(m, [w])) for w in estimate):
+            raise ContractViolation("difference member already follows from the background")
+        estimate = estimate.union(r)
+    zhat = zeros(estimate)
+    outer = sets[1] if scenario in PARTITION_SCENARIOS else sets[0]
+    if not (sets[0].issubset(zhat) and zhat.issubset(outer)):
+        raise ContractViolation(f"{scenario} estimate escapes the sandwich")
     return len(tx.payload)
 
 

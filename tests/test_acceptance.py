@@ -98,7 +98,7 @@ def test_criterion_03_random_codec_short_codewords():
             u = rng.random()
             vals.append(0 if u < 0.25 else 1 if u < 0.5 else FREE)
         x = TernaryVector(vals)
-        bits = random_encode(x, 0.25, 0.25, shared)
+        bits = random_encode(x, shared)
         lengths.append(len(bits))
         y = random_decode(_reader(bits), 16, shared)
         assert total_distortion(x, y) == 0

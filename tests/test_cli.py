@@ -10,10 +10,12 @@ import pytest
 import logicast
 from logicast.algset import entails, zeros
 from logicast.bitcodec import BitWriter
+from logicast import protocols
 from logicast.cli import main
 from logicast.partition import J_MAX
 from logicast.protocols import Transmission
-from logicast.statements import parse_statements
+from logicast.simlab import Conditional, Nested, sample
+from logicast.statements import parse_statements, render_statements
 
 ALICE = "NOT (x1 AND x2 AND x3)\nNOT (NOT x1 AND NOT x2 AND NOT x3)\n"
 
@@ -219,6 +221,45 @@ def test_t5_cli_roundtrip_with_background(tmp_path, capsys):
     shat = parse_statements(dec.read_text(), 3)
     assert entails(s, shat)
     assert entails(shat, q)
+
+
+@pytest.mark.parametrize("scenario, codec", [
+    ("t1", None), ("t2", None), ("t3", None), ("t4", None), ("t4", "random"),
+    ("t5", None), ("t5", "random"),
+])
+def test_cli_bytes_and_output_match_the_library(tmp_path, capsys, scenario, codec):
+    """The CLI passes each file, the seed and the codec to the library as
+    the library's own signature orders them."""
+    m, seed = 4, 11
+    # Nested draws Z(s) inside Z(q); for t2/t3 that outer set is the background
+    law = Conditional(0.5, 0.2, 0.6, 0.1, 0.7) if scenario == "t5" else Nested(0.2, 0.6)
+    _, stmts = sample(law, m, 5)
+    names = {"t1": "s", "t2": "sr", "t3": "sr", "t4": "sq", "t5": "sqr"}[scenario]
+    files = {}
+    for name, stmt in zip(names, stmts):
+        files[name] = tmp_path / f"{name}.logic"
+        files[name].write_text(render_statements(stmt))
+    argv = ["encode", "--scenario", scenario, "--in", str(files["s"]),
+            "--vars", str(m), "--seed", str(seed), "--out", str(tmp_path / "tx.bin")]
+    for name, flag in (("q", "--query"), ("r", "--background")):
+        if name in files:
+            argv += [flag, str(files[name])]
+    if codec:
+        argv += ["--codec", codec]
+    assert main(argv) == 0
+    dec_argv = ["decode", "--in", str(tmp_path / "tx.bin"), "--out", str(tmp_path / "d.logic")]
+    if "r" in files:
+        dec_argv += ["--background", str(files["r"])]
+    assert main(dec_argv) == 0
+    capsys.readouterr()
+
+    operands = [parse_statements(files[n].read_text(), m) for n in "sqr" if n in files]
+    kw = {"seed": seed} if codec is None else {"seed": seed, "codec": codec}
+    tx = getattr(protocols, f"{scenario}_encode")(*operands, **kw)
+    assert (tmp_path / "tx.bin").read_bytes() == tx.to_bytes()
+    background = operands[-1:] if "r" in files else []
+    out = getattr(protocols, f"{scenario}_decode")(tx, *background)
+    assert (tmp_path / "d.logic").read_text() == render_statements(out)
 
 
 # ---------------------------------------------------------------- prove

@@ -201,7 +201,7 @@ def test_lambda_below_entropy_of_mixture():
 def test_random_codec_free_only():
     shared = SharedRandomness.for_law(99, 0.25, 0.25)
     x = _tv("********")
-    bits = random_encode(x, 0.25, 0.25, shared)
+    bits = random_encode(x, shared)
     assert bits == [1]
     y = random_decode(_reader(bits), 8, shared)
     assert y.shape == (8,)
@@ -214,8 +214,8 @@ def test_random_codec_roundtrip_and_determinism():
         n = rng.randrange(1, 22)
         x = _random_tv(rng, n, p_free=0.7)
         shared = SharedRandomness.for_law(1000 + trial, 0.25, 0.25)
-        bits = random_encode(x, 0.25, 0.25, shared)
-        assert bits == random_encode(x, 0.25, 0.25, shared)
+        bits = random_encode(x, shared)
+        assert bits == random_encode(x, shared)
         reader = _reader(bits)
         y = random_decode(reader, n, shared)
         assert reader.bits_read == len(bits)
@@ -223,21 +223,22 @@ def test_random_codec_roundtrip_and_determinism():
 
 
 def test_random_codec_requires_positive_law():
-    shared = SharedRandomness.for_law(5, 0.25, 0.25)
-    with pytest.raises(DomainError):
-        random_encode(_tv("01"), 0.0, 0.5, shared)
-    with pytest.raises(DomainError):
-        random_encode(_tv("01"), 0.5, 0.0, shared)
+    # a codebook of bias 0 (a zero density) never shows a 0 cell, and one of
+    # bias 1 (a zero one-density) never shows a 1 cell
+    for bias in (0, 1):
+        with pytest.raises(DomainError):
+            random_encode(_tv("01"), SharedRandomness(5, Fraction(bias)))
+    assert SharedRandomness.for_law(5, 0.0, 0.5).bias == 0
+    assert SharedRandomness.for_law(5, 0.5, 0.0).bias == 1
 
 
 def test_random_codec_zero_density_side_without_cells():
     # bias 0 makes every cell 1, bias 1 every cell 0: row 1 matches outright
-    for text, p_a, p_b, bias in (("1*1", 0.0, 0.5, 0), ("0**0", 0.5, 0.0, 1),
-                                 ("***", 0.0, 0.0, 0)):
+    for text, bias in (("1*1", 0), ("0**0", 1), ("***", 0)):
         shared = SharedRandomness(5, Fraction(bias))
-        assert random_encode(_tv(text), p_a, p_b, shared) == elias_delta_encode(1)
+        assert random_encode(_tv(text), shared) == elias_delta_encode(1)
     with pytest.raises(DomainError):
-        random_encode(_tv("1*0"), 0.0, 0.5, SharedRandomness(5, Fraction(0)))
+        random_encode(_tv("1*0"), SharedRandomness(5, Fraction(0)))
 
 
 def test_random_codec_search_exhaustion(monkeypatch):
@@ -246,7 +247,7 @@ def test_random_codec_search_exhaustion(monkeypatch):
     x = TernaryVector([rng.randrange(2) for _ in range(26)])
     shared = SharedRandomness.for_law(7, 0.5, 0.5)
     with pytest.raises(SearchExhausted):
-        random_encode(x, 0.5, 0.5, shared)
+        random_encode(x, shared)
 
 
 def test_random_codec_mean_length_smoke():
@@ -261,7 +262,7 @@ def test_random_codec_mean_length_smoke():
             ]
         )
         shared = SharedRandomness.for_law(5000 + trial, 0.25, 0.25)
-        lengths.append(len(random_encode(x, 0.25, 0.25, shared)))
+        lengths.append(len(random_encode(x, shared)))
     assert sum(lengths) / len(lengths) < 25.0
 
 

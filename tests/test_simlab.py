@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from logicast import simlab
 from logicast.algset import AlgSet, entails, zeros
-from logicast.errors import DomainError
+from logicast.errors import ContractViolation, DomainError
 from logicast.partition import binary_entropy, lambda_fn
-from logicast.poly import PolySet
+from logicast.poly import Poly, PolySet
 from logicast.simlab import (
     DEFAULT_MATRIX,
     Conditional,
@@ -223,6 +224,57 @@ def test_run_trials_rejects_bad_combinations():
         run_trials("t4", Nested(0.25, 0.75), 6, trials=3, codec="huffman")
     with pytest.raises(DomainError):
         run_trials("t1", Single(0.2), 6, trials=0)
+
+
+# ---------------------------------------------------------------- contracts
+# A decoder that breaks its scenario's contract must stop the trial loop.
+
+
+def _nothing(m):
+    # the statement 1 = 0: its zero set is empty
+    return PolySet.of(m, [Poly.one()])
+
+
+def _everything(m):
+    return PolySet(m, frozenset())
+
+
+@pytest.mark.parametrize("scenario, law, codec, decoder, wrong", [
+    ("t1", Single(0.2), None, "t1_decode", lambda tx: _nothing(tx.m)),
+    ("t1", Single(0.2), None, "t1_decode", lambda tx: _everything(tx.m)),
+    ("t2", Nested(0.125, 0.5), None, "t2_decode", lambda tx, r: _nothing(tx.m)),
+    ("t4", Nested(0.25, 0.75), "linear", "t4_decode", lambda tx: _everything(tx.m)),
+    ("t4", Nested(0.25, 0.75), "linear", "t4_decode", lambda tx: _nothing(tx.m)),
+    ("t5", Conditional(0.5, 0.25, 0.75, 0.25, 0.75), "linear", "t5_decode",
+     lambda tx, r: _everything(tx.m)),
+])
+def test_trial_loop_rejects_a_set_outside_the_contract(
+    monkeypatch, scenario, law, codec, decoder, wrong
+):
+    # at m = 6 and this seed Z(s) is not empty and Z(q) is not every point
+    (zs, *outer), _ = sample(law, 6, simlab.derive_seed(3, 0))
+    assert zs.size > 0 and all(zq.size < 64 for zq in outer[:1])
+    monkeypatch.setattr(simlab, decoder, wrong)
+    with pytest.raises(ContractViolation):
+        run_trials(scenario, law, 6, trials=1, codec=codec, seed=3)
+
+
+def test_trial_loop_rejects_a_t3_difference_the_background_implies(monkeypatch):
+    # adding r's own members keeps Z(d + r) right but breaks the difference
+    law = Nested(0.15, 0.5)
+    _, (_, r) = sample(law, 6, simlab.derive_seed(3, 0))
+    assert len(r) > 0
+    decode = simlab.t3_decode
+    monkeypatch.setattr(simlab, "t3_decode", lambda tx, r: decode(tx, r).union(r))
+    with pytest.raises(ContractViolation, match="background"):
+        run_trials("t3", law, 6, trials=1, seed=3)
+
+
+def test_trial_loop_rejects_a_t3_difference_that_misses_the_source(monkeypatch):
+    law = Nested(0.15, 0.5)
+    monkeypatch.setattr(simlab, "t3_decode", lambda tx, r: _nothing(tx.m))
+    with pytest.raises(ContractViolation):
+        run_trials("t3", law, 6, trials=1, seed=3)
 
 
 # ---------------------------------------------------------------- bounds
