@@ -21,7 +21,7 @@ from .poly import Poly, PolySet
 M_MAX = 24
 
 
-def _check_m(m: int) -> None:
+def check_m(m: int) -> None:
     if m < 0:
         raise DomainError(f"variable count must be >= 0, got {m}")
     if m > M_MAX:
@@ -36,13 +36,13 @@ class AlgSet:
     bits: int
 
     def __post_init__(self):
-        _check_m(self.m)
+        check_m(self.m)
         if self.bits < 0 or self.bits >> (1 << self.m):
             raise DomainError("membership bits outside the assignment space")
 
     @classmethod
     def from_points(cls, m: int, points: Iterable[int]) -> "AlgSet":
-        _check_m(m)
+        check_m(m)
         pts = list(points)
         for pt in pts:
             if pt < 0 or pt >> m:
@@ -98,7 +98,7 @@ def _poly_value_table(q: Poly, m: int) -> np.ndarray:
 
 def zeros(ps: PolySet) -> AlgSet:
     """The points where every polynomial of the set vanishes."""
-    _check_m(ps.m)
+    check_m(ps.m)
     violated = np.zeros(1 << ps.m, dtype=np.uint8)
     for q in ps.polys:
         violated |= _poly_value_table(q, ps.m)

@@ -122,34 +122,29 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 _LAW_FLAGS = ("ps", "pq", "pr", "ps_in", "pq_in", "ps_out", "pq_out")
 
+# Per scenario: the density flags it takes, and the law they describe.  For
+# t2/t3 the natural knobs are the background density --pr and the
+# conditional inclusion --ps, so the stored inner marginal is their product.
+_LAW_FROM_FLAGS = {
+    "t1": (("ps",), lambda a: Single(a.ps)),
+    "t2": (("pr", "ps"), lambda a: Nested(a.pr * a.ps, a.pr)),
+    "t3": (("pr", "ps"), lambda a: Nested(a.pr * a.ps, a.pr)),
+    "t4": (("ps", "pq"), lambda a: Nested(a.ps, a.pq)),
+    "t5": (("pr", "ps_in", "pq_in", "ps_out", "pq_out"),
+           lambda a: Conditional(a.pr, a.ps_in, a.pq_in, a.ps_out, a.pq_out)),
+}
+
 
 def _law_from_flags(scenario: str, args: argparse.Namespace):
-    """Map decimal CLI densities onto a law.
-
-    For t2/t3 the natural knobs are the background density --pr and the
-    conditional inclusion --ps, so the stored inner marginal is their
-    product.
-    """
-    wanted = {
-        "t1": ("ps",),
-        "t2": ("pr", "ps"),
-        "t3": ("pr", "ps"),
-        "t4": ("ps", "pq"),
-        "t5": ("pr", "ps_in", "pq_in", "ps_out", "pq_out"),
-    }[scenario]
+    """Map decimal CLI densities onto a law, refusing missing or foreign flags."""
+    wanted, build = _LAW_FROM_FLAGS[scenario]
     for name in _LAW_FLAGS:
         given = getattr(args, name) is not None
         if given and name not in wanted:
             raise _UsageError(f"{scenario} does not take --{name.replace('_', '-')}")
         if not given and name in wanted:
             raise _UsageError(f"{scenario} needs --{name.replace('_', '-')}")
-    if scenario == "t1":
-        return Single(args.ps)
-    if scenario in ("t2", "t3"):
-        return Nested(args.pr * args.ps, args.pr)
-    if scenario == "t4":
-        return Nested(args.ps, args.pq)
-    return Conditional(args.pr, args.ps_in, args.pq_in, args.ps_out, args.pq_out)
+    return build(args)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

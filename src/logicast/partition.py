@@ -113,7 +113,7 @@ def total_distortion(x: TernaryVector, y: Sequence[int]) -> int:
 
 
 def binary_entropy(p: float) -> float:
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability out of range: {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
@@ -127,8 +127,8 @@ def lambda_fn(p_a: float, p_b: float) -> float:
     and a + b < 1, which is what makes joint coding of the two sides
     worthwhile.
     """
-    if p_a < 0.0 or p_b < 0.0:
-        raise DomainError("densities must be non-negative")
+    if not (p_a >= 0.0 and p_b >= 0.0 and p_a + p_b < math.inf):
+        raise DomainError("densities must be finite and non-negative")
     if p_a == 0.0 or p_b == 0.0:
         return 0.0
     total = p_a + p_b
@@ -160,7 +160,7 @@ class SharedRandomness:
     @classmethod
     def for_law(cls, seed: int, p_a: float, p_b: float) -> "SharedRandomness":
         """Codebook matched to a source with the given side densities."""
-        if p_a < 0.0 or p_b < 0.0 or p_a + p_b <= 0.0:
+        if not (p_a >= 0.0 and p_b >= 0.0 and 0.0 < p_a + p_b < math.inf):
             raise DomainError(f"({p_a}, {p_b}) is not a usable density pair")
         fa, fb = Fraction(p_a), Fraction(p_b)
         return cls(seed, fa / (fa + fb))

@@ -86,7 +86,7 @@ PARAM_SCALE = 65536
 
 
 def quantize_param(p: float) -> int:
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise DomainError(f"law parameter out of range: {p}")
     return min(PARAM_SCALE - 1, round(p * PARAM_SCALE))
 

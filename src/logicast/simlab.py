@@ -8,13 +8,13 @@ and the measured payload rates are compared with the analytic bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
 
-from .algset import M_MAX, AlgSet, entails, reconstruct, zeros
-from .errors import ContractViolation, DomainError, UniverseTooLarge
+from .algset import AlgSet, check_m, entails, reconstruct, zeros
+from .errors import ContractViolation, DomainError
 from .partition import binary_entropy, lambda_fn
 from .poly import PolySet
 from .protocols import (
@@ -35,9 +35,11 @@ from .protocols import (
 from .randomness import derive_seed, draw_array
 
 
-def _check_prob(name: str, p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {p}")
+def _check_probs(law: LawSpec) -> None:
+    for field in fields(law):
+        p = getattr(law, field.name)
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"{field.name} must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -47,23 +49,22 @@ class Single:
     p_s: float
 
     def __post_init__(self) -> None:
-        _check_prob("p_s", self.p_s)
+        _check_probs(self)
 
 
 @dataclass(frozen=True)
 class Nested:
     """Coupled pair with Z(s) inside Z(q), marginal densities p_s <= p_q.
 
-    For the conditional scenarios t2/t3 the outer set plays the shared
-    background r, so p_q is the background density there.
+    The outer set is the query for t4 and the shared background r for
+    t2/t3; t1's Single(p_s) has the bounds of t2's Nested(p_s, 1.0).
     """
 
     p_s: float
     p_q: float
 
     def __post_init__(self) -> None:
-        _check_prob("p_s", self.p_s)
-        _check_prob("p_q", self.p_q)
+        _check_probs(self)
         if self.p_s > self.p_q:
             raise DomainError("inner density p_s may not exceed outer density p_q")
 
@@ -79,11 +80,7 @@ class Conditional:
     p_q_out: float
 
     def __post_init__(self) -> None:
-        _check_prob("p_r", self.p_r)
-        _check_prob("p_s_in", self.p_s_in)
-        _check_prob("p_q_in", self.p_q_in)
-        _check_prob("p_s_out", self.p_s_out)
-        _check_prob("p_q_out", self.p_q_out)
+        _check_probs(self)
         if self.p_s_in > self.p_q_in:
             raise DomainError("p_s_in may not exceed p_q_in")
         if self.p_s_out > self.p_q_out:
@@ -92,12 +89,17 @@ class Conditional:
 
 LawSpec = Single | Nested | Conditional
 
+# Per scenario: the law it takes, and the header densities its encoder is
+# given.  A Nested law's outer density is the background's, p_r, for t2/t3
+# and the query's, p_q, for t4.
 _LAW_FOR = {
-    "t1": Single,
-    "t2": Nested,
-    "t3": Nested,
-    "t4": Nested,
-    "t5": Conditional,
+    "t1": (Single, lambda law: {"p_s": law.p_s}),
+    "t2": (Nested, lambda law: {"p_s": law.p_s, "p_r": law.p_q}),
+    "t3": (Nested, lambda law: {"p_s": law.p_s, "p_r": law.p_q}),
+    "t4": (Nested, lambda law: {"p_s": law.p_s, "p_q": law.p_q}),
+    "t5": (Conditional, lambda law: {
+        "conditionals": (law.p_s_in, law.p_q_in, law.p_s_out, law.p_q_out),
+    }),
 }
 
 
@@ -120,6 +122,7 @@ def sample(
     keeps the nesting exact, not just in expectation.  The second element is
     the matching statements, recovered from the sets.
     """
+    check_m(m)
     keys = np.arange(1 << m, dtype=np.uint64)
     if isinstance(law, Single):
         words = draw_array(seed, keys)
@@ -144,7 +147,7 @@ def sample(
 def _validate_combo(scenario: str, law: LawSpec, m: int, codec: str | None) -> None:
     if scenario not in _LAW_FOR:
         raise DomainError(f"unknown scenario {scenario!r}")
-    want = _LAW_FOR[scenario]
+    want, _ = _LAW_FOR[scenario]
     if not isinstance(law, want):
         raise DomainError(
             f"scenario {scenario} takes a {want.__name__} law, "
@@ -157,18 +160,7 @@ def _validate_combo(scenario: str, law: LawSpec, m: int, codec: str | None) -> N
         raise DomainError(f"scenario {scenario} does not take a partition codec")
     if m < 1:
         raise DomainError(f"universe size m must be at least 1, got {m}")
-    if m > M_MAX:
-        raise UniverseTooLarge(f"2^{m} assignments exceed the supported 2^{M_MAX}")
-
-
-def _law_kwargs(scenario: str, law: LawSpec) -> dict[str, object]:
-    """The densities the encoder writes into the header: the law's own."""
-    if isinstance(law, Single):
-        return {"p_s": law.p_s}
-    if isinstance(law, Nested):
-        # the outer set is the query for t4 and the background for t2/t3
-        return {"p_s": law.p_s, "p_q" if scenario == "t4" else "p_r": law.p_q}
-    return {"conditionals": (law.p_s_in, law.p_q_in, law.p_s_out, law.p_q_out)}
+    check_m(m)
 
 
 def _one_trial(
@@ -183,7 +175,8 @@ def _one_trial(
     encode, decode = {"t1": (t1_encode, t1_decode), "t2": (t2_encode, t2_decode),
                       "t3": (t3_encode, t3_decode), "t4": (t4_encode, t4_decode),
                       "t5": (t5_encode, t5_decode)}[scenario]
-    kw = _law_kwargs(scenario, law)
+    _, header = _LAW_FOR[scenario]
+    kw = header(law)
     if codec is not None:
         kw["codec"] = codec
     tx = encode(*stmts, seed=trial_seed, **kw)
@@ -221,26 +214,25 @@ def _analytic_bounds(
 ) -> tuple[float, float]:
     """Per-point converse and achievability bounds for the given setting.
 
-    t1 and t2/t3 pay an entropy term plus the enumeration preamble.  The
-    partition scenarios pay Lambda from below; from above they pay the
-    codebook-index cost, per side for t5, with the codec's own overhead.
+    t1 and t4 are t2 and t5 against the empty background, which holds
+    every point, so Single(p_s) is read as Nested(p_s, 1.0) and t4's
+    Nested(p_s, p_q) as Conditional(1.0, p_s, p_q, 0.0, 0.0).  Nested
+    pays p_r * H(p_s / p_r) plus the enumeration preamble; Conditional
+    pays Lambda per side of Z(r), plus the codec's index overhead above.
     """
+    if isinstance(law, Single):
+        law = Nested(law.p_s, 1.0)
+    if scenario in PARTITION_SCENARIOS and isinstance(law, Nested):
+        law = Conditional(1.0, law.p_s, law.p_q, 0.0, 0.0)
     n = float(1 << m)
-    if scenario == "t1":
-        lo = binary_entropy(law.p_s)
+    if isinstance(law, Nested):
+        cond = min(1.0, law.p_s / law.p_q) if law.p_q > 0.0 else 0.0
+        lo = law.p_q * binary_entropy(cond)
         return lo, lo + _elias_overhead(law.p_s * n, 4.0) / n
-    if scenario in ("t2", "t3"):
-        p_r = law.p_q
-        cond = min(1.0, law.p_s / p_r) if p_r > 0.0 else 0.0
-        lo = p_r * binary_entropy(cond)
-        return lo, lo + _elias_overhead(law.p_s * n, 4.0) / n
-    if scenario == "t4":
-        sides = ((1.0, law.p_s, 1.0 - law.p_q),)
-    else:
-        sides = (
-            (law.p_r, law.p_s_in, 1.0 - law.p_q_in),
-            (1.0 - law.p_r, law.p_s_out, 1.0 - law.p_q_out),
-        )
+    sides = (
+        (law.p_r, law.p_s_in, 1.0 - law.p_q_in),
+        (1.0 - law.p_r, law.p_s_out, 1.0 - law.p_q_out),
+    )
     lo = 0.0
     up = 0.0
     for w, a, b in sides:
@@ -318,7 +310,7 @@ def run_trials(
     against the scenario's contract; a breach raises ContractViolation
     rather than polluting the average.
     """
-    _validate_combo(scenario, law, m, codec)
+    report = bounds_table(scenario, law, m, codec)
     if trials < 1:
         raise DomainError("trials must be positive")
     n = 1 << m
@@ -332,20 +324,14 @@ def run_trials(
     else:
         var = 0.0
     std = math.sqrt(var)
-    lo, up = _analytic_bounds(scenario, law, m, codec)
     slack = 3.0 * std / math.sqrt(trials) + 1e-12
-    return RateReport(
-        scenario=scenario,
-        law=law,
-        m=m,
-        codec=codec,
+    return replace(
+        report,
         trials=trials,
         mean_rate=mean,
         std_rate=std,
-        lower_bound=lo,
-        upper_bound=up,
-        lower_violation=mean < lo - slack,
-        upper_violation=mean > up + slack,
+        lower_violation=mean < report.lower_bound - slack,
+        upper_violation=mean > report.upper_bound + slack,
     )
 
 

@@ -25,7 +25,7 @@ from logicast.errors import (
     TruncatedStream,
 )
 from logicast.groebner import entails_groebner
-from logicast.partition import FREE, J_MAX
+from logicast.partition import FREE, J_MAX, SharedRandomness, binary_entropy, lambda_fn
 from logicast.poly import Poly, PolySet
 from logicast.protocols import (
     Transmission,
@@ -129,6 +129,27 @@ def test_quantize_param_clamps():
     assert quantize_param(1.0) == 65535
     with pytest.raises(DomainError):
         quantize_param(1.5)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: quantize_param(_NAN), id="quantize_param-nan"),
+    pytest.param(lambda: t2_encode(_alice(), PolySet(3, frozenset()), p_s=_NAN),
+                 id="t2_encode-nan"),
+    pytest.param(lambda: t5_encode(_alice(), _alice(), PolySet(3, frozenset()),
+                                   conditionals=(_NAN, 0.5, 0.25, 0.5)),
+                 id="t5_encode-nan"),
+    pytest.param(lambda: SharedRandomness.for_law(1, _NAN, 0.5), id="for_law-nan"),
+    pytest.param(lambda: SharedRandomness.for_law(1, _INF, 0.5), id="for_law-inf"),
+    pytest.param(lambda: binary_entropy(_NAN), id="binary_entropy-nan"),
+    pytest.param(lambda: lambda_fn(_NAN, 0.5), id="lambda_fn-nan"),
+    pytest.param(lambda: lambda_fn(0.5, _INF), id="lambda_fn-inf"),
+])
+def test_nan_and_infinite_densities_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_read_transmission_roundtrip():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from logicast import simlab
-from logicast.algset import AlgSet, entails, zeros
-from logicast.errors import ContractViolation, DomainError
+from logicast.algset import M_MAX, AlgSet, entails, zeros
+from logicast.errors import ContractViolation, DomainError, UniverseTooLarge
 from logicast.partition import binary_entropy, lambda_fn
 from logicast.poly import Poly, PolySet
 from logicast.simlab import (
@@ -134,6 +134,21 @@ def test_sample_conditional_extreme_background():
     assert zr2.size == 0
     assert zs2.size == 0
     assert zq2.size == 64
+
+
+@pytest.mark.parametrize("m, error", [(-1, DomainError), (64, UniverseTooLarge)])
+def test_sample_refuses_a_universe_size_before_drawing(m, error):
+    with pytest.raises(error):
+        sample(Single(0.2), m, seed=0)
+
+
+def test_sample_past_m_max_allocates_nothing(monkeypatch):
+    def refuse(seed, keys):
+        raise AssertionError("drew points for a universe past M_MAX")
+
+    monkeypatch.setattr(simlab, "draw_array", refuse)
+    with pytest.raises(UniverseTooLarge):
+        sample(Single(0.2), M_MAX + 1, seed=0)
 
 
 # ---------------------------------------------------------------- run_trials
@@ -309,13 +324,47 @@ def test_bounds_table_t2_frozen_values():
     assert rep.upper_bound == pytest.approx(0.410360705, abs=1e-8)
 
 
+# Exact bounds of every default-matrix cell and every benchmark cell:
+# (scenario, law, m, codec, lower, upper).
+_PINNED_BOUNDS = [
+    ("t1", Single(0.2), 12, None, 0.7219280948873623, 0.7268664521190974),
+    ("t2", Nested(0.125, 0.5), 12, None, 0.4056390622295664, 0.4103607052966769),
+    ("t3", Nested(0.15, 0.5), 7, None, 0.44064544961534635, 0.5378860418322124),
+    ("t4", Nested(0.25, 0.75), 12, "linear", 0.5, 0.505595859567614),
+    ("t4", Nested(0.25, 0.75), 4, "random", 0.5, 1.0625),
+    ("t5", Conditional(0.5, 0.25, 0.75, 0.25, 0.75), 12, "linear",
+     0.5, 0.510570060221138),
+    ("t4", Nested(0.1, 0.7), 12, "linear", 0.32451124978365314, 0.405496451662785),
+    ("t1", Single(0.2), 14, None, 0.7219280948873623, 0.7233178368486398),
+    ("t2", Nested(0.125, 0.5), 14, None, 0.4056390622295664, 0.40697688347207583),
+    ("t3", Nested(0.15, 0.5), 8, None, 0.44064544961534635, 0.49554710609232755),
+]
+
+
+def _bounds(scenario, law, m, codec=None):
+    rep = bounds_table(scenario, law, m, codec=codec)
+    return rep.lower_bound, rep.upper_bound
+
+
+@pytest.mark.parametrize("scenario, law, m, codec, lower, upper", _PINNED_BOUNDS)
+def test_bounds_table_pins_default_and_benchmark_cells(scenario, law, m, codec, lower, upper):
+    assert _bounds(scenario, law, m, codec) == (lower, upper)
+
+
+def test_pinned_bounds_cover_the_default_matrix():
+    assert {row[:4] for row in DEFAULT_MATRIX} <= {row[:4] for row in _PINNED_BOUNDS}
+
+
 def test_bounds_table_t5_with_certain_background_matches_t4():
-    t4 = bounds_table("t4", Nested(0.25, 0.75), 12, codec="linear")
-    t5 = bounds_table(
-        "t5", Conditional(1.0, 0.25, 0.75, 0.3, 0.9), 12, codec="linear"
-    )
-    assert t5.lower_bound == pytest.approx(t4.lower_bound, abs=1e-12)
-    assert t5.upper_bound == pytest.approx(t4.upper_bound, abs=1e-12)
+    # a certain background leaves one side, so t5 is t4 whatever the other
+    # side's densities; likewise t1 is t2 against the background of every point
+    for codec in ("linear", "random"):
+        for m, p_s, p_q in ((12, 0.25, 0.75), (12, 0.1, 0.7), (4, 0.3, 0.3),
+                            (9, 0.0, 0.6), (16, 0.05, 1.0), (1, 0.5, 0.5)):
+            t5 = _bounds("t5", Conditional(1.0, p_s, p_q, 0.3, 0.9), m, codec)
+            assert t5 == _bounds("t4", Nested(p_s, p_q), m, codec)
+    for m, p in ((12, 0.2), (14, 0.125), (1, 0.5), (7, 0.0), (10, 1.0), (16, 0.01)):
+        assert _bounds("t1", Single(p), m) == _bounds("t2", Nested(p, 1.0), m)
 
 
 # ---------------------------------------------------------------- reports
