@@ -190,11 +190,30 @@ def rank_width(n: int, k: int) -> int:
     return (binom(n, k) - 1).bit_length()
 
 
+# Colex ranks whose C(n, k) has fewer bits than these go by the walk over
+# positions; larger ones go one chunk of members at a time, which measured
+# faster above these sizes (BENCH_13_colex_rank.json).
+_RANK_CHUNK_MIN_BITS = 2048
+_UNRANK_CHUNK_MIN_BITS = 5000
+# A chunk ends once the denominator of its exact ratio passes this many bits.
+_CHUNK_BITS = 2048
+# Unrank brackets R / A in this many fraction bits, and ends a chunk once the
+# bracket is wider than 2^-_BRACKET_SLACK.
+_BRACKET_BITS = 256
+_BRACKET_SLACK = 96
+
+
 def subset_rank(n: int, subset: Iterable[int]) -> int:
     """Colex rank of a subset of {0..n-1}: sum of binom(v_i, i+1) over sorted members.
 
-    Binomials are maintained incrementally along a single walk over positions,
-    so the cost stays linear in max(subset) with small-factor bignum updates.
+    The walk multiplies and divides an integer of up to log2 C(n, k) bits
+    by a one-digit factor at each of the max(subset) + 1 positions: about
+    n * log2 C(n, k) / 30 digit steps, each with a hardware division.
+    Above `_RANK_CHUNK_MIN_BITS` that integer is touched once per chunk of
+    members instead, by one divmod and two multiplies with the chunk's
+    product of about `_CHUNK_BITS` bits: about log2(n) / 30 as many digit
+    steps, mostly multiply-adds. That measured 1.5-4.7 times faster at
+    n = 4096..65536 in CPython 3.11.
     """
     members = sorted(subset)
     if members:
@@ -203,6 +222,15 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
         for a, b in zip(members, members[1:]):
             if a == b:
                 raise DomainError(f"duplicate subset member {a}")
+    k = len(members)
+    # log2 C(n, k) without building it
+    bits = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+    if bits < _RANK_CHUNK_MIN_BITS:
+        return _rank_walk(members)
+    return _rank_chunked(members)
+
+
+def _rank_walk(members: list[int]) -> int:
     rank = 0
     take = 0  # index into members
     j = 1  # next term uses binom(v, j)
@@ -225,17 +253,82 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
     return rank
 
 
-def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}."""
+def _rank_chunked(members: list[int]) -> int:
+    """The walk's sum, with the big integer touched once per chunk.
+
+    From the term binom(v, i+1) to the next, binom(u, i+2), the ratio is
+    (v+1)...u / ((i+2) * w...(w'-1)) with w = v - i and w' = u - i - 1, all
+    small factors. Within a chunk, num/den is the current term over the
+    anchor (an exact term, log2 C(n, k) bits at most) and part/den is the
+    chunk's sum over it; closing the chunk adds anchor * part / den to the
+    rank and moves the anchor to anchor * num / den.
+    """
+    k = len(members)
+    i = 0
+    while i < k and members[i] == i:  # binom(i, i+1) = 0
+        i += 1
+    if i == k:
+        return 0
+    v = members[i]
+    w = v - i
+    anchor = math.comb(v, i + 1)
+    rank = 0
+    num = den = part = 1
+    for j in range(i + 1, k):
+        u = members[j]
+        wu = u - j
+        if u == v + 1:
+            p, q = u, j + 1
+        else:
+            p = math.prod(range(v + 1, u + 1))
+            q = (j + 1) * math.prod(range(w, wu))
+        num *= p
+        den *= q
+        part = part * q + num
+        v, w = u, wu
+        if den.bit_length() > _CHUNK_BITS:
+            taken, anchor = _close_chunk(anchor, part, num, den)
+            rank += taken
+            num = den = 1
+            part = 0
+    return rank + _close_chunk(anchor, part, num, den)[0]
+
+
+def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
+    """(anchor * part / den, anchor * num / den), both exact integers.
+
+    One divmod and two multiplies of the big anchor; the remainder's
+    products stay small.
+    """
+    a, r = divmod(anchor, den)
+    return a * part + r * part // den, a * num + r * num // den
+
+
+def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
+    """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
+
+    `total` is C(n, k) when the caller has built it already. The cost is
+    that of :func:`subset_rank`, with the chunked form above
+    `_UNRANK_CHUNK_MIN_BITS`.
+    """
     if k < 0 or k > n:
         raise DomainError(f"k must lie in 0..{n}, got {k}")
-    total = binom(n, k)
+    if total is None:
+        total = binom(n, k)
     if rank < 0 or rank >= total:
         raise RankOutOfRange(f"rank {rank} outside 0..{total - 1}")
+    if not k:
+        return ()
+    top = total * (n - k) // n  # binom(n - 1, k)
+    if total.bit_length() < _UNRANK_CHUNK_MIN_BITS:
+        return _unrank_walk(n, k, rank, top)
+    return _unrank_chunked(n, k, rank, top)
+
+
+def _unrank_walk(n: int, k: int, rank: int, coeff: int) -> tuple[int, ...]:
     out: list[int] = []
     v = n - 1
-    coeff = binom(n - 1, k) if k > 0 else 1  # binom(v, t) for current t
-    for t in range(k, 0, -1):
+    for t in range(k, 0, -1):  # coeff = binom(v, t)
         # find the largest v with binom(v, t) <= rank
         while coeff > rank:
             # binom(v-1, t) = binom(v, t) * (v - t) / v
@@ -246,4 +339,85 @@ def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
         # move t -> t - 1 at fixed v: binom(v, t-1) = binom(v, t) * t / (v - t + 1)
         if t > 1:
             coeff = 1 if v == t - 1 else coeff * t // (v - t + 1)
+    return tuple(reversed(out))
+
+
+def _unrank_chunked(n: int, k: int, rank: int, anchor: int) -> tuple[int, ...]:
+    """The walk's members, with the big integers touched once per chunk.
+
+    The state is (y, s, R): s members are left, all at most y, and
+    R < binom(y + 1, s) is what they must sum to. A chunk starts from the
+    exact anchor A = binom(y, s) and a bracket [lo, hi) of z = R / A in
+    _BRACKET_BITS fraction bits. The next member is the largest v <= y with
+    z * binom(y, s) / binom(v, s) >= 1: a float search guesses it, and the
+    bracket, carried through the small-integer ratio, either proves it or
+    ends the chunk. Taking v maps z to (z - 1) * v / s at (v - 1, s - 1).
+    num/den and part/den track the exact ratio binom(y, s) / A and the sum
+    taken over A, as in :func:`_rank_chunked`. A chunk that cannot prove
+    its first member is replaced by one exact step on the big integers.
+    """
+    out: list[int] = []
+    y, s, R = n - 1, k, rank
+    one = 1 << _BRACKET_BITS
+    wide = 1 << (_BRACKET_BITS - _BRACKET_SLACK)
+    while s:
+        if not R:  # every remaining term is binom(i, i+1) = 0
+            out.extend(range(s - 1, -1, -1))
+            break
+        lo = (R << _BRACKET_BITS) // anchor
+        hi = lo + 1
+        num = den = 1
+        part = 0
+        start = len(out)
+        while s and lo and hi - lo < wide and den.bit_length() <= _CHUNK_BITS:
+            zf = lo / one
+            v = y
+            while zf < 1.0 and v > s:
+                zf *= v / (v - s)
+                v -= 1
+            if v < y:
+                # binom(v, s) / binom(y, s) = dn / up
+                up = math.prod(range(v + 1, y + 1))
+                dn = math.prod(range(v + 1 - s, y + 1 - s))
+                lo = lo * up // dn
+                hi = -(-hi * up // dn)
+                # v must provably satisfy z_v >= 1 > z_(v+1)
+                if lo < one or hi * (v + 1 - s) > one * (v + 1):
+                    break
+                part = (part * up + num * dn) * v
+                num *= dn * s
+                den *= up * v
+            elif lo < one:
+                break
+            else:
+                part = (part + num) * v
+                num *= s
+                den *= v
+            out.append(v)
+            lo = (lo - one) * v // s
+            hi = -((one - hi) * v // s)
+            y = v - 1
+            s -= 1
+        if len(out) > start:
+            taken, anchor = _close_chunk(anchor, part, num, den)
+            R -= taken
+            continue
+        # exact step: guess v in logs, then settle it on binom(v, s) itself
+        lz = math.log(R) - math.log(anchor)
+        v = y
+        while lz < 0 and v > s:
+            lz += math.log(v / (v - s))
+            v -= 1
+        c = anchor * math.prod(range(v + 1 - s, y + 1 - s)) // math.prod(range(v + 1, y + 1))
+        while c > R:
+            c = c * (v - s) // v
+            v -= 1
+        while v < y and c * (v + 1) // (v + 1 - s) <= R:
+            c = c * (v + 1) // (v + 1 - s)
+            v += 1
+        out.append(v)
+        R -= c
+        anchor = c * s // v  # binom(v - 1, s - 1)
+        y = v - 1
+        s -= 1
     return tuple(reversed(out))

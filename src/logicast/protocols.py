@@ -38,6 +38,7 @@ from .bitcodec import (
     Bits,
     BitReader,
     BitWriter,
+    binom,
     bits_to_int,
     rank_width,
     subset_rank,
@@ -134,8 +135,8 @@ def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
     writer.write_bits(subset_rank(n, members), rank_width(n, len(members)))
 
 
-def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
-    """(k, rank) of one count + rank codeword over n candidates.
+def _read_ranked(reader: BitReader, n: int) -> tuple[int, int, int]:
+    """(k, rank, C(n, k)) of one count + rank codeword over n candidates.
 
     A truncated or malformed field is re-raised with the field's name and
     the reader's bit offset where it began.
@@ -153,7 +154,8 @@ def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
     try:
         if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
             raise TruncatedStream("bit stream exhausted")
-        return k, reader.read_bits(rank_width(n, k))
+        total = binom(n, k)
+        return k, reader.read_bits((total - 1).bit_length()), total
     except TruncatedStream as exc:
         raise TruncatedStream(f"{exc} (rank at bit {at})") from None
 

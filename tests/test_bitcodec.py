@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicast import bitcodec
 from logicast.bitcodec import (
     Bits,
     BitReader,
@@ -132,8 +134,6 @@ def test_rank_against_colex_oracle():
 
 
 def test_rank_unrank_identity_medium():
-    import random
-
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randrange(1, 300)
@@ -153,6 +153,136 @@ def test_rank_domain_errors():
         subset_unrank(4, 2, 6)
     with pytest.raises(RankOutOfRange):
         subset_unrank(4, 2, -1)
+
+
+# The walks over positions that subset_rank and subset_unrank were before
+# the chunked forms: the bit-exact oracle for both paths.
+
+def _walk_rank(n: int, subset) -> int:
+    members = sorted(subset)
+    rank = 0
+    take = 0
+    j = 1
+    coeff = 0
+    for v in range(members[-1] + 1 if members else 0):
+        if take < len(members) and members[take] == v:
+            rank += coeff
+            take += 1
+            coeff = coeff * (v - j) // (j + 1) if v > j else 0
+            j += 1
+        nxt = v + 1
+        if nxt < j:
+            coeff = 0
+        elif nxt == j:
+            coeff = 1
+        else:
+            coeff = coeff * nxt // (nxt - j)
+    return rank
+
+
+def _walk_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    out: list[int] = []
+    v = n - 1
+    coeff = math.comb(n - 1, k) if k > 0 else 1
+    for t in range(k, 0, -1):
+        while coeff > rank:
+            coeff = coeff * (v - t) // v
+            v -= 1
+        out.append(v)
+        rank -= coeff
+        if t > 1:
+            coeff = 1 if v == t - 1 else coeff * t // (v - t + 1)
+    return tuple(reversed(out))
+
+
+def _check_both_paths(n: int, members: tuple[int, ...]) -> None:
+    """Public functions, and the chunked forms called directly, match the walks."""
+    k = len(members)
+    want = _walk_rank(n, members)
+    assert subset_rank(n, members) == want
+    assert subset_unrank(n, k, want) == members
+    assert _walk_unrank(n, k, want) == members
+    assert bitcodec._rank_chunked(list(members)) == want
+    if k:
+        top = math.comb(n - 1, k)
+        assert bitcodec._unrank_chunked(n, k, want, top) == members
+
+
+@st.composite
+def _subsets(draw):
+    """(n, members) with n <= 2^14: sparse, middling or dense."""
+    n = draw(st.integers(min_value=1, max_value=1 << 14))
+    shape = draw(st.sampled_from(("sparse", "middling", "dense")))
+    if shape == "sparse":
+        k = draw(st.integers(min_value=0, max_value=min(n, 64)))
+    elif shape == "dense":
+        k = n - draw(st.integers(min_value=0, max_value=min(n, 64)))
+    else:
+        k = draw(st.integers(min_value=0, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return n, tuple(sorted(random.Random(seed).sample(range(n), k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subsets())
+def test_rank_unrank_match_the_walks(case):
+    n, members = case
+    _check_both_paths(n, members)
+
+
+def test_rank_unrank_match_the_walks_at_boundary_ranks():
+    # ranks C(y, t) - 1, C(y, t) and C(y, t) + 1: the subsets
+    # {y - t, ..., y - 1}, {0, ..., t - 2, y} and {0, ..., t - 3, t - 1, y},
+    # where a float or fixed-point guess lands on the wrong side
+    n = 1 << 12
+    for t in (3, 40, 800, 2048, n - 84):
+        for y in (t, t + 1, t + 7, (n + t) // 2, n - 1):
+            c = math.comb(y, t)
+            cases = [tuple(range(y - t, y)), tuple(range(t - 1)) + (y,)]
+            if t >= 2:
+                cases.append(tuple(range(t - 2)) + (t - 1, y))
+            for members, rank in zip(cases, (c - 1, c, c + 1)):
+                assert _walk_rank(n, members) == rank
+                _check_both_paths(n, members)
+
+
+def test_rank_unrank_match_the_walks_at_extreme_sizes():
+    rng = random.Random(11)
+    for n in (1, 2, 64, 4096, 1 << 14):
+        for k in sorted({0, 1, n - 1, n}):
+            total = math.comb(n, k)
+            for rank in sorted({0, total - 1}):
+                members = _walk_unrank(n, k, rank)
+                assert subset_unrank(n, k, rank) == members
+                assert subset_unrank(n, k, rank, total) == members
+                _check_both_paths(n, members)
+            _check_both_paths(n, tuple(sorted(rng.sample(range(n), k))))
+
+
+def test_chunked_paths_with_small_constants(monkeypatch):
+    # tiny chunks and an 8-bit bracket: most decisions are ambiguous, so
+    # chunks end early and the exact step runs; the public functions take
+    # the chunked path at every size
+    monkeypatch.setattr(bitcodec, "_RANK_CHUNK_MIN_BITS", 0)
+    monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
+    monkeypatch.setattr(bitcodec, "_CHUNK_BITS", 24)
+    monkeypatch.setattr(bitcodec, "_BRACKET_BITS", 8)
+    monkeypatch.setattr(bitcodec, "_BRACKET_SLACK", 2)
+    exact_steps = 0
+    real_log = math.log
+
+    def counting_log(x):
+        nonlocal exact_steps
+        exact_steps += 1
+        return real_log(x)
+
+    monkeypatch.setattr(bitcodec.math, "log", counting_log)
+    rng = random.Random(5)
+    for n in (1, 5, 60, 300, 2000):
+        for k in sorted({0, 1, n // 7, n // 2, n - 3, n - 1, n} & set(range(n + 1))):
+            _check_both_paths(n, tuple(sorted(rng.sample(range(n), k))))
+    monkeypatch.undo()
+    assert exact_steps > 0
 
 
 def test_rank_width():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import dataclasses
+import math
 import random
 import subprocess
 import sys
@@ -202,12 +203,32 @@ def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
     body.write_elias_delta((1 << 19) + 1)
     blob = Transmission("t1", 20, None, 0, (0, 0, 0, 0), body.to_bits()).to_bytes()
 
-    def no_width(n, k):
-        raise AssertionError("rank_width called")
+    def no_binomial(n, k):
+        raise AssertionError("binom called")
 
-    monkeypatch.setattr(protocols, "rank_width", no_width)
+    monkeypatch.setattr(protocols, "binom", no_binomial)
     with pytest.raises(TruncatedStream):
         read_transmission(blob)
+
+
+def test_t1_round_trip_builds_the_binomial_twice(monkeypatch):
+    # one C(n, k) for the encoder's rank width and one for the decoder,
+    # which also serves the unrank
+    m = 12
+    s = _sigma_of(m, random.Random(3).sample(range(1 << m), 800))
+    built = []
+    comb = math.comb
+
+    def counting_comb(n, k):
+        if n == 1 << m:
+            built.append(k)
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    back = t1_decode(t1_encode(s))
+    monkeypatch.undo()
+    assert zeros(back) == zeros(s)
+    assert built == [800, 800]
 
 
 def test_ranked_codeword_errors_name_field_and_offset():
