@@ -120,6 +120,5 @@ def reconstruct(a: AlgSet) -> PolySet:
     generates the largest ideal vanishing on `a`.
     """
     coeffs = _xor_subset_transform(~a.to_bool_array(), a.m)
-    q = Poly()
-    q.masks = frozenset(np.flatnonzero(coeffs).tolist())
+    q = Poly.of_distinct(frozenset(np.flatnonzero(coeffs).tolist()))
     return PolySet(a.m, frozenset({q}))

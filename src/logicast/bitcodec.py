@@ -197,10 +197,24 @@ _RANK_CHUNK_MIN_BITS = 2048
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
+# Ranges of more factors than this are multiplied in halves (_range_prod).
+_PROD_SPLIT = 64
 # Unrank brackets R / A in this many fraction bits, and ends a chunk once the
 # bracket is wider than 2^-_BRACKET_SLACK.
 _BRACKET_BITS = 256
 _BRACKET_SLACK = 96
+
+
+def _range_prod(lo: int, hi: int) -> int:
+    """Product of range(lo, hi), multiplied in balanced halves.
+
+    math.prod multiplies in one factor at a time, which is quadratic in the
+    length of the range; the halves keep the big multiplies balanced.
+    """
+    if hi - lo <= _PROD_SPLIT:
+        return math.prod(range(lo, hi))
+    mid = (lo + hi) // 2
+    return _range_prod(lo, mid) * _range_prod(mid, hi)
 
 
 def subset_rank(n: int, subset: Iterable[int]) -> int:
@@ -279,9 +293,12 @@ def _rank_chunked(members: list[int]) -> int:
         wu = u - j
         if u == v + 1:
             p, q = u, j + 1
-        else:
+        elif u - v <= _PROD_SPLIT:  # inline: most gaps are this short
             p = math.prod(range(v + 1, u + 1))
             q = (j + 1) * math.prod(range(w, wu))
+        else:
+            p = _range_prod(v + 1, u + 1)
+            q = (j + 1) * _range_prod(w, wu)
         num *= p
         den *= q
         part = part * q + num
@@ -377,8 +394,8 @@ def _unrank_chunked(n: int, k: int, rank: int, anchor: int) -> tuple[int, ...]:
                 v -= 1
             if v < y:
                 # binom(v, s) / binom(y, s) = dn / up
-                up = math.prod(range(v + 1, y + 1))
-                dn = math.prod(range(v + 1 - s, y + 1 - s))
+                up = _range_prod(v + 1, y + 1)
+                dn = _range_prod(v + 1 - s, y + 1 - s)
                 lo = lo * up // dn
                 hi = -(-hi * up // dn)
                 # v must provably satisfy z_v >= 1 > z_(v+1)
@@ -408,7 +425,7 @@ def _unrank_chunked(n: int, k: int, rank: int, anchor: int) -> tuple[int, ...]:
         while lz < 0 and v > s:
             lz += math.log(v / (v - s))
             v -= 1
-        c = anchor * math.prod(range(v + 1 - s, y + 1 - s)) // math.prod(range(v + 1, y + 1))
+        c = anchor * _range_prod(v + 1 - s, y + 1 - s) // _range_prod(v + 1, y + 1)
         while c > R:
             c = c * (v - s) // v
             v -= 1

@@ -25,17 +25,6 @@ def monomial_from_vars(indices: Iterable[int]) -> int:
     return mask
 
 
-def monomial_vars(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 class Poly:
     """Multilinear GF(2) polynomial as a frozenset of monomial masks."""
 
@@ -51,6 +40,14 @@ class Poly:
             else:
                 acc.add(t)
         self.masks: frozenset[int] = frozenset(acc)
+
+    @classmethod
+    def of_distinct(cls, masks: frozenset[int]) -> "Poly":
+        """The polynomial whose terms are `masks`, which the caller knows to
+        be non-negative; being a set, no two of them cancel."""
+        out = cls.__new__(cls)
+        out.masks = masks
+        return out
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -80,9 +77,7 @@ class Poly:
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = Poly()
-        out.masks = self.masks ^ other.masks
-        return out
+        return Poly.of_distinct(self.masks ^ other.masks)
 
     def __mul__(self, other: "Poly") -> "Poly":
         acc: set[int] = set()
@@ -93,9 +88,7 @@ class Poly:
                     acc.remove(t)
                 else:
                     acc.add(t)
-        out = Poly()
-        out.masks = frozenset(acc)
-        return out
+        return Poly.of_distinct(frozenset(acc))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.masks == other.masks

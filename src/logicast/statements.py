@@ -11,18 +11,25 @@ comment. Variables are written x1, x2, ... (1-indexed).
 
 No syntax tree is built: each connective is applied to its operands'
 polynomials as parsed, and a raw line is read as a list of monomial masks.
-A raw line in the canonical shape `render_statements` writes (factors
-spelled x<i> or 1, no comment) is read in bulk, by splits and a name ->
-bit table; every other line, and every error, goes through the tokenizer.
+Raw lines in the canonical shape `render_statements` writes (factors
+spelled x<i> or 1, blanks or tabs only around factors, no comment) are read
+in one pass of numpy work over the whole text: the bytes are classified,
+each line checked, and each factor x<i> becomes the bit 1 << (i - 1), ORed
+into term masks by `np.bitwise_or.reduceat`. Every other line, and every
+error, goes through the tokenizer. Rendering sorts and spells the terms of
+a whole PolySet at once, from per-byte tables of variable names.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+
+import numpy as np
 
 from .algset import M_MAX
 from .errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
-from .poly import Poly, PolySet, monomial_vars
+from .poly import Poly, PolySet
 
 _TOKEN_RE = re.compile(
     r"""(?P<space>[ \t\r]+)
@@ -197,25 +204,6 @@ def _parse_formula_line(cur: _Cursor) -> Poly:
 
 # --------------------------------------------------------- raw polynomial mode
 
-def _bulk_poly(line: str, bits: dict[str, int]) -> Poly | None:
-    """Polynomial of a raw line whose factors, blanks and tabs around them
-    aside, are all keys of `bits` (factor text -> mask bit) and whose
-    right-hand side is a lone 0; None for any other line."""
-    lhs, _, rhs = line.partition("=")
-    if rhs.strip(" \t") != "0":
-        return None
-    masks = []
-    try:
-        for term in lhs.split("+"):
-            mask = 0
-            for name in term.split("*"):
-                mask |= bits[name.strip(" \t")]
-            masks.append(mask)
-    except KeyError:  # any other factor: the tokenizer reads or reports it
-        return None
-    return Poly(masks)
-
-
 def _parse_term(cur: _Cursor) -> int | None:
     """Monomial mask of one product of factors; None when a factor is 0."""
     mask = 0
@@ -248,6 +236,81 @@ def _parse_poly_line(cur: _Cursor) -> Poly:
     return Poly(terms)
 
 
+# ------------------------------------------------------ whole-text bulk pass
+# Byte classes of the canonical raw-line alphabet: a digit is its own value.
+_X, _STAR, _PLUS, _EQ, _NL, _BLANK, _OTHER = range(10, 17)
+_CLASS = bytes(
+    {"x": _X, "*": _STAR, "+": _PLUS, "=": _EQ, "\n": _NL, " ": _BLANK, "\t": _BLANK,
+     **{str(d): d for d in range(10)}}.get(chr(b), _OTHER)
+    for b in range(256)
+)
+
+
+def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
+    """Polynomial of each line that reads `t + ... + t = 0`, each term t a
+    product of factors x<i> (1 <= i <= limit, no leading zero) or 1, with
+    blanks or tabs only around factors; None for any other line.
+
+    The work is numpy calls over the whole text, not per line: the blanks
+    are dropped and every byte is checked against its neighbours.
+    """
+    out: list[Poly | None] = [None] * len(lines)
+    if not lines:
+        return out
+    # one byte per character: anything not ASCII becomes '?', which no line takes
+    text = "\n".join(lines).encode("ascii", "replace").translate(_CLASS)
+    cls = np.frombuffer(text, np.uint8)
+    keep = cls != _BLANK
+    # bit 7 marks a character after a blank, so that one pass drops the blanks
+    tagged = np.zeros(len(cls), np.uint8)
+    tagged[1:] = ~keep[:-1]
+    tagged = (cls | tagged << 7)[keep]
+    # The classes with the blanks dropped (gap: a blank came before), two
+    # newlines before and three after, so every shift below stays in range;
+    # position 1 opens the first line, as each newline opens the next.
+    nl = np.full(3, _NL, np.uint8)
+    c = np.concatenate((nl[:2], tagged & 127, nl))
+    gap = np.concatenate(([False, False], tagged > 127, [False] * 3))
+    word = c <= _X
+    cur, prev, nxt, nxt2 = c[1:-3], c[:-4], c[2:-2], c[3:-1]
+    wcur, wprev, wnxt, wnxt3 = word[1:-3], word[:-4], word[2:-2], word[4:]
+    x = cur == _X
+    eq = cur == _EQ
+    number = (cur <= 9) & ~wprev  # a word that starts with a digit
+    # the index i of x<i>: one digit, or two; classes stay below 17, so the
+    # uint8 sums stay below 256 (np.where with a mixed mask is far slower)
+    index = nxt + (nxt2 <= 9) * (nxt * 9 + nxt2)
+    bad = (cur == _OTHER) | (gap[1:-3] & wcur & wprev)  # a blank inside a factor
+    # an operator follows a factor; the word after it is checked in turn,
+    # and the line must end in '=' and a lone 0
+    bad |= (cur >= _STAR) & (cur <= _EQ) & ~wprev
+    # x<i>: x opens the word, then a digit 1-9 and at most one more digit
+    bad |= x & (wprev | (nxt == 0) | (nxt > 9) | ((nxt2 <= 9) & wnxt3) | (index > limit))
+    # a number is the factor 1, or the 0 right after '='
+    bad |= number & (wnxt | ((cur != 1) & ((cur != 0) | (prev != _EQ))))
+    # '=' ends the line with a lone 0
+    bad |= eq & ((nxt != 0) | (nxt2 != _NL))
+
+    starts = np.flatnonzero(cur == _NL)
+    ok = np.logical_or.reduceat(eq, starts) & ~np.logical_or.reduceat(bad, starts)
+    factor = (x | (number & (cur == 1))) & np.repeat(ok, np.diff(starts, append=len(cur)))
+    at = np.flatnonzero(factor)
+    # x<i> is the bit 1 << (i - 1); the factor 1 is no bit
+    bits = np.left_shift(1, (index[at] * x[at]).astype(np.int64)) >> 1
+    term = (prev[at] == _PLUS) | (prev[at] == _NL)
+    masks = np.bitwise_or.reduceat(bits, np.flatnonzero(term)).tolist()
+    line_of_term = np.searchsorted(starts, at[term], side="right") - 1
+    counts = np.bincount(line_of_term, minlength=len(lines))[ok].tolist()
+    lo = 0
+    for line, n in zip(np.flatnonzero(ok).tolist(), counts):
+        terms = masks[lo:lo + n]
+        lo += n
+        distinct = frozenset(terms)
+        # Poly(terms) cancels repeated terms in pairs, one term at a time
+        out[line] = Poly.of_distinct(distinct) if len(distinct) == n else Poly(terms)
+    return out
+
+
 # ------------------------------------------------------------------ lines
 
 def _parse_line(raw: str, line_no: int, m: int | None) -> Poly | None:
@@ -271,34 +334,80 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     The variable count is `m` when given, else the largest index used.
     A variable past `m` or past algset.M_MAX is refused as it is read.
     """
-    limit = M_MAX if m is None else m
-    bits = {name: 1 << (i - 1) for name, i in _NAMES.items() if i <= limit}
-    bits["1"] = 0
+    lines = text.splitlines()
+    bulk = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
     polys: set[Poly] = set()
     seen_m = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        q = _bulk_poly(raw, bits)
+    for line_no, (raw, q) in enumerate(zip(lines, bulk), start=1):
         if q is None:
             q = _parse_line(raw, line_no, m)
             if q is None:
                 continue
         polys.add(q)
-        seen_m = max(seen_m, q.max_var())
+        if m is None:
+            seen_m = max(seen_m, q.max_var())
     return PolySet(seen_m if m is None else m, frozenset(polys))
+
+
+# _NAME_ROWS[r][b] names the variables of byte value b in byte r of a
+# monomial mask, each name followed by '*'. _POPCOUNT and _REVERSED map a
+# byte to its count of set bits and to its bits in reverse order.
+_NAME_ROWS = [
+    np.array(
+        ["".join(f"x{8 * r + i + 1}*" for i in range(8) if b >> i & 1) for b in range(256)],
+        dtype=object,
+    )
+    for r in range((M_MAX + 7) // 8)
+]
+_MASK_BITS = 8 * len(_NAME_ROWS)
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], np.int64)
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.int64)
+
+
+def _poly_texts(polys: list[Poly]) -> list[str]:
+    """Canonical text of each nonzero polynomial (see poly_to_text), with
+    the terms of all of them sorted and spelled by numpy calls at once."""
+    top = max((q.max_var() for q in polys), default=0)
+    if top > M_MAX:
+        raise UniverseTooLarge(f"x{top} is beyond the supported {M_MAX} variables")
+    sizes = [len(q.masks) for q in polys]
+    masks = np.fromiter(
+        itertools.chain.from_iterable(q.masks for q in polys), np.int64, sum(sizes)
+    )
+    degree = 0
+    reversed_mask = 0  # bit i - 1 of the mask moves to bit _MASK_BITS - i
+    for r in range(len(_NAME_ROWS)):
+        b = masks >> 8 * r & 255
+        degree = degree + _POPCOUNT[b]
+        reversed_mask = reversed_mask << 8 | _REVERSED[b]
+    # One key per term: its polynomial, then degree descending, then the
+    # bit-reversed mask descending, which puts equal degrees in ascending
+    # variable tuples.
+    owner = np.repeat(np.arange(len(polys), dtype=np.int64), sizes)
+    descending = (M_MAX - degree) << _MASK_BITS | (reversed_mask ^ (1 << _MASK_BITS) - 1)
+    masks = masks[np.argsort(owner << (_MASK_BITS + 8) | descending)]
+    # one row of parts per term: its variables' names, then " + " or, after
+    # a polynomial's last term, "\n"; the '*' before either is cut below
+    parts = np.empty((len(masks), len(_NAME_ROWS) + 1), object)
+    for r, names in enumerate(_NAME_ROWS):
+        parts[:, r] = names[masks >> 8 * r & 255]
+    parts[masks == 0, 0] = "1*"
+    parts[:, -1] = " + "
+    parts[np.cumsum(sizes, dtype=np.int64) - 1, -1] = "\n"
+    text = "".join(parts.ravel().tolist()).replace("* + ", " + ").replace("*\n", "\n")
+    return text.split("\n")[:-1]
 
 
 def poly_to_text(q: Poly) -> str:
     """Canonical text: terms in degree-major order, variables ascending."""
-    if q.is_zero:
-        return "0"
-    names = [f"x{i}" for i in range(q.max_var() + 1)]
-    keyed = sorted((-t.bit_count(), monomial_vars(t)) for t in q.masks)
-    return " + ".join(
-        "*".join([names[i] for i in vs]) if vs else "1" for _, vs in keyed
-    )
+    return _poly_texts([q])[0] if q.masks else "0"
 
 
 def render_statements(ps: PolySet) -> str:
     """Render a PolySet as raw-polynomial statement lines, one per polynomial."""
-    lines = sorted(f"{poly_to_text(q)} = 0" for q in ps.polys)
+    live = [q for q in ps.polys if q.masks]
+    lines = [f"{t} = 0" for t in _poly_texts(live)]
+    if len(live) < len(ps.polys):
+        lines.append("0 = 0")
+    lines.sort()
     return "\n".join(lines) + ("\n" if lines else "")

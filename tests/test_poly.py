@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicast.errors import VariableOutOfRange
-from logicast.poly import Poly, PolySet, monomial_from_vars, monomial_vars
+from logicast.poly import Poly, PolySet, monomial_from_vars
 
 
 def p(*termvars) -> Poly:
@@ -18,7 +18,6 @@ def p(*termvars) -> Poly:
 def test_monomial_helpers():
     assert monomial_from_vars(()) == 0
     assert monomial_from_vars((1, 3)) == 0b101
-    assert monomial_vars(0b101) == (1, 3)
     with pytest.raises(VariableOutOfRange):
         monomial_from_vars((0,))
 

@@ -465,10 +465,7 @@ def test_bulk_path_matches_token_path():
     for trial in range(1500):
         m = trial % 24 + 1
         text = _random_text(rng, m)
-        bits = {f"x{i}": 1 << (i - 1) for i in range(1, m + 1)} | {"1": 0}
-        bulk_lines += sum(
-            statements._bulk_poly(ln, bits) is not None for ln in text.splitlines()
-        )
+        bulk_lines += sum(q is not None for q in statements._bulk_polys(text.splitlines(), m))
         for m_arg in (m, None):
             assert _outcome(parse_statements, text, m_arg) == _outcome(_token_parse, text, m_arg), (
                 text, m_arg
@@ -512,10 +509,9 @@ def test_canonical_lines_skip_the_tokenizer(monkeypatch):
     ],
 )
 def test_long_lines_parse_in_linear_time(unit, tail, error):
-    bits = {f"x{i}": 1 << (i - 1) for i in range(1, 13)} | {"1": 0}
     line = unit * (1_000_000 // len(unit)) + tail
     start = time.process_time()
-    statements._bulk_poly(line, bits)
+    statements._bulk_polys([line], 12)
     assert time.process_time() - start < 1.0
     line = unit * (256_000 // len(unit)) + tail
     start = time.process_time()
@@ -525,3 +521,170 @@ def test_long_lines_parse_in_linear_time(unit, tail, error):
         assert isinstance(outcome, PolySet)
     else:
         assert outcome[0] is error
+
+
+# ----------------------------------------- whole-text paths vs per-line oracles
+# parse_statements checks and reads canonical raw lines in one numpy pass
+# over the whole text, and render_statements sorts and spells the terms of a
+# whole PolySet at once.  The per-line and per-term code they replaced is
+# kept here as the byte-exact reference.
+
+def _oracle_monomial_vars(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _oracle_poly_to_text(q: Poly) -> str:
+    if q.is_zero:
+        return "0"
+    names = [f"x{i}" for i in range(q.max_var() + 1)]
+    keyed = sorted((-t.bit_count(), _oracle_monomial_vars(t)) for t in q.masks)
+    return " + ".join(
+        "*".join([names[i] for i in vs]) if vs else "1" for _, vs in keyed
+    )
+
+
+def _oracle_render(ps: PolySet) -> str:
+    lines = sorted(f"{_oracle_poly_to_text(q)} = 0" for q in ps.polys)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _oracle_bulk_poly(line: str, bits: dict[str, int]) -> Poly | None:
+    lhs, _, rhs = line.partition("=")
+    if rhs.strip(" \t") != "0":
+        return None
+    masks = []
+    try:
+        for term in lhs.split("+"):
+            mask = 0
+            for name in term.split("*"):
+                mask |= bits[name.strip(" \t")]
+            masks.append(mask)
+    except KeyError:
+        return None
+    return Poly(masks)
+
+
+def _oracle_bits(m: int | None) -> dict[str, int]:
+    limit = 24 if m is None else min(m, 24)
+    return {f"x{i}": 1 << (i - 1) for i in range(1, limit + 1)} | {"1": 0}
+
+
+def _oracle_parse(text: str, m: int | None) -> PolySet:
+    bits = _oracle_bits(m)
+    polys, seen_m = set(), 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        q = _oracle_bulk_poly(raw, bits)
+        if q is None:
+            q = statements._parse_line(raw, line_no, m)
+            if q is None:
+                continue
+        polys.add(q)
+        seen_m = max(seen_m, q.max_var())
+    return PolySet(seen_m if m is None else m, frozenset(polys))
+
+
+def _edge_polyset(rng: random.Random, m: int) -> PolySet:
+    """The zero polynomial, 1, the degree-m monomial, and random polynomials
+    whose masks cross bits 8 and 16, over x1..xm."""
+    full = (1 << m) - 1
+    polys = {Poly.zero(), Poly.one(), Poly([full]), Poly([full, 0])}
+    crossing = [(3 << 7) & full, (3 << 15) & full, (1 << 7 | 1 << 8 | 1 << 15 | 1 << 16) & full]
+    for _ in range(6):
+        size = rng.choice([1, 2, 5, rng.randint(0, 300)])
+        terms = [rng.getrandbits(m) if m else 0 for _ in range(size)]
+        polys.add(Poly(terms + rng.sample(crossing, rng.randint(0, 3))))
+    return PolySet(m, frozenset(polys))
+
+
+def test_render_matches_the_per_term_oracle():
+    rng = random.Random(1410)
+    for m in range(25):
+        for _ in range(4):
+            ps = _edge_polyset(rng, m)
+            assert render_statements(ps) == _oracle_render(ps), m
+            for q in ps.polys:
+                assert poly_to_text(q) == _oracle_poly_to_text(q), (m, q)
+    assert render_statements(PolySet(0, frozenset())) == ""
+    with pytest.raises(UniverseTooLarge):
+        render_statements(PolySet(25, frozenset({Poly([1 << 24, 1])})))
+
+
+_ODD_LINES = [
+    "",
+    "   \t ",
+    "# a comment",
+    "x1 AND NOT x2 is FALSE  # trailing comment",
+    "x1 OR x2",
+    "x1 + x2 = 0 # comment after the right-hand side",
+    "x1*0 + x2 = 0",
+    "x01 + x2 = 0",
+    "0 = 0",
+    "1 = 0",
+    "x1 + x1 = 0",
+    "x2*x1 + 1*x3 = 0",
+    "x1 + x2 = 0 é",
+    "x1 + x² = 0",
+    " x1 = 0",
+    "x1 + x2 = 0",
+    "x1 x2 = 0",
+    "x1 + + x2 = 0",
+    "+ x1 = 0",
+    "x1 + = 0",
+    "= 0",
+    "x1 = 0 = 0",
+    "x1 = 00",
+    "x12x = 0",
+    "x1x2 = 0",
+    "x1 + x2x13 = 0",
+    "1x1 = 0",
+    "x123 = 0",
+    "11 = 0",
+    "x1 + x2 = 0\x0cx3 = 0",
+]
+
+
+def _pad(rng: random.Random, line: str) -> str:
+    """line with blanks and tabs around each operator and at both ends."""
+    def blanks():
+        return rng.choice(["", " ", "\t", "  \t", " \t "])
+    for op in "*+=":
+        line = line.replace(f" {op} ", op).replace(op, f"{blanks()}{op}{blanks()}")
+    return blanks() + line + blanks()
+
+
+def test_whole_file_parse_matches_the_per_line_oracle():
+    rng = random.Random(1411)
+    accepted = refused = 0
+    for trial in range(300):
+        m = trial % 25
+        lines = render_statements(_random_polyset(rng, m)).splitlines()
+        lines += [_pad(rng, ln) for ln in lines if rng.random() < 0.5]
+        lines += rng.sample(_ODD_LINES, rng.randint(0, 6))
+        rng.shuffle(lines)
+        text = "".join(ln + rng.choice(["\n", "\r\n"]) for ln in lines)
+        split = text.splitlines()
+        for m_arg in (m, None, 24):
+            bits = _oracle_bits(m_arg)
+            want = [_oracle_bulk_poly(ln, bits) for ln in split]
+            limit = 24 if m_arg is None else m_arg
+            assert statements._bulk_polys(split, limit) == want, (split, m_arg)
+            assert _outcome(parse_statements, text, m_arg) == _outcome(_oracle_parse, text, m_arg)
+            accepted += sum(q is not None for q in want)
+            refused += sum(q is None for q in want)
+    assert accepted > 1000 and refused > 1000
+
+
+def test_render_then_parse_is_the_identity_at_m_24():
+    rng = random.Random(1412)
+    for _ in range(20):
+        ps = _edge_polyset(rng, 24)
+        text = render_statements(ps)
+        assert parse_statements(text) == ps
+        assert parse_statements(text.replace("\n", "\r\n"), 24) == ps
