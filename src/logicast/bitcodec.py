@@ -198,6 +198,7 @@ _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
 # Ranges of more factors than this are multiplied in halves (_range_prod).
+# Values from 8 to 256 timed alike on a 200-subset of 2^18 (CPython 3.11).
 _PROD_SPLIT = 64
 # Unrank brackets R / A in this many fraction bits, and ends a chunk once the
 # bracket is wider than 2^-_BRACKET_SLACK.
@@ -293,9 +294,6 @@ def _rank_chunked(members: list[int]) -> int:
         wu = u - j
         if u == v + 1:
             p, q = u, j + 1
-        elif u - v <= _PROD_SPLIT:  # inline: most gaps are this short
-            p = math.prod(range(v + 1, u + 1))
-            q = (j + 1) * math.prod(range(w, wu))
         else:
             p = _range_prod(v + 1, u + 1)
             q = (j + 1) * _range_prod(w, wu)

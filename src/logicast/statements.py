@@ -22,6 +22,7 @@ a whole PolySet at once, from per-byte tables of variable names.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -349,17 +350,22 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     return PolySet(seen_m if m is None else m, frozenset(polys))
 
 
-# _NAME_ROWS[r][b] names the variables of byte value b in byte r of a
-# monomial mask, each name followed by '*'. _POPCOUNT and _REVERSED map a
-# byte to its count of set bits and to its bits in reverse order.
-_NAME_ROWS = [
-    np.array(
+@functools.cache
+def _name_row(r: int) -> np.ndarray:
+    """Names of the variables of byte value b in byte r of a monomial mask,
+    each name followed by '*', at index b."""
+    return np.array(
         ["".join(f"x{8 * r + i + 1}*" for i in range(8) if b >> i & 1) for b in range(256)],
         dtype=object,
     )
-    for r in range((M_MAX + 7) // 8)
-]
-_MASK_BITS = 8 * len(_NAME_ROWS)
+
+
+# the rows for x1..x24 are built at import; any further row on first use
+for _r in range((M_MAX + 7) // 8):
+    _name_row(_r)
+del _r
+# _POPCOUNT and _REVERSED map a byte to its count of set bits and to its
+# bits in reverse order.
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], np.int64)
 _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.int64)
 
@@ -368,30 +374,27 @@ def _poly_texts(polys: list[Poly]) -> list[str]:
     """Canonical text of each nonzero polynomial (see poly_to_text), with
     the terms of all of them sorted and spelled by numpy calls at once."""
     top = max((q.max_var() for q in polys), default=0)
-    if top > M_MAX:
-        raise UniverseTooLarge(f"x{top} is beyond the supported {M_MAX} variables")
+    rows = max(1, (top + 7) // 8)
+    # masks past x24 may not fit the int64 sort key; Python ints fit any
+    dtype = np.int64 if top <= M_MAX else object
     sizes = [len(q.masks) for q in polys]
-    masks = np.fromiter(
-        itertools.chain.from_iterable(q.masks for q in polys), np.int64, sum(sizes)
-    )
-    degree = 0
-    reversed_mask = 0  # bit i - 1 of the mask moves to bit _MASK_BITS - i
-    for r in range(len(_NAME_ROWS)):
-        b = masks >> 8 * r & 255
-        degree = degree + _POPCOUNT[b]
-        reversed_mask = reversed_mask << 8 | _REVERSED[b]
+    masks = np.fromiter(itertools.chain.from_iterable(q.masks for q in polys), dtype, sum(sizes))
+    byte = [(masks >> 8 * r & 255).astype(np.int64) for r in range(rows)]
+    degree = sum(_POPCOUNT[b] for b in byte)
     # One key per term: its polynomial, then degree descending, then the
-    # bit-reversed mask descending, which puts equal degrees in ascending
-    # variable tuples.
-    owner = np.repeat(np.arange(len(polys), dtype=np.int64), sizes)
-    descending = (M_MAX - degree) << _MASK_BITS | (reversed_mask ^ (1 << _MASK_BITS) - 1)
-    masks = masks[np.argsort(owner << (_MASK_BITS + 8) | descending)]
+    # bit-reversed mask descending (its bytes complemented, x1's first),
+    # which puts equal degrees in ascending variable tuples.
+    owner = np.repeat(np.arange(len(polys)), sizes).astype(dtype, copy=False)
+    key = owner << top.bit_length() | top - degree
+    for b in byte:
+        key = key << 8 | 255 - _REVERSED[b]
+    order = np.argsort(key)
     # one row of parts per term: its variables' names, then " + " or, after
     # a polynomial's last term, "\n"; the '*' before either is cut below
-    parts = np.empty((len(masks), len(_NAME_ROWS) + 1), object)
-    for r, names in enumerate(_NAME_ROWS):
-        parts[:, r] = names[masks >> 8 * r & 255]
-    parts[masks == 0, 0] = "1*"
+    parts = np.empty((len(order), rows + 1), object)
+    for r, b in enumerate(byte):
+        parts[:, r] = _name_row(r)[b[order]]
+    parts[degree[order] == 0, 0] = "1*"
     parts[:, -1] = " + "
     parts[np.cumsum(sizes, dtype=np.int64) - 1, -1] = "\n"
     text = "".join(parts.ravel().tolist()).replace("* + ", " + ").replace("*\n", "\n")
