@@ -190,10 +190,12 @@ def rank_width(n: int, k: int) -> int:
     return (binom(n, k) - 1).bit_length()
 
 
-# Colex ranks whose C(n, k) has fewer bits than these go by the walk over
-# positions; larger ones go one chunk of members at a time, which measured
-# faster above these sizes (BENCH_13_colex_rank.json).
-_RANK_CHUNK_MIN_BITS = 2048
+# Colex unranks whose C(n, k) has fewer bits than this go by exact walk
+# steps only; larger ones try one chunk of members at a time first. Chunks
+# measured faster above this size than the earlier walk over positions
+# (BENCH_13_colex_rank.json); against the walk step of _unrank, a sweep at
+# k = n/5 put the crossover between 7400 and 8900 bits (ROADMAP item 3),
+# and moving it needs paired benchmark runs.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
@@ -221,14 +223,12 @@ def _range_prod(lo: int, hi: int) -> int:
 def subset_rank(n: int, subset: Iterable[int]) -> int:
     """Colex rank of a subset of {0..n-1}: sum of binom(v_i, i+1) over sorted members.
 
-    The walk multiplies and divides an integer of up to log2 C(n, k) bits
-    by a one-digit factor at each of the max(subset) + 1 positions: about
-    n * log2 C(n, k) / 30 digit steps, each with a hardware division.
-    Above `_RANK_CHUNK_MIN_BITS` that integer is touched once per chunk of
-    members instead, by one divmod and two multiplies with the chunk's
-    product of about `_CHUNK_BITS` bits: about log2(n) / 30 as many digit
-    steps, mostly multiply-adds. That measured 1.5-4.7 times faster at
-    n = 4096..65536 in CPython 3.11.
+    The log2 C(n, k)-bit integer is touched once per chunk of members, by
+    one divmod and two multiplies with the chunk's product of about
+    `_CHUNK_BITS` bits, instead of once per position as in a walk over
+    0..max(subset). In CPython 3.11 that measured 1.2-4.3 times faster than
+    the walk at n = 2048..65536 with k = n/5, and 0.02-0.05 ms slower at
+    n = 128, k = 38 and n = 1024, k = 512.
     """
     members = sorted(subset)
     if members:
@@ -237,39 +237,11 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
         for a, b in zip(members, members[1:]):
             if a == b:
                 raise DomainError(f"duplicate subset member {a}")
-    k = len(members)
-    # log2 C(n, k) without building it
-    bits = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
-    if bits < _RANK_CHUNK_MIN_BITS:
-        return _rank_walk(members)
     return _rank_chunked(members)
 
 
-def _rank_walk(members: list[int]) -> int:
-    rank = 0
-    take = 0  # index into members
-    j = 1  # next term uses binom(v, j)
-    coeff = 0  # binom(v, j) for the current v
-    for v in range(members[-1] + 1 if members else 0):
-        if take < len(members) and members[take] == v:
-            rank += coeff
-            take += 1
-            # move j -> j + 1 at fixed v: binom(v, j+1) = binom(v, j) * (v-j) / (j+1)
-            coeff = coeff * (v - j) // (j + 1) if v > j else 0
-            j += 1
-        # advance v -> v + 1 at fixed j
-        nxt = v + 1
-        if nxt < j:
-            coeff = 0
-        elif nxt == j:
-            coeff = 1
-        else:
-            coeff = coeff * nxt // (nxt - j)
-    return rank
-
-
 def _rank_chunked(members: list[int]) -> int:
-    """The walk's sum, with the big integer touched once per chunk.
+    """The colex sum of sorted members, with the big integer touched once per chunk.
 
     From the term binom(v, i+1) to the next, binom(u, i+2), the ratio is
     (v+1)...u / ((i+2) * w...(w'-1)) with w = v - i and w' = u - i - 1, all
@@ -322,9 +294,10 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
 def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
-    `total` is C(n, k) when the caller has built it already. The cost is
-    that of :func:`subset_rank`, with the chunked form above
-    `_UNRANK_CHUNK_MIN_BITS`.
+    `total` is C(n, k) when the caller has built it already. Below
+    `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) every member is found by an
+    exact walk step; above it each chunk of members is tried first (see
+    :func:`_unrank`).
     """
     if k < 0 or k > n:
         raise DomainError(f"k must lie in 0..{n}, got {k}")
@@ -335,41 +308,28 @@ def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[
     if not k:
         return ()
     top = total * (n - k) // n  # binom(n - 1, k)
-    if total.bit_length() < _UNRANK_CHUNK_MIN_BITS:
-        return _unrank_walk(n, k, rank, top)
-    return _unrank_chunked(n, k, rank, top)
+    return _unrank(n, k, rank, top, total.bit_length() >= _UNRANK_CHUNK_MIN_BITS)
 
 
-def _unrank_walk(n: int, k: int, rank: int, coeff: int) -> tuple[int, ...]:
-    out: list[int] = []
-    v = n - 1
-    for t in range(k, 0, -1):  # coeff = binom(v, t)
-        # find the largest v with binom(v, t) <= rank
-        while coeff > rank:
-            # binom(v-1, t) = binom(v, t) * (v - t) / v
-            coeff = coeff * (v - t) // v
-            v -= 1
-        out.append(v)
-        rank -= coeff
-        # move t -> t - 1 at fixed v: binom(v, t-1) = binom(v, t) * t / (v - t + 1)
-        if t > 1:
-            coeff = 1 if v == t - 1 else coeff * t // (v - t + 1)
-    return tuple(reversed(out))
+def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, ...]:
+    """The k-subset of colex rank `rank`, its members found from the largest down.
 
+    The state is (y, s, R, A): s members are left, all at most y, they
+    must sum to R < binom(y + 1, s), and A = binom(y, s). The exact walk
+    step lowers v from y while A = binom(v, s) > R, by
+    binom(v - 1, s) = A * (v - s) / v, takes the v it stops at, and moves
+    to (v - 1, s - 1, R - A, A * s / v). It touches the big A once per
+    position it passes.
 
-def _unrank_chunked(n: int, k: int, rank: int, anchor: int) -> tuple[int, ...]:
-    """The walk's members, with the big integers touched once per chunk.
-
-    The state is (y, s, R): s members are left, all at most y, and
-    R < binom(y + 1, s) is what they must sum to. A chunk starts from the
-    exact anchor A = binom(y, s) and a bracket [lo, hi) of z = R / A in
-    _BRACKET_BITS fraction bits. The next member is the largest v <= y with
-    z * binom(y, s) / binom(v, s) >= 1: a float search guesses it, and the
-    bracket, carried through the small-integer ratio, either proves it or
-    ends the chunk. Taking v maps z to (z - 1) * v / s at (v - 1, s - 1).
-    num/den and part/den track the exact ratio binom(y, s) / A and the sum
-    taken over A, as in :func:`_rank_chunked`. A chunk that cannot prove
-    its first member is replaced by one exact step on the big integers.
+    With `chunks`, members are first tried a chunk at a time from a bracket
+    [lo, hi) of z = R / A in _BRACKET_BITS fraction bits. The next member
+    is the largest v <= y with z * binom(y, s) / binom(v, s) >= 1: a float
+    search guesses it, and the bracket, carried through the small-integer
+    ratio, either proves it or ends the chunk. Taking v maps z to
+    (z - 1) * v / s at (v - 1, s - 1). num/den and part/den track the exact
+    ratio binom(y, s) / A and the sum taken over A, as in
+    :func:`_rank_chunked`, so A and R change once per chunk. A member that
+    its chunk cannot prove takes one exact walk step.
     """
     out: list[int] = []
     y, s, R = n - 1, k, rank
@@ -379,60 +339,52 @@ def _unrank_chunked(n: int, k: int, rank: int, anchor: int) -> tuple[int, ...]:
         if not R:  # every remaining term is binom(i, i+1) = 0
             out.extend(range(s - 1, -1, -1))
             break
-        lo = (R << _BRACKET_BITS) // anchor
-        hi = lo + 1
-        num = den = 1
-        part = 0
-        start = len(out)
-        while s and lo and hi - lo < wide and den.bit_length() <= _CHUNK_BITS:
-            zf = lo / one
-            v = y
-            while zf < 1.0 and v > s:
-                zf *= v / (v - s)
-                v -= 1
-            if v < y:
-                # binom(v, s) / binom(y, s) = dn / up
-                up = _range_prod(v + 1, y + 1)
-                dn = _range_prod(v + 1 - s, y + 1 - s)
-                lo = lo * up // dn
-                hi = -(-hi * up // dn)
-                # v must provably satisfy z_v >= 1 > z_(v+1)
-                if lo < one or hi * (v + 1 - s) > one * (v + 1):
+        if chunks:
+            lo = (R << _BRACKET_BITS) // anchor
+            hi = lo + 1
+            num = den = 1
+            part = 0
+            start = len(out)
+            while s and lo and hi - lo < wide and den.bit_length() <= _CHUNK_BITS:
+                zf = lo / one
+                v = y
+                while zf < 1.0 and v > s:
+                    zf *= v / (v - s)
+                    v -= 1
+                if v < y:
+                    # binom(v, s) / binom(y, s) = dn / up
+                    up = _range_prod(v + 1, y + 1)
+                    dn = _range_prod(v + 1 - s, y + 1 - s)
+                    lo = lo * up // dn
+                    hi = -(-hi * up // dn)
+                    # v must provably satisfy z_v >= 1 > z_(v+1)
+                    if lo < one or hi * (v + 1 - s) > one * (v + 1):
+                        break
+                    part = (part * up + num * dn) * v
+                    num *= dn * s
+                    den *= up * v
+                elif lo < one:
                     break
-                part = (part * up + num * dn) * v
-                num *= dn * s
-                den *= up * v
-            elif lo < one:
-                break
-            else:
-                part = (part + num) * v
-                num *= s
-                den *= v
-            out.append(v)
-            lo = (lo - one) * v // s
-            hi = -((one - hi) * v // s)
-            y = v - 1
-            s -= 1
-        if len(out) > start:
-            taken, anchor = _close_chunk(anchor, part, num, den)
-            R -= taken
-            continue
-        # exact step: guess v in logs, then settle it on binom(v, s) itself
-        lz = math.log(R) - math.log(anchor)
+                else:
+                    part = (part + num) * v
+                    num *= s
+                    den *= v
+                out.append(v)
+                lo = (lo - one) * v // s
+                hi = -((one - hi) * v // s)
+                y = v - 1
+                s -= 1
+            if len(out) > start:
+                taken, anchor = _close_chunk(anchor, part, num, den)
+                R -= taken
+                continue
         v = y
-        while lz < 0 and v > s:
-            lz += math.log(v / (v - s))
+        while anchor > R:
+            anchor = anchor * (v - s) // v
             v -= 1
-        c = anchor * _range_prod(v + 1 - s, y + 1 - s) // _range_prod(v + 1, y + 1)
-        while c > R:
-            c = c * (v - s) // v
-            v -= 1
-        while v < y and c * (v + 1) // (v + 1 - s) <= R:
-            c = c * (v + 1) // (v + 1 - s)
-            v += 1
         out.append(v)
-        R -= c
-        anchor = c * s // v  # binom(v - 1, s - 1)
+        R -= anchor
+        anchor = anchor * s // v  # binom(v - 1, s - 1)
         y = v - 1
         s -= 1
     return tuple(reversed(out))

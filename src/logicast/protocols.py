@@ -270,7 +270,9 @@ def _ranked_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> 
     points = np.flatnonzero(zeros(r).to_bool_array())
     n = points.size
     members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
-    return reconstruct(AlgSet.from_points(tx.m, points[list(members)].tolist()))
+    mask = np.zeros(1 << tx.m, dtype=bool)
+    mask[points[list(members)]] = True
+    return reconstruct(AlgSet.from_bool_array(tx.m, mask))
 
 
 def t2_decode(tx: Transmission, r: PolySet) -> PolySet:

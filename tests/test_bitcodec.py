@@ -157,7 +157,7 @@ def test_rank_domain_errors():
 
 
 # The walks over positions that subset_rank and subset_unrank were before
-# the chunked forms: the bit-exact oracle for both paths.
+# the chunked forms: the bit-exact oracle for rank and for both unrank modes.
 
 def _walk_rank(n: int, subset) -> int:
     members = sorted(subset)
@@ -197,16 +197,16 @@ def _walk_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
 
 
 def _check_both_paths(n: int, members: tuple[int, ...]) -> None:
-    """Public functions, and the chunked forms called directly, match the walks."""
+    """Public functions, and the unrank loop in both modes, match the walks."""
     k = len(members)
     want = _walk_rank(n, members)
     assert subset_rank(n, members) == want
     assert subset_unrank(n, k, want) == members
     assert _walk_unrank(n, k, want) == members
-    assert bitcodec._rank_chunked(list(members)) == want
     if k:
         top = math.comb(n - 1, k)
-        assert bitcodec._unrank_chunked(n, k, want, top) == members
+        assert bitcodec._unrank(n, k, want, top, True) == members
+        assert bitcodec._unrank(n, k, want, top, False) == members
 
 
 @st.composite
@@ -262,49 +262,58 @@ def test_rank_unrank_match_the_walks_at_extreme_sizes():
 
 def test_chunked_paths_with_small_constants(monkeypatch):
     # tiny chunks and an 8-bit bracket: most decisions are ambiguous, so
-    # chunks end early and the exact step runs; the public functions take
-    # the chunked path at every size
-    monkeypatch.setattr(bitcodec, "_RANK_CHUNK_MIN_BITS", 0)
+    # chunks end early and the exact walk step runs; the public unrank
+    # tries chunks at every size
     monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
     monkeypatch.setattr(bitcodec, "_CHUNK_BITS", 24)
     monkeypatch.setattr(bitcodec, "_BRACKET_BITS", 8)
     monkeypatch.setattr(bitcodec, "_BRACKET_SLACK", 2)
     monkeypatch.setattr(bitcodec, "_PROD_SPLIT", 2)
-    exact_steps = 0
-    real_log = math.log
+    # Every chunk hands what it took from R to _close_chunk. A walk step
+    # takes binom(v, s) >= 1 from R without it, so an unrank took a walk
+    # step exactly when its chunks took less than its rank.
+    real_close = bitcodec._close_chunk
+    taken_by_chunks = 0
 
-    def counting_log(x):
-        nonlocal exact_steps
-        exact_steps += 1
-        return real_log(x)
+    def counting_close(*args):
+        nonlocal taken_by_chunks
+        taken, anchor = real_close(*args)
+        taken_by_chunks += taken
+        return taken, anchor
 
-    monkeypatch.setattr(bitcodec.math, "log", counting_log)
+    monkeypatch.setattr(bitcodec, "_close_chunk", counting_close)
     rng = random.Random(5)
+    fallbacks = 0
     for n in (1, 5, 60, 300, 2000):
         for k in sorted({0, 1, n // 7, n // 2, n - 3, n - 1, n} & set(range(n + 1))):
-            _check_both_paths(n, tuple(sorted(rng.sample(range(n), k))))
+            members = tuple(sorted(rng.sample(range(n), k)))
+            _check_both_paths(n, members)
+            rank = _walk_rank(n, members)
+            taken_by_chunks = 0
+            assert subset_unrank(n, k, rank) == members
+            assert taken_by_chunks <= rank
+            fallbacks += taken_by_chunks < rank
     monkeypatch.undo()
-    assert exact_steps > 0
+    assert fallbacks > 0
 
 
 def test_sparse_subset_of_a_large_universe_ranks_in_bounded_time(monkeypatch):
-    # C(2^18, 200) has about 2360 bits, so the rank runs chunked; gaps of
-    # about 1300 positions, some of several thousand, make each step's
-    # products long. The rank and unrank are timed against the same code
-    # with every product taken one factor at a time (_PROD_SPLIT past n),
-    # which is quadratic in the gap: in the same process, so a slow or
-    # shared machine slows both. On a 2-core VM the halves took 0.53-0.60 s
-    # against 1.2-1.6 s one factor at a time, 2.1-2.9 times less.
+    # C(2^18, 200) has about 2360 bits; gaps of about 1300 positions, some
+    # of several thousand, make each step's products long. The rank and
+    # unrank are timed against the same code with every product taken one
+    # factor at a time (_PROD_SPLIT past n), which is quadratic in the gap:
+    # in the same process, so a slow or shared machine slows both. On a
+    # 2-core VM the halves took 0.53-0.60 s against 1.2-1.6 s one factor at
+    # a time, 2.1-2.9 times less.
     n, k = 1 << 18, 200
     members = tuple(sorted(random.Random(18).sample(range(n), k)))
     top = math.comb(n - 1, k)
-    assert math.comb(n, k).bit_length() > bitcodec._RANK_CHUNK_MIN_BITS
 
     def timed(split: int) -> float:
         monkeypatch.setattr(bitcodec, "_PROD_SPLIT", split)
         start = time.process_time()
         rank = subset_rank(n, members)
-        got = bitcodec._unrank_chunked(n, k, rank, top)
+        got = bitcodec._unrank(n, k, rank, top, True)
         elapsed = time.process_time() - start
         assert rank == _walk_rank(n, members)
         assert got == members
