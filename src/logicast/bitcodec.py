@@ -194,30 +194,15 @@ def rank_width(n: int, k: int) -> int:
 # steps only; larger ones try one chunk of members at a time first. Chunks
 # measured faster above this size than the earlier walk over positions
 # (BENCH_13_colex_rank.json); against the walk step of _unrank, a sweep at
-# k = n/5 put the crossover between 7400 and 8900 bits (ROADMAP item 3),
-# and moving it needs paired benchmark runs.
+# k = n/5 put the crossover at 4400-4600 bits (CPython 3.11, ROADMAP item
+# 3), and moving it needs paired benchmark runs.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
-# Ranges of more factors than this are multiplied in halves (_range_prod).
-# Values from 8 to 256 timed alike on a 200-subset of 2^18 (CPython 3.11).
-_PROD_SPLIT = 64
 # Unrank brackets R / A in this many fraction bits, and ends a chunk once the
 # bracket is wider than 2^-_BRACKET_SLACK.
 _BRACKET_BITS = 256
 _BRACKET_SLACK = 96
-
-
-def _range_prod(lo: int, hi: int) -> int:
-    """Product of range(lo, hi), multiplied in balanced halves.
-
-    math.prod multiplies in one factor at a time, which is quadratic in the
-    length of the range; the halves keep the big multiplies balanced.
-    """
-    if hi - lo <= _PROD_SPLIT:
-        return math.prod(range(lo, hi))
-    mid = (lo + hi) // 2
-    return _range_prod(lo, mid) * _range_prod(mid, hi)
 
 
 def subset_rank(n: int, subset: Iterable[int]) -> int:
@@ -226,9 +211,10 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
     The log2 C(n, k)-bit integer is touched once per chunk of members, by
     one divmod and two multiplies with the chunk's product of about
     `_CHUNK_BITS` bits, instead of once per position as in a walk over
-    0..max(subset). In CPython 3.11 that measured 1.2-4.3 times faster than
-    the walk at n = 2048..65536 with k = n/5, and 0.02-0.05 ms slower at
-    n = 128, k = 38 and n = 1024, k = 512.
+    0..max(subset); each gap's factors come from `math.perm`. In CPython
+    3.11 that measured 1.7-5.0 times faster than the walk at
+    n = 2048..65536 with k = n/5, and 1.2 times at n = 128, k = 38 and
+    n = 1024, k = 512.
     """
     members = sorted(subset)
     if members:
@@ -244,11 +230,12 @@ def _rank_chunked(members: list[int]) -> int:
     """The colex sum of sorted members, with the big integer touched once per chunk.
 
     From the term binom(v, i+1) to the next, binom(u, i+2), the ratio is
-    (v+1)...u / ((i+2) * w...(w'-1)) with w = v - i and w' = u - i - 1, all
-    small factors. Within a chunk, num/den is the current term over the
-    anchor (an exact term, log2 C(n, k) bits at most) and part/den is the
-    chunk's sum over it; closing the chunk adds anchor * part / den to the
-    rank and moves the anchor to anchor * num / den.
+    (v+1)...u / ((i+2) * w...(w'-1)) with w = v - i and w' = u - i - 1,
+    each run of factors one `math.perm` call. Within a chunk, num/den is the
+    current term over the anchor (an exact term, log2 C(n, k) bits at most)
+    and part/den is the chunk's sum over it; closing the chunk adds
+    anchor * part / den to the rank and moves the anchor to
+    anchor * num / den.
     """
     k = len(members)
     i = 0
@@ -264,11 +251,8 @@ def _rank_chunked(members: list[int]) -> int:
     for j in range(i + 1, k):
         u = members[j]
         wu = u - j
-        if u == v + 1:
-            p, q = u, j + 1
-        else:
-            p = _range_prod(v + 1, u + 1)
-            q = (j + 1) * _range_prod(w, wu)
+        p = math.perm(u, u - v)  # (v+1)...u
+        q = (j + 1) * math.perm(wu - 1, wu - w)  # (j+1) * w...(wu-1)
         num *= p
         den *= q
         part = part * q + num
@@ -325,11 +309,11 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
     [lo, hi) of z = R / A in _BRACKET_BITS fraction bits. The next member
     is the largest v <= y with z * binom(y, s) / binom(v, s) >= 1: a float
     search guesses it, and the bracket, carried through the small-integer
-    ratio, either proves it or ends the chunk. Taking v maps z to
-    (z - 1) * v / s at (v - 1, s - 1). num/den and part/den track the exact
-    ratio binom(y, s) / A and the sum taken over A, as in
-    :func:`_rank_chunked`, so A and R change once per chunk. A member that
-    its chunk cannot prove takes one exact walk step.
+    ratio of two `math.perm` products, either proves it or ends the chunk.
+    Taking v maps z to (z - 1) * v / s at (v - 1, s - 1). num/den and
+    part/den track the exact ratio binom(y, s) / A and the sum taken over
+    A, as in :func:`_rank_chunked`, so A and R change once per chunk. A
+    member that its chunk cannot prove takes one exact walk step.
     """
     out: list[int] = []
     y, s, R = n - 1, k, rank
@@ -353,8 +337,8 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
                     v -= 1
                 if v < y:
                     # binom(v, s) / binom(y, s) = dn / up
-                    up = _range_prod(v + 1, y + 1)
-                    dn = _range_prod(v + 1 - s, y + 1 - s)
+                    up = math.perm(y, y - v)  # (v+1)...y
+                    dn = math.perm(y - s, y - v)  # (v+1-s)...(y-s)
                     lo = lo * up // dn
                     hi = -(-hi * up // dn)
                     # v must provably satisfy z_v >= 1 > z_(v+1)

@@ -62,14 +62,8 @@ def monomial_key(mask: int, m: int) -> int:
         raise DomainError(f"need at least one variable, got m={m}")
     if not 0 <= mask < (1 << m):
         raise DomainError(f"monomial {mask:#x} out of range for m={m}")
-    rev = 0
-    t = mask
-    while t:
-        low = t & -t
-        rev |= 1 << (m - low.bit_length())
-        t ^= low
-    full = (1 << m) - 1
-    return (mask.bit_count() << m) | (full ^ rev)
+    rev = int(f"{mask:0{m}b}"[::-1], 2)
+    return (mask.bit_count() << m) | (((1 << m) - 1) ^ rev)
 
 
 def leading_term(q: Poly, m: int) -> int:

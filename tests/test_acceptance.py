@@ -190,7 +190,7 @@ def test_criterion_08_elias_delta_lengths():
     for n in range(1, 1 << 20):
         bits = elias_delta_encode(n)
         value, used = elias_delta_decode(bits)
-        assert value == n and used == len(bits)
+        assert value == n and used == len(bits) == elias_delta_length(n)
     print("criterion 8: PASS lengths and round trips for all n < 2^20")
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 
 import numpy as np
 import pytest
@@ -268,7 +267,6 @@ def test_chunked_paths_with_small_constants(monkeypatch):
     monkeypatch.setattr(bitcodec, "_CHUNK_BITS", 24)
     monkeypatch.setattr(bitcodec, "_BRACKET_BITS", 8)
     monkeypatch.setattr(bitcodec, "_BRACKET_SLACK", 2)
-    monkeypatch.setattr(bitcodec, "_PROD_SPLIT", 2)
     # Every chunk hands what it took from R to _close_chunk. A walk step
     # takes binom(v, s) >= 1 from R without it, so an unrank took a walk
     # step exactly when its chunks took less than its rank.
@@ -297,34 +295,15 @@ def test_chunked_paths_with_small_constants(monkeypatch):
     assert fallbacks > 0
 
 
-def test_sparse_subset_of_a_large_universe_ranks_in_bounded_time(monkeypatch):
+def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
     # C(2^18, 200) has about 2360 bits; gaps of about 1300 positions, some
-    # of several thousand, make each step's products long. The rank and
-    # unrank are timed against the same code with every product taken one
-    # factor at a time (_PROD_SPLIT past n), which is quadratic in the gap:
-    # in the same process, so a slow or shared machine slows both. On a
-    # 2-core VM the halves took 0.53-0.60 s against 1.2-1.6 s one factor at
-    # a time, 2.1-2.9 times less.
+    # of several thousand, make each step's products long
     n, k = 1 << 18, 200
     members = tuple(sorted(random.Random(18).sample(range(n), k)))
-    top = math.comb(n - 1, k)
-
-    def timed(split: int) -> float:
-        monkeypatch.setattr(bitcodec, "_PROD_SPLIT", split)
-        start = time.process_time()
-        rank = subset_rank(n, members)
-        got = bitcodec._unrank(n, k, rank, top, True)
-        elapsed = time.process_time() - start
-        assert rank == _walk_rank(n, members)
-        assert got == members
-        return elapsed
-
-    split = bitcodec._PROD_SPLIT
-    one_at_a_time = halves = math.inf
-    for _ in range(2):  # alternate, and keep each side's best
-        one_at_a_time = min(one_at_a_time, timed(n))
-        halves = min(halves, timed(split))
-    assert halves < one_at_a_time / 1.5
+    rank = subset_rank(n, members)
+    assert rank == _walk_rank(n, members)
+    assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
+    assert subset_unrank(n, k, rank) == members
 
 
 def test_rank_width():

@@ -15,6 +15,7 @@ from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
     GB_M_MAX,
     GroebnerBasis,
+    _tables,
     entails_groebner,
     groebner_basis,
     delta,
@@ -82,6 +83,15 @@ def test_monomial_order_degree_major_then_low_vars_first():
         < monomial_key(x1 | x3, m)
         < monomial_key(x2 | x3, m)
     )
+
+
+def test_monomial_key_low_bits_are_the_reducers_positions():
+    # a polynomial's bit pos[t] is the low m bits of monomial_key(t, m), so
+    # the pair heap and the reducer's packed classes see one order
+    for m in range(1, 11):
+        pos = _tables(m)[0]
+        for t in range(1 << m):
+            assert monomial_key(t, m) == (t.bit_count() << m) | int(pos[t])
 
 
 def test_leading_term():
