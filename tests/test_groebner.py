@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from heapq import heappop, heappush
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,9 @@ from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
     GB_M_MAX,
     GroebnerBasis,
+    _mono_mul,
+    _pack,
+    _Reducer,
     _tables,
     entails_groebner,
     groebner_basis,
@@ -149,11 +154,27 @@ def test_reduced_basis_invariants():
                         assert lt & mono != lt
 
 
+def _t3_background(m: int, seed: int) -> PolySet:
+    return sample(Nested(0.15, 0.5), m, seed)[1][1]
+
+
+def _sparse_statements(m: int, seed: int) -> PolySet:
+    """Five statements of five monomials, each of degree at most 3."""
+    rng = random.Random(seed)
+    return PolySet(m, frozenset(
+        Poly(monomial_from_vars(rng.sample(range(1, m + 1), rng.randint(0, 3))) for _ in range(5))
+        for _ in range(5)
+    ))
+
+
 def test_spolynomials_reduce_to_zero():
     rng = random.Random(29)
-    for _ in range(40):
-        m = rng.randrange(1, 5)
-        gb = groebner_basis(_random_polyset(rng, m, rng.randrange(1, 4)))
+    systems = [_random_polyset(rng, m, rng.randrange(1, 4))
+               for m in (rng.randrange(1, 5) for _ in range(40))]
+    systems += [_t3_background(m, seed) for m in (6, 7, 8) for seed in (1, 2)]
+    for v in systems:
+        m = v.m
+        gb = groebner_basis(v)
         lts = [(leading_term(g, m), g) for g in gb.polys]
         for i in range(len(lts)):
             for j in range(i):
@@ -324,8 +345,93 @@ def _point_basis(r: PolySet) -> tuple[Poly, ...]:
 
 
 def test_reduced_basis_matches_point_oracle():
-    systems = [sample(Nested(0.15, 0.5), m, seed)[1][1] for m in range(3, 9) for seed in (1, 2, 3)]
+    systems = [_t3_background(m, seed) for m in range(3, 9) for seed in (1, 2, 3)]
     rng = random.Random(811)
     systems += [_random_polyset(rng, rng.randrange(1, 6), rng.randrange(1, 4)) for _ in range(120)]
     for r in systems:
         assert groebner_basis(r).polys == _point_basis(r)
+
+
+def _reference_basis(r: PolySet) -> tuple[Poly, ...]:
+    """Oracle: the earlier completion loop, which pairs each new element with
+    every earlier one, queues every field pair, and prunes only by the chain
+    criterion when a pair is popped.  It shares the module's reducer and
+    repeats its final minimal and reduced pass."""
+    m = r.m
+    red = _Reducer(m)
+    elems, has, pos = red.elems, red.has, red.pos.data
+    lts: list[int] = []
+    heap: list[tuple[int, int, int, int, int]] = []
+    tick = count()
+
+    def add(acc: int) -> None:
+        acc, p = red.top(acc)
+        if not acc:
+            return
+        lt = pos[p]
+        acc = (1 << p) | red.full(acc ^ (1 << p))
+        idx = len(elems)
+        fresh: dict[int, int] = {}
+        for j, olt in enumerate(lts):
+            fresh.setdefault(lt | olt, j)
+        for lcm, j in fresh.items():
+            heappush(heap, (monomial_key(lcm, m), next(tick), 0, j, idx))
+        for b in range(m):
+            if (lt >> b) & 1:
+                heappush(heap, (monomial_key(lt, m) + (1 << m), next(tick), 1, idx, b))
+        red.append(lt, acc)
+        lts.append(lt)
+
+    def chained(lti: int, ltj: int, lcm: int) -> bool:
+        return any(
+            ltk & lcm == ltk and ltk not in (lti, ltj) and lcm not in (lti | ltk, ltj | ltk)
+            for ltk in lts
+        )
+
+    for gen in sorted(_pack(q, m) for q in r.polys if not q.is_zero):
+        add(gen)
+    while heap:
+        _, _, kind, a, b = heappop(heap)
+        if kind == 0:
+            lta, pa = elems[a]
+            ltb, pb = elems[b]
+            lcm = lta | ltb
+            if not chained(lta, ltb, lcm):
+                add(_mono_mul(pa, lcm ^ lta, has, m) ^ _mono_mul(pb, lcm ^ ltb, has, m))
+        else:
+            add(_mono_mul(elems[a][1], 1 << b, has, m))
+    out = _Reducer(m)
+    for lt, body in sorted(elems, key=lambda e: monomial_key(e[0], m)):
+        if out.div[pos[lt]] < 0:
+            out.append(lt, body)
+    out.elems[:] = [
+        (lt, (1 << pos[lt]) | out.full(body ^ (1 << pos[lt]))) for lt, body in out.elems
+    ]
+    return GroebnerBasis(m, out).polys
+
+
+def _assert_bases_match_reference(systems) -> None:
+    for r in systems:
+        assert groebner_basis(r).polys == _reference_basis(r), r
+
+
+def test_reduced_basis_matches_reference_on_t3_backgrounds():
+    # strong backgrounds, where the pair criteria drop the most pairs
+    _assert_bases_match_reference(
+        _t3_background(m, seed) for m in range(3, 12) for seed in (1, 2, 3)
+    )
+
+
+def test_reduced_basis_matches_reference_on_random_systems():
+    rng = random.Random(1709)
+    _assert_bases_match_reference(
+        _random_polyset(rng, rng.randrange(1, 7), rng.randrange(1, 5), rng.randrange(2, 9))
+        for _ in range(400)
+    )
+
+
+def test_reduced_basis_matches_reference_on_sparse_statements():
+    # `prove --engine groebner`'s slow case: few short statements, many variables
+    _assert_bases_match_reference(
+        _sparse_statements(m, seed) for m in (12, 13) for seed in range(1, 6)
+    )
