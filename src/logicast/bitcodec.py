@@ -186,23 +186,32 @@ def binom(n: int, k: int) -> int:
 
 
 def rank_width(n: int, k: int) -> int:
-    """Bits needed for a 0-based rank among binom(n, k) subsets; 0 when only one."""
+    """Bits needed for a 0-based rank among binom(n, k) subsets; 0 when only one.
+
+    ceil(log2 binom(n, k)) from `math.lgamma`; binom itself is built only for
+    min(k, n - k) < 64, n > 2^24 or an estimate within 1e-4 of an integer.
+    """
+    if 64 <= k <= n - 64 and n <= 1 << 24:
+        lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+        low = math.floor(lg)
+        if 1e-4 < lg - low < 1 - 1e-4:
+            return low + 1
     return (binom(n, k) - 1).bit_length()
 
 
-# Colex unranks whose C(n, k) has fewer bits than this go by exact walk
-# steps only; larger ones try one chunk of members at a time first. Chunks
-# measured faster above this size than the earlier walk over positions
-# (BENCH_13_colex_rank.json); against the walk step of _unrank, a sweep at
-# k = n/5 put the crossover at 4400-4600 bits (CPython 3.11, ROADMAP item
-# 3), and moving it needs paired benchmark runs.
-_UNRANK_CHUNK_MIN_BITS = 5000
+# Colex unranks whose C(n, k) has fewer bits than this, or whose mean gap's
+# factors ((n / k) log2 n bits) pass 4 times that size, go by exact walk
+# steps only. scripts/colex_sweep.py at k = n/5 (best of 9, two seeds,
+# CPython 3.11), walk against chunks in ms: 0.64/0.75-0.78 at 1472 bits,
+# 1.14-1.22/1.21-1.24 at 2027, 1.36/1.32-1.37 at 2212, 1.73-1.75/1.54-1.58
+# at 2580, 4.33/2.90-3.03 at 4326 and 30-36/13-14 at 11820. The crossover
+# nears 4500 bits at k = n/2; 200 of 2^18 walk 1.6 times faster.
+_UNRANK_CHUNK_MIN_BITS = 2200
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
-# Unrank brackets R / A in this many fraction bits, and ends a chunk once the
-# bracket is wider than 2^-_BRACKET_SLACK.
-_BRACKET_BITS = 256
-_BRACKET_SLACK = 96
+# A guessed unrank chunk takes a member only while its margin z - 1 exceeds
+# _GUESS_TOL times z's error bound in units of 2^-52: an 8-bit safety margin.
+_GUESS_TOL = 2.0 ** -44
 
 
 def subset_rank(n: int, subset: Iterable[int]) -> int:
@@ -212,9 +221,7 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
     one divmod and two multiplies with the chunk's product of about
     `_CHUNK_BITS` bits, instead of once per position as in a walk over
     0..max(subset); each gap's factors come from `math.perm`. In CPython
-    3.11 that measured 1.7-5.0 times faster than the walk at
-    n = 2048..65536 with k = n/5, and 1.2 times at n = 128, k = 38 and
-    n = 1024, k = 512.
+    3.11 that measured 1.2-5.0 times faster than the walk at n = 128..65536.
     """
     members = sorted(subset)
     if members:
@@ -266,11 +273,8 @@ def _rank_chunked(members: list[int]) -> int:
 
 
 def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
-    """(anchor * part / den, anchor * num / den), both exact integers.
-
-    One divmod and two multiplies of the big anchor; the remainder's
-    products stay small.
-    """
+    """(anchor * part / den, anchor * num / den), both exact integers, from
+    one divmod and two multiplies of the big anchor."""
     a, r = divmod(anchor, den)
     return a * part + r * part // den, a * num + r * num // den
 
@@ -278,10 +282,8 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
 def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
-    `total` is C(n, k) when the caller has built it already. Below
-    `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) every member is found by an
-    exact walk step; above it each chunk of members is tried first (see
-    :func:`_unrank`).
+    `total` is C(n, k) when the caller has built it already. Past the size
+    and gap switch of `_UNRANK_CHUNK_MIN_BITS`, :func:`_unrank` guesses chunks.
     """
     if k < 0 or k > n:
         raise DomainError(f"k must lie in 0..{n}, got {k}")
@@ -292,7 +294,9 @@ def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[
     if not k:
         return ()
     top = total * (n - k) // n  # binom(n - 1, k)
-    return _unrank(n, k, rank, top, total.bit_length() >= _UNRANK_CHUNK_MIN_BITS)
+    bits = total.bit_length()
+    chunks = bits >= _UNRANK_CHUNK_MIN_BITS and n * n.bit_length() < 4 * k * bits
+    return _unrank(n, k, rank, top, chunks)
 
 
 def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, ...]:
@@ -305,63 +309,60 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
     to (v - 1, s - 1, R - A, A * s / v). It touches the big A once per
     position it passes.
 
-    With `chunks`, members are first tried a chunk at a time from a bracket
-    [lo, hi) of z = R / A in _BRACKET_BITS fraction bits. The next member
-    is the largest v <= y with z * binom(y, s) / binom(v, s) >= 1: a float
-    search guesses it, and the bracket, carried through the small-integer
-    ratio of two `math.perm` products, either proves it or ends the chunk.
-    Taking v maps z to (z - 1) * v / s at (v - 1, s - 1). num/den and
-    part/den track the exact ratio binom(y, s) / A and the sum taken over
-    A, as in :func:`_rank_chunked`, so A and R change once per chunk. A
-    member that its chunk cannot prove takes one exact walk step.
+    With `chunks`, each round first guesses a chunk of members from the
+    float z = R / A: the next is the largest v <= y with
+    z * binom(y, s) / binom(v, s) >= 1, and taking it maps z to
+    (z - 1) * v / s. num/den and part/den track binom(y, s) / A and the sum
+    taken over A exactly, as in :func:`_rank_chunked`. By the uniqueness of
+    the combinatorial number system (TAOCP 7.2.1.3) the guesses are the
+    unrank's members iff what is left of R lies in [0, binom(v, s)), v the
+    last guess and s the count still to find; a chunk that fails is dropped
+    for one exact walk step.
     """
     out: list[int] = []
     y, s, R = n - 1, k, rank
-    one = 1 << _BRACKET_BITS
-    wide = 1 << (_BRACKET_BITS - _BRACKET_SLACK)
     while s:
         if not R:  # every remaining term is binom(i, i+1) = 0
             out.extend(range(s - 1, -1, -1))
             break
         if chunks:
-            lo = (R << _BRACKET_BITS) // anchor
-            hi = lo + 1
-            num = den = 1
-            part = 0
-            start = len(out)
-            while s and lo and hi - lo < wide and den.bit_length() <= _CHUNK_BITS:
-                zf = lo / one
+            z = R / anchor
+            err = 1.0  # bound on the relative error of z, in units of 2^-52
+            num, den, part = 1, 1, 0
+            start, top, left = len(out), y, s
+            while s and den.bit_length() <= _CHUNK_BITS:
                 v = y
-                while zf < 1.0 and v > s:
-                    zf *= v / (v - s)
+                while z < 1.0 and v > s:
+                    z *= v / (v - s)
                     v -= 1
+                e = z * (err + y - v + 2)  # each float step rounds twice
+                d = z - 1.0
+                if d <= e * _GUESS_TOL:
+                    break
+                err = e / d
                 if v < y:
                     # binom(v, s) / binom(y, s) = dn / up
                     up = math.perm(y, y - v)  # (v+1)...y
                     dn = math.perm(y - s, y - v)  # (v+1-s)...(y-s)
-                    lo = lo * up // dn
-                    hi = -(-hi * up // dn)
-                    # v must provably satisfy z_v >= 1 > z_(v+1)
-                    if lo < one or hi * (v + 1 - s) > one * (v + 1):
-                        break
                     part = (part * up + num * dn) * v
                     num *= dn * s
                     den *= up * v
-                elif lo < one:
-                    break
                 else:
                     part = (part + num) * v
                     num *= s
                     den *= v
                 out.append(v)
-                lo = (lo - one) * v // s
-                hi = -((one - hi) * v // s)
-                y = v - 1
-                s -= 1
+                z = d * v / s
+                y, s = v - 1, s - 1
             if len(out) > start:
-                taken, anchor = _close_chunk(anchor, part, num, den)
-                R -= taken
-                continue
+                taken, low = _close_chunk(anchor, part, num, den)
+                rest = R - taken
+                # rest < binom(y + 1, s) = low * (y + 1) / (y + 1 - s)
+                if rest >= 0 and rest * (y + 1 - s) < low * (y + 1):
+                    R, anchor = rest, low
+                    continue
+                del out[start:]
+                y, s = top, left
         v = y
         while anchor > R:
             anchor = anchor * (v - s) // v
@@ -369,6 +370,5 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
         out.append(v)
         R -= anchor
         anchor = anchor * s // v  # binom(v - 1, s - 1)
-        y = v - 1
-        s -= 1
+        y, s = v - 1, s - 1
     return tuple(reversed(out))

@@ -247,17 +247,19 @@ _CLASS = bytes(
 )
 
 
-def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
+def _bulk_polys(lines: list[str], limit: int) -> tuple[list[Poly | None], int | None]:
     """Polynomial of each line that reads `t + ... + t = 0`, each term t a
     product of factors x<i> (1 <= i <= limit, no leading zero) or 1, with
-    blanks or tabs only around factors; None for any other line.
+    blanks or tabs only around factors; None for any other line. Also the
+    largest i those lines use, or None when a line repeats a term, whose
+    cancelling may drop its largest variable.
 
     The work is numpy calls over the whole text, not per line: the blanks
     are dropped and every byte is checked against its neighbours.
     """
     out: list[Poly | None] = [None] * len(lines)
     if not lines:
-        return out
+        return out, 0
     # one byte per character: anything not ASCII becomes '?', which no line takes
     text = "\n".join(lines).encode("ascii", "replace").translate(_CLASS)
     cls = np.frombuffer(text, np.uint8)
@@ -303,13 +305,17 @@ def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     line_of_term = np.searchsorted(starts, at[term], side="right") - 1
     counts = np.bincount(line_of_term, minlength=len(lines))[ok].tolist()
     lo = 0
+    top: int | None = int(np.bitwise_or.reduce(bits)).bit_length()
     for line, n in zip(np.flatnonzero(ok).tolist(), counts):
         terms = masks[lo:lo + n]
         lo += n
         distinct = frozenset(terms)
-        # Poly(terms) cancels repeated terms in pairs, one term at a time
-        out[line] = Poly.of_distinct(distinct) if len(distinct) == n else Poly(terms)
-    return out
+        if len(distinct) == n:
+            out[line] = Poly.of_distinct(distinct)
+        else:  # Poly(terms) cancels repeated terms in pairs, one term at a time
+            out[line] = Poly(terms)
+            top = None
+    return out, top
 
 
 # ------------------------------------------------------------------ lines
@@ -336,16 +342,17 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     A variable past `m` or past algset.M_MAX is refused as it is read.
     """
     lines = text.splitlines()
-    bulk = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
+    bulk, top = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
     polys: set[Poly] = set()
-    seen_m = 0
+    seen_m = top or 0
     for line_no, (raw, q) in enumerate(zip(lines, bulk), start=1):
-        if q is None:
+        tokenized = q is None
+        if tokenized:
             q = _parse_line(raw, line_no, m)
             if q is None:
                 continue
         polys.add(q)
-        if m is None:
+        if m is None and (tokenized or top is None):
             seen_m = max(seen_m, q.max_var())
     return PolySet(seen_m if m is None else m, frozenset(polys))
 

@@ -259,43 +259,98 @@ def test_rank_unrank_match_the_walks_at_extreme_sizes():
             _check_both_paths(n, tuple(sorted(rng.sample(range(n), k))))
 
 
-def test_chunked_paths_with_small_constants(monkeypatch):
-    # tiny chunks and an 8-bit bracket: most decisions are ambiguous, so
-    # chunks end early and the exact walk step runs; the public unrank
-    # tries chunks at every size
-    monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
-    monkeypatch.setattr(bitcodec, "_CHUNK_BITS", 24)
-    monkeypatch.setattr(bitcodec, "_BRACKET_BITS", 8)
-    monkeypatch.setattr(bitcodec, "_BRACKET_SLACK", 2)
-    # Every chunk hands what it took from R to _close_chunk. A walk step
-    # takes binom(v, s) >= 1 from R without it, so an unrank took a walk
-    # step exactly when its chunks took less than its rank.
+def _correct_closes(members: tuple[int, ...]):
+    """A test of whether a chunk's (taken, anchor) is a stretch of the true members.
+
+    From the top, the true members u_1 > u_2 > ... take the terms
+    binom(u_i, k - i + 1) and leave the anchor binom(u_i - 1, k - i). A chunk
+    that guessed true members u_(j+1)..u_i closes with the terms' sum and the
+    anchor after u_i, and the unrank keeps exactly those chunks.
+    """
+    k = len(members)
+    sums = [0]
+    ends: dict[int, list[int]] = {}
+    for i, (u, s) in enumerate(zip(reversed(members), range(k, 0, -1)), 1):
+        sums.append(sums[-1] + math.comb(u, s))
+        if u >= s:  # a chunk's guess v is at least s
+            ends.setdefault(math.comb(u - 1, s - 1), []).append(i)
+    index = {p: j for j, p in enumerate(sums)}
+    return lambda taken, low: any(
+        index.get(sums[i] - taken, i) < i for i in ends.get(low, ())
+    )
+
+
+# (_CHUNK_BITS, _GUESS_TOL): tiny chunks, closed after a member or two; and
+# long chunks guessed to the last bit of a double, which run past its
+# precision, so their later guesses are wrong
+_FORCED_CHUNKS = ((24, 0.0), (1 << 16, 0.0))
+
+
+def test_bad_chunk_guesses_fall_back_to_walk_steps(monkeypatch):
+    # Every chunk closes through _close_chunk. One whose (taken, anchor) is
+    # not a stretch of the true members failed its test, and the unrank then
+    # took an exact walk step; the answer must still be the walk's.
     real_close = bitcodec._close_chunk
-    taken_by_chunks = 0
+    closes = []
 
-    def counting_close(*args):
-        nonlocal taken_by_chunks
-        taken, anchor = real_close(*args)
-        taken_by_chunks += taken
-        return taken, anchor
+    def recording_close(*args):
+        closes.append(real_close(*args))
+        return closes[-1]
 
-    monkeypatch.setattr(bitcodec, "_close_chunk", counting_close)
-    rng = random.Random(5)
-    fallbacks = 0
-    for n in (1, 5, 60, 300, 2000):
-        for k in sorted({0, 1, n // 7, n // 2, n - 3, n - 1, n} & set(range(n + 1))):
-            members = tuple(sorted(rng.sample(range(n), k)))
-            _check_both_paths(n, members)
-            rank = _walk_rank(n, members)
-            taken_by_chunks = 0
-            assert subset_unrank(n, k, rank) == members
-            assert taken_by_chunks <= rank
-            fallbacks += taken_by_chunks < rank
-    monkeypatch.undo()
-    assert fallbacks > 0
+    monkeypatch.setattr(bitcodec, "_close_chunk", recording_close)
+    monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
+    for chunk_bits, tol in _FORCED_CHUNKS:
+        monkeypatch.setattr(bitcodec, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(bitcodec, "_GUESS_TOL", tol)
+        rng = random.Random(5)
+        kept = failed = 0
+        for n in (1, 5, 60, 300, 2000):
+            for k in sorted({0, 1, n // 7, n // 2, n - 3, n - 1, n} & set(range(n + 1))):
+                members = tuple(sorted(rng.sample(range(n), k)))
+                rank = _walk_rank(n, members)
+                closes.clear()
+                assert subset_unrank(n, k, rank) == members == _walk_unrank(n, k, rank)
+                correct = _correct_closes(members)
+                good = sum(correct(taken, low) for taken, low in closes)
+                kept += good
+                failed += len(closes) - good
+        assert kept > 0 and failed > 0, (chunk_bits, tol)
 
 
-def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
+def test_guessed_chunks_at_boundary_ranks(monkeypatch):
+    # ranks 0 and C(n, k) - 1, ranks C(v, k) (nothing left after the top
+    # member v), runs of adjacent members, k = 1 and k = n, through the
+    # public unrank with chunks tried at every size
+    monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
+    n = 700
+    cases = [(1, 0), (1, n - 1), (n, 0)]
+    for k in (2, 9, 64, 350, n - 5, n - 1):
+        total = math.comb(n, k)
+        cases += [(k, 0), (k, total - 1), (k, total // 2)]
+        cases += [(k, math.comb(v, k)) for v in {k, k + 1, k + 40, (n + k) // 2, n - 1} if v < n]
+        # adjacent members: a run below a gap, and a run at the top
+        run = tuple(range(k // 2)) + tuple(range(n - k + k // 2, n))
+        cases.append((k, _walk_rank(n, run)))
+    for chunk_bits, tol in ((bitcodec._CHUNK_BITS, bitcodec._GUESS_TOL),) + _FORCED_CHUNKS:
+        monkeypatch.setattr(bitcodec, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(bitcodec, "_GUESS_TOL", tol)
+        for k, rank in cases:
+            members = _walk_unrank(n, k, rank)
+            assert subset_unrank(n, k, rank) == members, (chunk_bits, tol, k, rank)
+            assert subset_rank(n, members) == rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subsets())
+def test_public_unrank_with_chunks_at_every_size(case):
+    n, members = case
+    rank = _walk_rank(n, members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
+        assert subset_unrank(n, len(members), rank) == members
+
+
+def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks(monkeypatch):
     # C(2^18, 200) has about 2360 bits; gaps of about 1300 positions, some
     # of several thousand, make each step's products long
     n, k = 1 << 18, 200
@@ -303,6 +358,15 @@ def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
     rank = subset_rank(n, members)
     assert rank == _walk_rank(n, members)
     assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
+    # a gap's factors (about 23k bits) outweigh C(n, k) ten times over, so
+    # the public unrank takes walk steps only, though C(n, k) passes the
+    # size switch
+    assert math.comb(n, k).bit_length() >= bitcodec._UNRANK_CHUNK_MIN_BITS
+
+    def no_chunks(*args):
+        raise AssertionError("chunk closed")
+
+    monkeypatch.setattr(bitcodec, "_close_chunk", no_chunks)
     assert subset_unrank(n, k, rank) == members
 
 
@@ -312,6 +376,29 @@ def test_rank_width():
     assert rank_width(5, 0) == 0      # binom = 1
     assert rank_width(5, 5) == 0      # binom = 1
     assert rank_width(4096, 819) == (math.comb(4096, 819) - 1).bit_length()
+
+
+def test_rank_width_is_exact_for_every_k_up_to_1200():
+    row = [1]
+    for n in range(1201):
+        if n:
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        for k, c in enumerate(row):
+            assert rank_width(n, k) == (c - 1).bit_length(), (n, k)
+
+
+def test_rank_width_is_exact_on_a_sample_up_to_2_pow_24():
+    # min(k, n - k) stays below 2^13 so that math.comb is quick; the
+    # estimate's error does not grow with it
+    rng = random.Random(24)
+    for _ in range(400):
+        n = rng.randrange(2, (1 << rng.randrange(7, 25)) + 1)
+        j = min(int(2 ** rng.uniform(0, 13)), n // 2)
+        for k in (j, n - j):
+            assert rank_width(n, k) == (math.comb(n, k) - 1).bit_length(), (n, k)
+    # powers of two: C(2^a, 1) and C(2^a, 2^a - 1) are exactly 2^a
+    for a in range(25):
+        assert rank_width(1 << a, 1) == rank_width(1 << a, (1 << a) - 1) == a
 
 
 # ------------------------------------------------------------------ bitstream

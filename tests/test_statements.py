@@ -100,6 +100,10 @@ def test_raw_polynomial_lines():
 def test_raw_terms_collapse_mod_2():
     ps = parse_statements("x1 + x1 = 0\n")
     assert ps.polys == frozenset({Poly.zero()})
+    # without m, the file's m is the largest index left after cancelling
+    assert ps.m == 0
+    assert parse_statements("x5 + x2 + x5 = 0\nx3 = 0\n").m == 3
+    assert parse_statements("x5*x1 + x2 = 0\nx3 + x5*x1 = 0\n").m == 5
 
 
 def test_explicit_variable_count():
@@ -465,7 +469,7 @@ def test_bulk_path_matches_token_path():
     for trial in range(1500):
         m = trial % 24 + 1
         text = _random_text(rng, m)
-        bulk_lines += sum(q is not None for q in statements._bulk_polys(text.splitlines(), m))
+        bulk_lines += sum(q is not None for q in statements._bulk_polys(text.splitlines(), m)[0])
         for m_arg in (m, None):
             assert _outcome(parse_statements, text, m_arg) == _outcome(_token_parse, text, m_arg), (
                 text, m_arg
@@ -676,7 +680,10 @@ def test_whole_file_parse_matches_the_per_line_oracle():
             bits = _oracle_bits(m_arg)
             want = [_oracle_bulk_poly(ln, bits) for ln in split]
             limit = 24 if m_arg is None else m_arg
-            assert statements._bulk_polys(split, limit) == want, (split, m_arg)
+            got, top = statements._bulk_polys(split, limit)
+            assert got == want, (split, m_arg)
+            # the largest index read, unless a repeated term may have cancelled it
+            assert top in (None, max((q.max_var() for q in want if q is not None), default=0))
             assert _outcome(parse_statements, text, m_arg) == _outcome(_oracle_parse, text, m_arg)
             accepted += sum(q is not None for q in want)
             refused += sum(q is None for q in want)
