@@ -5,8 +5,8 @@ For random k-subsets of {0..n-1} with k = n // 5 (or --ratio), prints one
 row per (n, seed): the bits of C(n, k), then the best process time of
 `bitcodec._unrank` with walk steps only and with chunks tried first. The
 two modes alternate call by call, so drift on a shared machine hits both
-alike. `bitcodec._UNRANK_CHUNK_MIN_BITS` is the C(n, k) size where the
-chunk column starts to win.
+alike. The crossover moves with k / n; the comment on
+`bitcodec._UNRANK_CHUNK_MIN_BITS` quotes rows at several ratios.
 
     PYTHONPATH=src python3 scripts/colex_sweep.py --best-of 9 --seeds 1 2
 """

@@ -188,10 +188,11 @@ def binom(n: int, k: int) -> int:
 def rank_width(n: int, k: int) -> int:
     """Bits needed for a 0-based rank among binom(n, k) subsets; 0 when only one.
 
-    ceil(log2 binom(n, k)) from `math.lgamma`; binom itself is built only for
-    min(k, n - k) < 64, n > 2^24 or an estimate within 1e-4 of an integer.
+    ceil(log2 binom(n, k)) from `math.lgamma`, whose error stays below 1e-6
+    bits up to n = 2^24; binom itself is built past that n, for k outside
+    1..n - 1, or when the estimate lies within 1e-4 of an integer.
     """
-    if 64 <= k <= n - 64 and n <= 1 << 24:
+    if 0 < k < n <= 1 << 24:
         lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
         low = math.floor(lg)
         if 1e-4 < lg - low < 1 - 1e-4:
@@ -199,14 +200,13 @@ def rank_width(n: int, k: int) -> int:
     return (binom(n, k) - 1).bit_length()
 
 
-# Colex unranks whose C(n, k) has fewer bits than this, or whose mean gap's
-# factors ((n / k) log2 n bits) pass 4 times that size, go by exact walk
-# steps only. scripts/colex_sweep.py at k = n/5 (best of 9, two seeds,
-# CPython 3.11), walk against chunks in ms: 0.64/0.75-0.78 at 1472 bits,
-# 1.14-1.22/1.21-1.24 at 2027, 1.36/1.32-1.37 at 2212, 1.73-1.75/1.54-1.58
-# at 2580, 4.33/2.90-3.03 at 4326 and 30-36/13-14 at 11820. The crossover
-# nears 4500 bits at k = n/2; 200 of 2^18 walk 1.6 times faster.
-_UNRANK_CHUNK_MIN_BITS = 2200
+# Colex unranks whose C(n, k) has fewer bits than this go by exact walk
+# steps only. scripts/colex_sweep.py (CPython 3.11, best of 3-9), walk
+# against chunks in ms: k = n/5 crosses near 2200 bits (1.36/1.32 at 2212,
+# 4.33/2.90 at 4326), k = n/2 near 4500 (3.88/4.12 at 4090, 12.4/7.9 at
+# 8186), k = n/1310 near 8000 (116/193 at 2355, 832/869 at 7074, 1509/1293
+# at 9433). No benchmark cell has sparse subsets to set it below 5000 on.
+_UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
 # A guessed unrank chunk takes a member only while its margin z - 1 exceeds
@@ -282,8 +282,8 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
 def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
-    `total` is C(n, k) when the caller has built it already. Past the size
-    and gap switch of `_UNRANK_CHUNK_MIN_BITS`, :func:`_unrank` guesses chunks.
+    `total` is C(n, k) when the caller has built it already. From
+    `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) on, :func:`_unrank` guesses chunks.
     """
     if k < 0 or k > n:
         raise DomainError(f"k must lie in 0..{n}, got {k}")
@@ -294,9 +294,7 @@ def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[
     if not k:
         return ()
     top = total * (n - k) // n  # binom(n - 1, k)
-    bits = total.bit_length()
-    chunks = bits >= _UNRANK_CHUNK_MIN_BITS and n * n.bit_length() < 4 * k * bits
-    return _unrank(n, k, rank, top, chunks)
+    return _unrank(n, k, rank, top, total.bit_length() >= _UNRANK_CHUNK_MIN_BITS)
 
 
 def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, ...]:
@@ -312,12 +310,13 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
     With `chunks`, each round first guesses a chunk of members from the
     float z = R / A: the next is the largest v <= y with
     z * binom(y, s) / binom(v, s) >= 1, and taking it maps z to
-    (z - 1) * v / s. num/den and part/den track binom(y, s) / A and the sum
-    taken over A exactly, as in :func:`_rank_chunked`. By the uniqueness of
-    the combinatorial number system (TAOCP 7.2.1.3) the guesses are the
-    unrank's members iff what is left of R lies in [0, binom(v, s)), v the
-    last guess and s the count still to find; a chunk that fails is dropped
-    for one exact walk step.
+    (z - 1) * v / s. The chunk ends before a v whose z, or z at v + 1, lies
+    within rounding of 1. num/den and part/den track binom(y, s) / A and
+    the sum taken over A exactly, as in :func:`_rank_chunked`. By the
+    uniqueness of the combinatorial number system (TAOCP 7.2.1.3) the
+    guesses are the unrank's members iff what is left of R lies in
+    [0, binom(v, s)), v the last guess and s the count still to find; a
+    chunk that fails is dropped for one exact walk step.
     """
     out: list[int] = []
     y, s, R = n - 1, k, rank
@@ -331,13 +330,14 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
             num, den, part = 1, 1, 0
             start, top, left = len(out), y, s
             while s and den.bit_length() <= _CHUNK_BITS:
-                v = y
+                v, w = y, 0.0  # w: z one position up, at v + 1
                 while z < 1.0 and v > s:
+                    w = z
                     z *= v / (v - s)
                     v -= 1
                 e = z * (err + y - v + 2)  # each float step rounds twice
                 d = z - 1.0
-                if d <= e * _GUESS_TOL:
+                if d <= e * _GUESS_TOL or 1.0 - w <= e * _GUESS_TOL:
                     break
                 err = e / d
                 if v < y:

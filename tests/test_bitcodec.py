@@ -320,7 +320,17 @@ def test_bad_chunk_guesses_fall_back_to_walk_steps(monkeypatch):
 def test_guessed_chunks_at_boundary_ranks(monkeypatch):
     # ranks 0 and C(n, k) - 1, ranks C(v, k) (nothing left after the top
     # member v), runs of adjacent members, k = 1 and k = n, through the
-    # public unrank with chunks tried at every size
+    # public unrank with chunks tried at every size. At the default
+    # tolerance no chunk may fail: a member whose z lies within rounding of
+    # 1, on either side, ends its chunk before it is guessed.
+    real_close = bitcodec._close_chunk
+    closes = []
+
+    def recording_close(*args):
+        closes.append(real_close(*args))
+        return closes[-1]
+
+    monkeypatch.setattr(bitcodec, "_close_chunk", recording_close)
     monkeypatch.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
     n = 700
     cases = [(1, 0), (1, n - 1), (n, 0)]
@@ -331,12 +341,17 @@ def test_guessed_chunks_at_boundary_ranks(monkeypatch):
         # adjacent members: a run below a gap, and a run at the top
         run = tuple(range(k // 2)) + tuple(range(n - k + k // 2, n))
         cases.append((k, _walk_rank(n, run)))
-    for chunk_bits, tol in ((bitcodec._CHUNK_BITS, bitcodec._GUESS_TOL),) + _FORCED_CHUNKS:
+    default = (bitcodec._CHUNK_BITS, bitcodec._GUESS_TOL)
+    for chunk_bits, tol in (default,) + _FORCED_CHUNKS:
         monkeypatch.setattr(bitcodec, "_CHUNK_BITS", chunk_bits)
         monkeypatch.setattr(bitcodec, "_GUESS_TOL", tol)
         for k, rank in cases:
             members = _walk_unrank(n, k, rank)
+            closes.clear()
             assert subset_unrank(n, k, rank) == members, (chunk_bits, tol, k, rank)
+            if (chunk_bits, tol) == default:
+                correct = _correct_closes(members)
+                assert all(correct(*c) for c in closes), (k, rank)
             assert subset_rank(n, members) == rank
 
 
@@ -350,7 +365,7 @@ def test_public_unrank_with_chunks_at_every_size(case):
         assert subset_unrank(n, len(members), rank) == members
 
 
-def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks(monkeypatch):
+def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
     # C(2^18, 200) has about 2360 bits; gaps of about 1300 positions, some
     # of several thousand, make each step's products long
     n, k = 1 << 18, 200
@@ -358,15 +373,6 @@ def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks(monkeyp
     rank = subset_rank(n, members)
     assert rank == _walk_rank(n, members)
     assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
-    # a gap's factors (about 23k bits) outweigh C(n, k) ten times over, so
-    # the public unrank takes walk steps only, though C(n, k) passes the
-    # size switch
-    assert math.comb(n, k).bit_length() >= bitcodec._UNRANK_CHUNK_MIN_BITS
-
-    def no_chunks(*args):
-        raise AssertionError("chunk closed")
-
-    monkeypatch.setattr(bitcodec, "_close_chunk", no_chunks)
     assert subset_unrank(n, k, rank) == members
 
 
@@ -399,6 +405,10 @@ def test_rank_width_is_exact_on_a_sample_up_to_2_pow_24():
     # powers of two: C(2^a, 1) and C(2^a, 2^a - 1) are exactly 2^a
     for a in range(25):
         assert rank_width(1 << a, 1) == rank_width(1 << a, (1 << a) - 1) == a
+    # every small k at the top of the estimate's range
+    for n in ((1 << 24) - 1, 1 << 24):
+        for k in range(1, 65):
+            assert rank_width(n, k) == (math.comb(n, k) - 1).bit_length(), (n, k)
 
 
 # ------------------------------------------------------------------ bitstream
