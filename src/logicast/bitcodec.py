@@ -190,8 +190,11 @@ def rank_width(n: int, k: int) -> int:
 
     ceil(log2 binom(n, k)) from `math.lgamma`, whose error stays below 1e-6
     bits up to n = 2^24; binom itself is built past that n, for k outside
-    1..n - 1, or when the estimate lies within 1e-4 of an integer.
+    1..n - 1, or when the estimate lies within 1e-4 of an integer.  k > n
+    has no subsets to rank and raises `DomainError`.
     """
+    if k > n:
+        raise DomainError(f"no {k}-subsets of {n} elements to rank")
     if 0 < k < n <= 1 << 24:
         lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
         low = math.floor(lg)

@@ -30,6 +30,17 @@ between two elements.
 
 Reducers look divisors up in one table indexed by position, and one pass in
 ascending leading-term order makes the completed basis minimal and reduced.
+
+Small inputs skip Buchberger.  Modulo the field equations, the ideal of G is
+spanned as a vector space by the products t*g over every monomial t and every
+g in G, so one reduced row echelon form of those rows, with columns in the
+term order, holds the whole ideal (Lazard's Macaulay matrix; PolyBoRi uses
+the same view in this ring).  Its rows whose leading term no smaller one
+divides are the reduced basis.  The matrix has (generators)*4^m bits, and
+`groebner_basis` builds it only up to `_MACAULAY_MAX_BITS`.  Buchberger's
+work follows the basis rather than the matrix, so it is faster on sparse
+inputs past that bound and is the only path up to `GB_M_MAX`.  Neither
+path reads the zero set, so this engine stays independent of `algset`'s.
 """
 from __future__ import annotations
 
@@ -57,9 +68,29 @@ __all__ = [
 
 
 # A cap on work: the tables are Θ(m·2^m) bits, but every reduction step costs
-# a few 2^m-bit operations, and bases of five random sparse statements took up
-# to 1.5 s at m = 15 and 2.4 s at m = 16 (2-core VM, CPython 3.11).
+# a few 2^m-bit operations, and Buchberger's bases of five random sparse
+# statements (tests/test_groebner.py::_sparse_statements, seeds 1-5) took up
+# to 1.0 s at m = 15 and 1.3 s at m = 16 (process time, 2-core VM, CPython
+# 3.11.7).
 GB_M_MAX = 16
+
+# The largest Macaulay matrix, generators * 4^m bits, that `groebner_basis`
+# eliminates instead of running Buchberger.  Buchberger's time over the
+# matrix's, best of 5 each, seeds 1-3 (scripts/groebner_sweep.py --best-of 5
+# --seeds 1 2 3; 2-core VM, CPython 3.11.7, numpy 2.4.6); one generator
+# makes a 4^m-bit matrix, five make 5 * 4^m bits:
+#
+#   family  gens  m=4      m=6      m=7      m=8        m=9        m=10
+#   t3       1    2.5-3.2  4.5-6.4  5.5-6.0  5.5-6.5    4.9-5.0    3.9-5.3
+#   single   1    0.6-4.4  4.9-6.7  6.5-7.9  7.0-7.7    5.8-7.3    4.5-5.8
+#   sparse   1    2.5-3.2  2.5-4.1  1.8-3.9  1.5-4.1    0.87-2.75  0.36-1.32
+#   five     5    0.85-2.0 1.1-1.8  2.0-2.1  0.55-1.70  0.19-0.55  0.18-0.49
+#
+# Up to 2^17 bits the matrix wins every row but two at m = 4 under 0.2 ms.
+# The next sizes swept, 2^18 (one sparse generator at m = 9) and 5 * 2^16
+# (five statements at m = 8), have rows where it loses.  Dense generators
+# still gain at m = 10, but the size alone does not tell them apart.
+_MACAULAY_MAX_BITS = 1 << 17
 
 
 def monomial_key(mask: int, m: int) -> int:
@@ -87,8 +118,10 @@ def _bitmask(flags: np.ndarray) -> int:
 def _tables(m: int):
     """Per-m data in Θ(m·2^m) bits: `pos`, the read-only array mapping each
     position to its monomial and each monomial to its position; `classes[d]`,
-    the packed positions of the degree-d monomials; and `has[b]`, the packed
-    positions of the monomials that contain variable bit b."""
+    the packed positions of the degree-d monomials; `has[b]`, the packed
+    positions of the monomials that contain variable bit b; and `column`,
+    the read-only array mapping each position to its monomial's index in
+    the term order (the Macaulay matrix's column)."""
     if m > GB_M_MAX:
         raise UniverseTooLarge(f"Groebner tables support m <= {GB_M_MAX}, got m={m}")
     full = (1 << m) - 1
@@ -102,7 +135,10 @@ def _tables(m: int):
     pos.flags.writeable = False
     classes = tuple(_bitmask(deg == d) for d in range(m + 1))
     has = tuple(_bitmask((pos >> b) & 1 == 1) for b in range(m))
-    return pos, classes, has
+    column = np.empty_like(index)
+    column[np.lexsort((index, deg))] = index  # degree first, then position
+    column.flags.writeable = False
+    return pos, classes, has, column
 
 
 def _mono_mul(acc: int, u: int, has, m: int) -> int:
@@ -133,7 +169,7 @@ class _Reducer:
     def __init__(self, m: int):
         self.m = m
         self.elems: list[tuple[int, int]] = []
-        self.pos, self.classes, self.has = _tables(m)
+        self.pos, self.classes, self.has, _ = _tables(m)
         self.div = np.full(self.pos.size, -1, dtype=np.int32)
         self.multiples = [0] * (m + 1)
 
@@ -247,6 +283,63 @@ def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
     return out
 
 
+def _macaulay(gens: Iterable[int], m: int) -> _Reducer:
+    """Reduced basis from one elimination of the Macaulay matrix: a row t*g
+    for every monomial t and generator g, whose bit `column[pos[u]]` holds
+    the coefficient of monomial u.  In reduced row echelon form each row's top
+    column is a leading term of the ideal and its other columns are standard
+    monomials, so the rows whose leading term no smaller one divides are the
+    reduced basis, appended in ascending order."""
+    n = 1 << m
+    pos, _, _, column = _tables(m)
+    cell = column[pos]  # each monomial's column
+    t = np.arange(n)[:, None]
+    width = (n + 7) // 8
+    rows: set[int] = set()
+    for g in gens:
+        # bit c of row t is the parity of the terms u of g with t|u in column c
+        odd = np.bincount((t * n + cell[t | pos[_positions(g, m)]]).ravel(), minlength=n * n) & 1
+        data = np.packbits(odd.reshape(n, n), axis=1, bitorder="little").tobytes()
+        rows.update(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+    pivots = [0] * n  # pivots[c]: the row whose leading column is c, or 0
+    for row in sorted(rows):
+        while row:
+            c = row.bit_length() - 1
+            if not pivots[c]:
+                pivots[c] = row
+                break
+            row ^= pivots[c]
+    # Back substitution, ascending: each row xors in reduced rows of smaller
+    # pivots, and each of those clears its own pivot bit and sets no other.
+    # A proper divisor has a smaller degree, so it is kept before its multiples.
+    out = _Reducer(m)
+    monomial = pos[np.argsort(column)]  # each column's monomial
+    done = 0
+    for c, row in enumerate(pivots):
+        if not row:
+            continue
+        hit = row & done
+        while hit:
+            k = hit.bit_length() - 1
+            row ^= pivots[k]
+            hit ^= 1 << k
+        pivots[c] = row
+        done |= 1 << c
+        lt = int(monomial[c])
+        if out.div[pos[lt]] < 0:
+            out.append(lt, row)
+    # back from columns to positions: bit p of a body is bit column[p] of its row
+    data = b"".join(row.to_bytes(width, "little") for _, row in out.elems)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(out.elems), width),
+                         axis=1, bitorder="little")
+    data = np.packbits(bits[:, column], axis=1, bitorder="little").tobytes()
+    out.elems[:] = [
+        (lt, int.from_bytes(data[i:i + width], "little"))
+        for (lt, _), i in zip(out.elems, range(0, len(data), width))
+    ]
+    return out
+
+
 def _positions(acc: int, m: int) -> np.ndarray:
     """Ascending positions of the set bits of a packed polynomial."""
     packed = np.frombuffer(acc.to_bytes(((1 << m) + 7) // 8, "little"), dtype=np.uint8)
@@ -285,9 +378,14 @@ class GroebnerBasis:
         return f"GroebnerBasis(m={self.m}, {len(self.polys)} polynomials)"
 
 
+def _completion(ngens: int, m: int):
+    """The completion path for ngens generators in m variables."""
+    return _macaulay if ngens << 2 * m <= _MACAULAY_MAX_BITS else _buchberger
+
+
 def groebner_basis(ps: PolySet) -> GroebnerBasis:
     gens = sorted(_pack(q, ps.m) for q in ps.polys if not q.is_zero)
-    return GroebnerBasis(ps.m, _buchberger(gens, ps.m))
+    return GroebnerBasis(ps.m, _completion(len(gens), ps.m)(gens, ps.m))
 
 
 def normal_form(q: Poly, gb: GroebnerBasis) -> Poly:

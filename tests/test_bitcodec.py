@@ -382,6 +382,9 @@ def test_rank_width():
     assert rank_width(5, 0) == 0      # binom = 1
     assert rank_width(5, 5) == 0      # binom = 1
     assert rank_width(4096, 819) == (math.comb(4096, 819) - 1).bit_length()
+    for n, k in ((0, 1), (5, 6), (4096, 5000)):
+        with pytest.raises(DomainError):
+            rank_width(n, k)  # no k-subset exists
 
 
 def test_rank_width_is_exact_for_every_k_up_to_1200():

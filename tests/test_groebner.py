@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 import logicast
+from logicast import groebner
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.errors import DomainError, PreconditionViolated, UniverseTooLarge
 from logicast.groebner import (
+    _MACAULAY_MAX_BITS,
     GB_M_MAX,
     GroebnerBasis,
+    _buchberger,
+    _completion,
+    _macaulay,
     _mono_mul,
     _pack,
     _Reducer,
@@ -348,12 +353,52 @@ def _point_basis(r: PolySet) -> tuple[Poly, ...]:
     return tuple(basis)
 
 
+def _bases_by_path(r: PolySet) -> dict[str, tuple[Poly, ...]]:
+    """r's reduced basis from Buchberger, and from the Macaulay elimination
+    where its size bound admits r, each called directly."""
+    gens = sorted(_pack(q, r.m) for q in r.polys if not q.is_zero)
+    paths = {_buchberger, _completion(len(gens), r.m)}
+    return {path.__name__: GroebnerBasis(r.m, path(gens, r.m)).polys for path in paths}
+
+
 def test_reduced_basis_matches_point_oracle():
     systems = [_t3_background(m, seed) for m in range(3, 9) for seed in (1, 2, 3)]
     rng = random.Random(811)
     systems += [_random_polyset(rng, rng.randrange(1, 6), rng.randrange(1, 4)) for _ in range(120)]
     for r in systems:
-        assert groebner_basis(r).polys == _point_basis(r)
+        want = _point_basis(r)
+        bases = _bases_by_path(r)
+        assert "_macaulay" in bases  # every system here is within the bound
+        for path, got in bases.items():
+            assert got == want, (path, r)
+
+
+def _distinct_polys(rng: random.Random, m: int, count: int) -> PolySet:
+    polys: set[Poly] = set()
+    while len(polys) < count:
+        polys.add(Poly(rng.sample(range(1 << m), 3)))  # three distinct terms: never zero
+    return PolySet(m, frozenset(polys))
+
+
+def test_groebner_basis_picks_the_path_by_matrix_size(monkeypatch):
+    taken: list[str] = []
+    for path in (_buchberger, _macaulay):
+        def record(gens, m, path=path):
+            taken.append(path.__name__)
+            return path(gens, m)
+        monkeypatch.setattr(groebner, path.__name__, record)
+    rng = random.Random(2029)
+    for m in (4, 8, 9):
+        at = _MACAULAY_MAX_BITS >> 2 * m  # the most generators the bound admits
+        sides = [(at, "_macaulay"), (at + 1, "_buchberger")] if at else [(1, "_buchberger")]
+        for count, want in sides:
+            r = _distinct_polys(rng, m, count)
+            taken.clear()
+            gb = groebner_basis(r)
+            assert taken == [want], (m, count)
+            gens = sorted(_pack(q, m) for q in r.polys)
+            other = _macaulay if want == "_buchberger" else _buchberger
+            assert gb.polys == GroebnerBasis(m, other(gens, m)).polys
 
 
 def _reference_basis(r: PolySet) -> tuple[Poly, ...]:
@@ -416,7 +461,9 @@ def _reference_basis(r: PolySet) -> tuple[Poly, ...]:
 
 def _assert_bases_match_reference(systems) -> None:
     for r in systems:
-        assert groebner_basis(r).polys == _reference_basis(r), r
+        want = _reference_basis(r)
+        for path, got in _bases_by_path(r).items():
+            assert got == want, (path, r)
 
 
 def test_reduced_basis_matches_reference_on_t3_backgrounds():
