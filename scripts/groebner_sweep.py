@@ -13,7 +13,8 @@ its rows.
 Families: `t3`, the background of `Nested(0.15, 0.5)` (one dense
 generator); `single`, the statement of `Single(0.2)`; `five`, five
 statements of five monomials of degree at most 3; `sparse`, one generator
-of six random monomials.
+of six random monomials; `many`, as many random three-term generators as
+the bound admits (one from m = 9 on).
 
     PYTHONPATH=src python3 scripts/groebner_sweep.py --best-of 5 --seeds 1 2
 """
@@ -45,11 +46,23 @@ def _sparse(m: int, seed: int) -> PolySet:
 # The matrix path holds a 4^m-entry count array per generator: 32 MB at m = 11.
 M_MAX = 11
 
+
+def _many(m: int, seed: int) -> PolySet:
+    """As many three-term generators as the matrix bound admits."""
+    rng = random.Random(seed)
+    count = min(max(1, groebner._MACAULAY_MAX_BITS >> 2 * m), math.comb(1 << m, 3))
+    polys: set[Poly] = set()
+    while len(polys) < count:
+        polys.add(Poly(rng.sample(range(1 << m), 3)))
+    return PolySet(m, frozenset(polys))
+
+
 FAMILIES = {
     "t3": lambda m, seed: sample(Nested(0.15, 0.5), m, seed)[1][1],
     "single": lambda m, seed: sample(Single(0.2), m, seed)[1][0],
     "five": _five,
     "sparse": _sparse,
+    "many": _many,
 }
 
 

@@ -78,18 +78,23 @@ GB_M_MAX = 16
 # eliminates instead of running Buchberger.  Buchberger's time over the
 # matrix's, best of 5 each, seeds 1-3 (scripts/groebner_sweep.py --best-of 5
 # --seeds 1 2 3; 2-core VM, CPython 3.11.7, numpy 2.4.6); one generator
-# makes a 4^m-bit matrix, five make 5 * 4^m bits:
+# makes a 4^m-bit matrix, five make 5 * 4^m bits, and `many` has as many
+# three-term generators as fill 2^17 bits (512 at m = 4, 2 at m = 8, then 1):
 #
-#   family  gens  m=4      m=6      m=7      m=8        m=9        m=10
-#   t3       1    2.5-3.2  4.5-6.4  5.5-6.0  5.5-6.5    4.9-5.0    3.9-5.3
-#   single   1    0.6-4.4  4.9-6.7  6.5-7.9  7.0-7.7    5.8-7.3    4.5-5.8
-#   sparse   1    2.5-3.2  2.5-4.1  1.8-3.9  1.5-4.1    0.87-2.75  0.36-1.32
-#   five     5    0.85-2.0 1.1-1.8  2.0-2.1  0.55-1.70  0.19-0.55  0.18-0.49
+#   family  gens  m=4        m=6      m=7       m=8        m=9        m=10
+#   t3       1    2.6-3.6    5.7-6.4  5.6-6.4   5.8-7.0    4.9-5.1    3.9-7.1
+#   single   1    0.60-4.6   5.5-7.1  7.2-8.5   7.0-7.9    5.8-6.9    4.4-6.0
+#   sparse   1    2.5-3.4    2.5-4.4  1.9-4.2   1.6-4.3    0.85-2.8   0.36-1.3
+#   five     5    1.3-2.8    1.1-1.9  2.1-2.2   0.55-1.8   0.20-0.55  0.17-0.46
+#   many     -    0.42-0.46  1.1-1.2  0.91-1.6  0.69-1.9   0.29-0.39  0.10-0.17
 #
-# Up to 2^17 bits the matrix wins every row but two at m = 4 under 0.2 ms.
-# The next sizes swept, 2^18 (one sparse generator at m = 9) and 5 * 2^16
-# (five statements at m = 8), have rows where it loses.  Dense generators
-# still gain at m = 10, but the size alone does not tell them apart.
+# Up to 2^17 bits the matrix wins every row of one to five generators but
+# one at m = 4 (0.03 against 0.05 ms).  With as many generators as fill the
+# bound it loses at m = 4, 5 (0.42-0.57x at 1-3 ms; hundreds of generators,
+# whose rows mostly reduce to zero) and on some seeds at m = 7, 8
+# (0.69-0.91x).  Past 2^17 bits the sparse rows lose on some seeds; dense
+# generators still gain at m = 10, but the size alone does not tell them
+# apart.
 _MACAULAY_MAX_BITS = 1 << 17
 
 
@@ -283,7 +288,7 @@ def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
     return out
 
 
-def _macaulay(gens: Iterable[int], m: int) -> _Reducer:
+def _macaulay(gens: list[int], m: int) -> _Reducer:
     """Reduced basis from one elimination of the Macaulay matrix: a row t*g
     for every monomial t and generator g, whose bit `column[pos[u]]` holds
     the coefficient of monomial u.  In reduced row echelon form each row's top
@@ -292,15 +297,18 @@ def _macaulay(gens: Iterable[int], m: int) -> _Reducer:
     reduced basis, appended in ascending order."""
     n = 1 << m
     pos, _, _, column = _tables(m)
-    cell = column[pos]  # each monomial's column
-    t = np.arange(n)[:, None]
     width = (n + 7) // 8
-    rows: set[int] = set()
-    for g in gens:
-        # bit c of row t is the parity of the terms u of g with t|u in column c
-        odd = np.bincount((t * n + cell[t | pos[_positions(g, m)]]).ravel(), minlength=n * n) & 1
-        data = np.packbits(odd.reshape(n, n), axis=1, bitorder="little").tobytes()
-        rows.update(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+    packed = np.frombuffer(b"".join(g.to_bytes(width, "little") for g in gens), np.uint8)
+    # the generator index and the position of every term
+    which, at = np.nonzero(np.unpackbits(packed.reshape(len(gens), width), axis=1, count=n,
+                                         bitorder="little"))
+    t = np.arange(n)[:, None]
+    # bit c of row (g, t) is the parity of the terms u of g with t|u in column c
+    cells = column[pos][t | pos[at]] + t * n
+    cells += which * n * n
+    odd = np.bincount(cells.ravel(), minlength=len(gens) * n * n) & 1
+    data = np.packbits(odd.reshape(-1, n), axis=1, bitorder="little").tobytes()
+    rows = {int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)}
     pivots = [0] * n  # pivots[c]: the row whose leading column is c, or 0
     for row in sorted(rows):
         while row:
