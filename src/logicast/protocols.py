@@ -33,7 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algset import M_MAX, AlgSet, entails, reconstruct, zeros
+# psi tests inclusion on the zero sets it builds; bench/tracing.py wraps
+# this module's entails, so the name stays importable here
+from .algset import M_MAX, AlgSet, entails, reconstruct, zeros  # noqa: F401
 from .bitcodec import (
     Bits,
     BitReader,
@@ -172,11 +174,12 @@ def psi(s: PolySet, q: PolySet) -> TernaryVector:
     """
     if s.m != q.m:
         raise DomainError(f"universe mismatch: {s.m} vs {q.m}")
-    if not entails(s, q):
+    zs, zq = zeros(s), zeros(q)
+    if not zs.issubset(zq):
         raise NotEntailed("statements do not entail the query")
     vals = np.full(1 << s.m, 2, dtype=np.int8)
-    vals[~zeros(q).to_bool_array()] = 1
-    vals[zeros(s).to_bool_array()] = 0
+    vals[~zq.to_bool_array()] = 1
+    vals[zs.to_bool_array()] = 0
     return TernaryVector(vals)
 
 

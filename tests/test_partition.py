@@ -485,6 +485,25 @@ def _fair_rows(seed: int, care: int):
         yield int.from_bytes(words.tobytes(), "little") & care
 
 
+def test_draw_columns_match_row_by_row_draws():
+    # n = 300 leaves the last 64-cell block partly filled; word counts reach
+    # one past a draw call's group, so the last call draws fewer words
+    n = 300
+    rng = random.Random(111)
+    cell_sets = [[0], [63], [64], [n - 1], [], list(range(n))]
+    cell_sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
+    for words in range(1, partition._DRAW_WORDS + 2):
+        seed = 15000 + words
+        rows = list(islice(_fair_rows(seed, (1 << n) - 1), 64 * words))
+        # column c over all drawn rows, row r at bit r - 1
+        columns = [sum(((v >> c) & 1) << r for r, v in enumerate(rows)) for c in range(n)]
+        for cells in cell_sets:
+            out = np.zeros((words, len(cells)), dtype="<u8")
+            partition._draw_columns(seed, np.array(cells, dtype=np.int64), out)
+            want = [[(columns[c] >> 64 * w) & MASK64 for c in cells] for w in range(words)]
+            assert out.tolist() == want, (words, cells)
+
+
 def _oracle_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     care = sum(1 << int(i) for i in x.psi())
     target = sum(1 << int(i) for i in np.flatnonzero(x.entries == 1))

@@ -155,20 +155,33 @@ def test_golden_bytes_read_back(scenario, codec, m):
     assert end == len(blob)
 
 
-# SHA-256 of whole t1 and t2 transmissions at sizes where the colex rank
-# runs through chunks of members; the hex vectors above stop at m = 6.
+# SHA-256 of whole transmissions at sizes the hex vectors above (m <= 6) do
+# not reach: t1 and t2 where the colex rank runs through chunks of members,
+# and t4 and t5 with the linear codec, whose systems there span many draw
+# calls of row words and hundreds of elimination steps.
 DIGESTS = {
     ("t1", 12): "4032cf2c2227e5cb2f8b99afe3a414cf5073577b7b4bd0732d65af696ff6bb49",
     ("t1", 14): "8cb1c3807a58ac36788b6b8f8adb18e4e0b811b30c73352b29f96ddc7962c80d",
     ("t2", 12): "356617a6ed088f01b5a36d25b15f7d55b9791eb193028d4805cac192335329ab",
     ("t2", 14): "c92c8701e8f4f1bcdc9d6bdcc0b6314db819e264229bea1c99e1b3cc5abfc88b",
+    ("t4", 10): "477f468189555318bb801fd98b30168b1432cc69f5338002fe7a3e76d415a749",
+    ("t4", 12): "c076c356c3ae7ecc648b85e988ffc1c39d2f5bba7e65a0bf70bdd5659d9525cb",
+    ("t5", 10): "a780224fb3b907299443de019e6f6768b82c8655cda0d24111e8260882382446",
+    ("t5", 12): "32ceba01e854499e900e1a05bc00f47f17be39daae091d5d4811ff4420bfd209",
 }
 
 
 @pytest.mark.parametrize("scenario,m", sorted(DIGESTS))
 def test_large_wire_digests_are_pinned(scenario, m):
-    tx, r = _case(scenario, None, m)
-    assert hashlib.sha256(tx.to_bytes()).hexdigest() == DIGESTS[(scenario, m)]
+    codec = "linear" if scenario in ("t4", "t5") else None
+    tx, r = _case(scenario, codec, m)
+    blob = tx.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == DIGESTS[(scenario, m)]
+    if codec:
+        back, end = read_transmission(blob, r=r)
+        assert back == tx
+        assert end == len(blob)
+        return
     # decoding and encoding again gives the same bytes
     if r is None:
         again = t1_encode(t1_decode(tx), seed=tx.seed, p_s=T1_LAW.p_s)
