@@ -5,7 +5,13 @@ Membership for all 2^m points is held in one Python integer.  Members cross
 to and from numpy in one call each way (`to_bool_array`/`from_bool_array`),
 never one point at a time.  The polynomial <-> truth-table conversions run
 through the subset-XOR (Moebius) transform, which is an involution over
-GF(2) and costs O(m * 2^m).
+GF(2) and costs O(m * 2^m) bit operations.  It runs on the 2^m-bit table
+packed little-endian into 64-bit words (bit i of the table is bit i % 64 of
+word i // 64, so a point set's integer is the words' bytes).  Round j
+XORs each bit whose index has bit j clear onto the bit 2^j above it: for
+j < 6 that is one masked shift-XOR inside every word (the masked-shift idiom
+of Warren, Hacker's Delight), and for j >= 6 one XOR of whole blocks of
+words.
 """
 
 from __future__ import annotations
@@ -81,28 +87,39 @@ class AlgSet:
             raise DomainError(f"mixed assignment spaces: m={self.m} vs m={other.m}")
 
 
-def _xor_subset_transform(values: np.ndarray, m: int) -> np.ndarray:
-    """In-place GF(2) zeta/Moebius transform over the subset lattice."""
-    for i in range(m):
-        values = values.reshape(-1, 2, 1 << i)
-        values[:, 1, :] ^= values[:, 0, :]
-    return values.reshape(-1)
+# _LOW[j]: the bits of a word whose index i % 64 has bit j clear
+_LOW = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF], "<u8")
 
 
-def _poly_value_table(q: Poly, m: int) -> np.ndarray:
-    coeffs = np.zeros(1 << m, dtype=np.uint8)
-    if q.masks:
-        coeffs[np.fromiter(q.masks, dtype=np.int64, count=len(q.masks))] = 1
-    return _xor_subset_transform(coeffs, m)
+def _xor_subset_transform(words: np.ndarray, m: int) -> np.ndarray:
+    """In-place GF(2) zeta/Moebius transform of the 2^m-bit table packed into
+    `words`: bit i becomes the XOR of the bits at the subsets of i.  Below
+    m = 6 the table is the low 2^m bits of one word; the bits above it move
+    only upward, so they never reach the table."""
+    for j in range(min(m, 6)):
+        words ^= (words & _LOW[j]) << np.uint64(1 << j)
+    for j in range(6, m):
+        blocks = words.reshape(-1, 2, 1 << (j - 6))
+        blocks[:, 1] ^= blocks[:, 0]
+    return words
+
+
+def _value_words(q: Poly, m: int) -> np.ndarray:
+    """The value table of q on the 2^m points, packed into words."""
+    coeffs = np.zeros(max(1 << m, 64), dtype=bool)
+    coeffs[q.terms] = True
+    return _xor_subset_transform(np.packbits(coeffs, bitorder="little").view("<u8"), m)
 
 
 def zeros(ps: PolySet) -> AlgSet:
     """The points where every polynomial of the set vanishes."""
     check_m(ps.m)
-    violated = np.zeros(1 << ps.m, dtype=np.uint8)
+    violated = np.zeros(max(1, (1 << ps.m) >> 6), dtype="<u8")
     for q in ps.polys:
-        violated |= _poly_value_table(q, ps.m)
-    return AlgSet.from_bool_array(ps.m, violated == 0)
+        violated |= _value_words(q, ps.m)
+    everywhere = (1 << (1 << ps.m)) - 1
+    return AlgSet(ps.m, everywhere ^ int.from_bytes(violated.tobytes(), "little"))
 
 
 def entails(s: PolySet, t: PolySet) -> bool:
@@ -119,6 +136,10 @@ def reconstruct(a: AlgSet) -> PolySet:
     (equivalently 1 plus the sum of the point indicators of `a`), so it also
     generates the largest ideal vanishing on `a`.
     """
-    coeffs = _xor_subset_transform(~a.to_bool_array(), a.m)
-    q = Poly.of_distinct(frozenset(np.flatnonzero(coeffs).tolist()))
-    return PolySet(a.m, frozenset({q}))
+    n = 1 << a.m
+    outside = ((1 << n) - 1) ^ a.bits
+    words = np.frombuffer(bytearray(outside.to_bytes(max(8, n >> 3), "little")), "<u8")
+    coeffs = np.unpackbits(_xor_subset_transform(words, a.m).view(np.uint8), count=n,
+                           bitorder="little")
+    # nonzero reads a bool array several times faster than a uint8 one
+    return PolySet(a.m, frozenset({Poly.of_sorted(np.flatnonzero(coeffs.view(bool)))}))

@@ -108,8 +108,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     k = _load_statements(args.knowledge, None)
     q = _load_statements(args.query, None)
     m = max(k.m, q.m, 1)
-    # re-wrapping revalidates every term, so only a set below m is re-wrapped
-    k, q = (s if s.m == m else PolySet(m, s.polys) for s in (k, q))
+    k, q = (PolySet(m, s.polys) for s in (k, q))
     check = entails if args.engine == "brute" else entails_groebner
     if check(k, q):
         print("entailed")

@@ -111,7 +111,7 @@ def monomial_key(mask: int, m: int) -> int:
 def leading_term(q: Poly, m: int) -> int:
     if q.is_zero:
         raise DomainError("the zero polynomial has no leading term")
-    return max(q.masks, key=lambda t: monomial_key(t, m))
+    return max(q.terms.tolist(), key=lambda t: monomial_key(t, m))
 
 
 def _bitmask(flags: np.ndarray) -> int:
@@ -355,15 +355,15 @@ def _positions(acc: int, m: int) -> np.ndarray:
 
 
 def _pack(q: Poly, m: int) -> int:
-    if q.masks and max(q.masks) >> m:
+    if q.max_var() > m:
         raise DomainError(f"polynomial uses variables beyond m={m}")
     flags = np.zeros(1 << m, dtype=bool)
-    flags[_tables(m)[0][list(q.masks)]] = True
+    flags[_tables(m)[0][q.terms]] = True
     return _bitmask(flags)
 
 
 def _unpack(acc: int, m: int) -> Poly:
-    return Poly(_tables(m)[0][_positions(acc, m)].tolist())
+    return Poly.of_sorted(np.sort(_tables(m)[0][_positions(acc, m)]).astype(np.int64))
 
 
 class GroebnerBasis:

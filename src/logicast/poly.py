@@ -6,12 +6,22 @@ monomials combined by XOR, i.e. arithmetic lives in GF(2)[x1..xm] modulo the
 relations x_i^2 = x_i, so squaring is the identity and every polynomial is a
 function {0,1}^m -> GF(2). Assignments are packed into a point index whose
 bit i-1 is the value of x_i.
+
+A polynomial holds its monomials as one read-only numpy array, `terms`,
+sorted ascending with no repeats, so its largest variable is read off the
+last term. The dtype is int64 whenever every mask is below 2^63, and object
+(Python ints) otherwise, so equal polynomials hold equal arrays of one dtype.
+Arithmetic that builds a polynomial a term at a time (the product, and the
+statement parser's connectives) runs on Python sets of masks and makes the
+array once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
+
+import numpy as np
 
 from .errors import VariableOutOfRange
 
@@ -25,10 +35,24 @@ def monomial_from_vars(indices: Iterable[int]) -> int:
     return mask
 
 
-class Poly:
-    """Multilinear GF(2) polynomial as a frozenset of monomial masks."""
+def mask_product(a: Iterable[int], b: Collection[int]) -> set[int]:
+    """Terms of the product of two polynomials given by their distinct
+    masks: the unions a | b that occur an odd number of times."""
+    acc: set[int] = set()
+    for x in a:
+        for y in b:
+            t = x | y
+            if t in acc:
+                acc.remove(t)
+            else:
+                acc.add(t)
+    return acc
 
-    __slots__ = ("masks",)
+
+class Poly:
+    """Multilinear GF(2) polynomial as a sorted array of monomial masks."""
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[int] = ()):
         acc: set[int] = set()
@@ -39,14 +63,29 @@ class Poly:
                 acc.remove(t)
             else:
                 acc.add(t)
-        self.masks: frozenset[int] = frozenset(acc)
+        self.terms = Poly.of_distinct(acc).terms
 
     @classmethod
-    def of_distinct(cls, masks: frozenset[int]) -> "Poly":
+    def of_distinct(cls, masks: Collection[int]) -> "Poly":
         """The polynomial whose terms are `masks`, which the caller knows to
-        be non-negative; being a set, no two of them cancel."""
+        be distinct and non-negative, so that no two of them cancel."""
+        try:
+            terms = np.fromiter(masks, np.int64, len(masks))
+        except OverflowError:  # a mask of 2^63 or more
+            terms = np.empty(len(masks), object)
+            terms[:] = sorted(masks)
+        else:
+            terms.sort()
+        return cls.of_sorted(terms)
+
+    @classmethod
+    def of_sorted(cls, terms: np.ndarray) -> "Poly":
+        """The polynomial over `terms`, which the caller knows to be sorted,
+        distinct, non-negative and int64 (object only if one is >= 2^63).
+        The array is made read-only and kept, not copied."""
+        terms.flags.writeable = False
         out = cls.__new__(cls)
-        out.masks = masks
+        out.terms = terms
         return out
 
     @classmethod
@@ -63,41 +102,34 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.masks
+        return not self.terms.size
 
     def max_var(self) -> int:
-        return max(self.masks, default=0).bit_length()
+        return int(self.terms[-1]).bit_length() if self.terms.size else 0
 
     def eval(self, point: int) -> int:
         """Value at the assignment packed into `point` (bit i-1 = x_i)."""
-        acc = 0
-        for t in self.masks:
-            if t & point == t:
-                acc ^= 1
-        return acc
+        return int(np.count_nonzero(self.terms & point == self.terms)) & 1
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly.of_distinct(self.masks ^ other.masks)
+        return Poly.of_distinct(set(self.terms.tolist()) ^ set(other.terms.tolist()))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        acc: set[int] = set()
-        for a in self.masks:
-            for b in other.masks:
-                t = a | b
-                if t in acc:
-                    acc.remove(t)
-                else:
-                    acc.add(t)
-        return Poly.of_distinct(frozenset(acc))
+        return Poly.of_distinct(mask_product(self.terms.tolist(), other.terms.tolist()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.masks == other.masks
+        if not isinstance(other, Poly):
+            return False
+        a, b = self.terms, other.terms
+        return a.shape == b.shape and a.dtype == b.dtype and bool((a == b).all())
 
     def __hash__(self) -> int:
-        return hash(self.masks)
+        # an object array's bytes are pointers, so it hashes its values
+        t = self.terms
+        return hash(t.tobytes() if t.dtype == np.int64 else tuple(t.tolist()))
 
     def __repr__(self) -> str:
-        return f"Poly({sorted(self.masks)})"
+        return f"Poly({self.terms.tolist()})"
 
 
 # ------------------------------------------------------------------ PolySet

@@ -10,27 +10,29 @@ right-associative; a bare formula is read as asserted TRUE. `#` starts a
 comment. Variables are written x1, x2, ... (1-indexed).
 
 No syntax tree is built: each connective is applied to its operands'
-polynomials as parsed, and a raw line is read as a list of monomial masks.
-Raw lines in the canonical shape `render_statements` writes (factors
-spelled x<i> or 1, blanks or tabs only around factors, no comment) are read
-in one pass of numpy work over the whole text: the bytes are classified,
-each line checked, and each factor x<i> becomes the bit 1 << (i - 1), ORed
-into term masks by `np.bitwise_or.reduceat`. Every other line, and every
-error, goes through the tokenizer. Rendering sorts and spells the terms of
-a whole PolySet at once, from per-byte tables of variable names.
+terms as parsed, held as Python sets of monomial masks, and a line's `Poly`
+(its sorted int64 array of terms) is built once from the result; a raw line
+is read as a list of monomial masks. Raw lines in the canonical shape
+`render_statements` writes (factors spelled x<i> or 1, blanks or tabs only
+around factors, no comment) are read in one pass of numpy work over the
+whole text: the bytes are classified, each line checked, and each factor
+x<i> becomes the bit 1 << (i - 1), ORed into term masks by
+`np.bitwise_or.reduceat`; one sort of all terms by line and mask gives
+every line its term array. Every other line, and every error, goes through
+the tokenizer. Rendering sorts and spells the terms of a whole PolySet at
+once, from per-byte tables of variable names.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 
 import numpy as np
 
 from .algset import M_MAX
 from .errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
-from .poly import Poly, PolySet
+from .poly import Poly, PolySet, mask_product
 
 _TOKEN_RE = re.compile(
     r"""(?P<space>[ \t\r]+)
@@ -45,7 +47,7 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"NOT", "AND", "OR", "XOR", "IMPLIES", "is", "TRUE", "FALSE"}
 _SYMS = {"(": "LP", ")": "RP", "+": "PLUS", "*": "STAR", "=": "EQ"}
-_ONE = Poly.one()
+_ONE = frozenset({0})  # the terms of the constant 1
 
 
 # canonical variable names; any other spelling goes through _variable_index
@@ -132,49 +134,50 @@ class _Cursor:
 
 
 # ------------------------------------------------------------ formula parser
-# Each level returns the truth polynomial of what it parsed.
+# Each level returns the terms of the truth polynomial of what it parsed, a
+# set of distinct masks; sum is symmetric difference, product mask_product.
 
-def _parse_implies(cur: _Cursor) -> Poly:
+def _parse_implies(cur: _Cursor) -> set[int]:
     a = _parse_or(cur)
     if cur.kind() == "IMPLIES":
         cur.next()
         b = _parse_implies(cur)  # right-associative
-        return a * b + a + _ONE
+        return mask_product(a, b) ^ a ^ _ONE
     return a
 
 
-def _parse_or(cur: _Cursor) -> Poly:
+def _parse_or(cur: _Cursor) -> set[int]:
     a = _parse_xor(cur)
     while cur.kind() == "OR":
         cur.next()
         b = _parse_xor(cur)
-        a = a + b + a * b
+        a = a ^ b ^ mask_product(a, b)
     return a
 
 
-def _parse_xor(cur: _Cursor) -> Poly:
+def _parse_xor(cur: _Cursor) -> set[int]:
     a = _parse_and(cur)
     while cur.kind() == "XOR":
         cur.next()
-        a = a + _parse_and(cur)
+        a = a ^ _parse_and(cur)
     return a
 
 
-def _parse_and(cur: _Cursor) -> Poly:
+def _parse_and(cur: _Cursor) -> set[int]:
     a = _parse_unary(cur)
     while cur.kind() == "AND":
         cur.next()
-        a = a * _parse_unary(cur)
+        a = mask_product(a, _parse_unary(cur))
     return a
 
 
-def _parse_unary(cur: _Cursor) -> Poly:
+def _parse_unary(cur: _Cursor) -> set[int]:
     kind = cur.kind()
     if kind == "NOT":
         cur.next()
-        return _parse_unary(cur) + _ONE
+        return _parse_unary(cur) ^ _ONE
     if kind == "VAR":
-        return Poly.variable(cur.next()[1])
+        return {1 << (cur.next()[1] - 1)}
     if kind == "LP":
         cur.next()
         a = _parse_implies(cur)
@@ -200,7 +203,7 @@ def _parse_formula_line(cur: _Cursor) -> Poly:
         else:
             raise cur.error("expected TRUE or FALSE after 'is'")
     cur.expect("END", "end of statement")
-    return truth + _ONE if asserted else truth
+    return Poly.of_distinct(truth ^ _ONE if asserted else truth)
 
 
 # --------------------------------------------------------- raw polynomial mode
@@ -247,19 +250,17 @@ _CLASS = bytes(
 )
 
 
-def _bulk_polys(lines: list[str], limit: int) -> tuple[list[Poly | None], int | None]:
+def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     """Polynomial of each line that reads `t + ... + t = 0`, each term t a
     product of factors x<i> (1 <= i <= limit, no leading zero) or 1, with
-    blanks or tabs only around factors; None for any other line. Also the
-    largest i those lines use, or None when a line repeats a term, whose
-    cancelling may drop its largest variable.
+    blanks or tabs only around factors; None for any other line.
 
     The work is numpy calls over the whole text, not per line: the blanks
     are dropped and every byte is checked against its neighbours.
     """
     out: list[Poly | None] = [None] * len(lines)
     if not lines:
-        return out, 0
+        return out
     # one byte per character: anything not ASCII becomes '?', which no line takes
     text = "\n".join(lines).encode("ascii", "replace").translate(_CLASS)
     cls = np.frombuffer(text, np.uint8)
@@ -301,21 +302,18 @@ def _bulk_polys(lines: list[str], limit: int) -> tuple[list[Poly | None], int | 
     # x<i> is the bit 1 << (i - 1); the factor 1 is no bit
     bits = np.left_shift(1, (index[at] * x[at]).astype(np.int64)) >> 1
     term = (prev[at] == _PLUS) | (prev[at] == _NL)
-    masks = np.bitwise_or.reduceat(bits, np.flatnonzero(term)).tolist()
+    masks = np.bitwise_or.reduceat(bits, np.flatnonzero(term))
     line_of_term = np.searchsorted(starts, at[term], side="right") - 1
-    counts = np.bincount(line_of_term, minlength=len(lines))[ok].tolist()
-    lo = 0
-    top: int | None = int(np.bitwise_or.reduce(bits)).bit_length()
-    for line, n in zip(np.flatnonzero(ok).tolist(), counts):
-        terms = masks[lo:lo + n]
-        lo += n
-        distinct = frozenset(terms)
-        if len(distinct) == n:
-            out[line] = Poly.of_distinct(distinct)
-        else:  # Poly(terms) cancels repeated terms in pairs, one term at a time
-            out[line] = Poly(terms)
-            top = None
-    return out, top
+    # One sort by line, then mask (a mask has at most M_MAX bits); of each
+    # run of equal terms an odd count leaves one, an even count none.
+    key = np.sort(line_of_term << M_MAX | masks)
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[run[np.diff(run, append=len(key)) & 1 == 1]]
+    masks = key & (1 << M_MAX) - 1
+    bounds = np.searchsorted(key >> M_MAX, np.arange(len(lines) + 1)).tolist()
+    for line in np.flatnonzero(ok).tolist():
+        out[line] = Poly.of_sorted(masks[bounds[line]:bounds[line + 1]])
+    return out
 
 
 # ------------------------------------------------------------------ lines
@@ -342,19 +340,17 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     A variable past `m` or past algset.M_MAX is refused as it is read.
     """
     lines = text.splitlines()
-    bulk, top = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
+    bulk = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
     polys: set[Poly] = set()
-    seen_m = top or 0
     for line_no, (raw, q) in enumerate(zip(lines, bulk), start=1):
-        tokenized = q is None
-        if tokenized:
+        if q is None:
             q = _parse_line(raw, line_no, m)
             if q is None:
                 continue
         polys.add(q)
-        if m is None and (tokenized or top is None):
-            seen_m = max(seen_m, q.max_var())
-    return PolySet(seen_m if m is None else m, frozenset(polys))
+    if m is None:
+        m = max((q.max_var() for q in polys), default=0)
+    return PolySet(m, frozenset(polys))
 
 
 @functools.cache
@@ -380,12 +376,14 @@ _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.int64)
 def _poly_texts(polys: list[Poly]) -> list[str]:
     """Canonical text of each nonzero polynomial (see poly_to_text), with
     the terms of all of them sorted and spelled by numpy calls at once."""
-    top = max((q.max_var() for q in polys), default=0)
+    if not polys:
+        return []
+    top = max(q.max_var() for q in polys)
     rows = max(1, (top + 7) // 8)
     # masks past x24 may not fit the int64 sort key; Python ints fit any
     dtype = np.int64 if top <= M_MAX else object
-    sizes = [len(q.masks) for q in polys]
-    masks = np.fromiter(itertools.chain.from_iterable(q.masks for q in polys), dtype, sum(sizes))
+    sizes = [q.terms.size for q in polys]
+    masks = np.concatenate([q.terms for q in polys]).astype(dtype, copy=False)
     byte = [(masks >> 8 * r & 255).astype(np.int64) for r in range(rows)]
     degree = sum(_POPCOUNT[b] for b in byte)
     # One key per term: its polynomial, then degree descending, then the
@@ -410,12 +408,12 @@ def _poly_texts(polys: list[Poly]) -> list[str]:
 
 def poly_to_text(q: Poly) -> str:
     """Canonical text: terms in degree-major order, variables ascending."""
-    return _poly_texts([q])[0] if q.masks else "0"
+    return "0" if q.is_zero else _poly_texts([q])[0]
 
 
 def render_statements(ps: PolySet) -> str:
     """Render a PolySet as raw-polynomial statement lines, one per polynomial."""
-    live = [q for q in ps.polys if q.masks]
+    live = [q for q in ps.polys if not q.is_zero]
     lines = [f"{t} = 0" for t in _poly_texts(live)]
     if len(live) < len(ps.polys):
         lines.append("0 = 0")

@@ -4,10 +4,12 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicast import algset
 from logicast.algset import M_MAX, AlgSet, entails, reconstruct, zeros
 from logicast.errors import DomainError, UniverseTooLarge
 from logicast.poly import Poly, PolySet, monomial_from_vars
@@ -204,3 +206,58 @@ def test_reconstruct_exhaustive_pairs_consistency():
         a, b = AlgSet(2, abits), AlgSet(2, bbits)
         expect = (abits | bbits) == bbits  # a subset of b
         assert entails(reconstruct(a), reconstruct(b)) == expect
+
+
+# --------------------------------------------------- packed subset transform
+
+def _byte_transform(values: np.ndarray, m: int) -> np.ndarray:
+    """Oracle: the subset-XOR transform on one byte per point, in place."""
+    for i in range(m):
+        values = values.reshape(-1, 2, 1 << i)
+        values[:, 1, :] ^= values[:, 0, :]
+    return values.reshape(-1)
+
+
+def _packed_transform(table: np.ndarray, m: int) -> np.ndarray:
+    """The packed-word transform of a 0/1 byte table, read back per point."""
+    padded = np.zeros(max(1 << m, 64), dtype=np.uint8)
+    padded[:table.size] = table
+    words = np.packbits(padded, bitorder="little").view("<u8")
+    out = algset._xor_subset_transform(words, m)
+    return np.unpackbits(out.view(np.uint8), count=1 << m, bitorder="little")
+
+
+def test_packed_transform_matches_the_byte_transform():
+    rng = np.random.default_rng(2101)
+    for m in range(17):
+        n = 1 << m
+        tables = [np.zeros(n, np.uint8), np.ones(n, np.uint8)]
+        tables += [np.eye(1, n, k, dtype=np.uint8)[0] for k in {0, n // 2, n - 1}]
+        tables += [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(3)]
+        for table in tables:
+            want = _byte_transform(table.copy(), m)
+            assert np.array_equal(_packed_transform(table, m), want), m
+            # the transform is an involution
+            assert np.array_equal(_packed_transform(want, m), table), m
+
+
+def test_packed_transform_leaves_the_word_past_a_short_table():
+    # below m = 6 the table is the low 2^m bits of one word; set bits above
+    # it must not reach the table
+    for m in range(6):
+        table = np.random.default_rng(m).integers(0, 2, 1 << m, dtype=np.uint8)
+        word = np.packbits(np.concatenate([table, np.ones(64 - table.size, np.uint8)]),
+                           bitorder="little").view("<u8")
+        got = np.unpackbits(algset._xor_subset_transform(word, m).view(np.uint8),
+                            count=1 << m, bitorder="little")
+        assert np.array_equal(got, _byte_transform(table.copy(), m)), m
+
+
+def test_zeros_of_reconstruct_is_the_identity_up_to_m_14():
+    rng = np.random.default_rng(2102)
+    for m in range(15):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            a = AlgSet.from_bool_array(m, rng.random(1 << m) < density)
+            (q,) = reconstruct(a).polys
+            assert q.terms.dtype == np.int64 and not q.terms.flags.writeable
+            assert zeros(reconstruct(a)) == a, (m, density)

@@ -57,7 +57,7 @@ def _vanishes_on(q: Poly, points, m: int) -> bool:
 def _random_order_reduce(q: Poly, gb: GroebnerBasis, rng: random.Random) -> Poly:
     """Oracle: full reduction choosing reducible monomial and divisor at random."""
     lts = [(leading_term(g, gb.m), g) for g in gb.polys]
-    masks = set(q.masks)
+    masks = set(q.terms.tolist())
     while True:
         options = [
             (mono, g, lt)
@@ -69,7 +69,7 @@ def _random_order_reduce(q: Poly, gb: GroebnerBasis, rng: random.Random) -> Poly
             return Poly(masks)
         mono, g, lt = rng.choice(options)
         update = Poly([mono & ~lt]) * g
-        masks ^= update.masks
+        masks ^= set(update.terms.tolist())
 
 
 # ------------------------------------------------------------ monomial order
@@ -153,7 +153,7 @@ def test_reduced_basis_invariants():
                     assert not (a & b == a)  # no leading term divides another
         # fully reduced: no monomial of any element is divisible by another's LT
         for i, g in enumerate(gb.polys):
-            for mono in g.masks:
+            for mono in g.terms.tolist():
                 for j, lt in enumerate(lts):
                     if i != j:
                         assert lt & mono != lt

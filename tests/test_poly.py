@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicast.algset import reconstruct, zeros
 from logicast.errors import VariableOutOfRange
+from logicast.groebner import groebner_basis, normal_form
 from logicast.poly import Poly, PolySet, monomial_from_vars
+from logicast.statements import parse_statements, poly_to_text, render_statements
 
 
 def p(*termvars) -> Poly:
@@ -99,3 +105,104 @@ def test_poly_max_var():
     assert p((1, 3), (2,)).max_var() == 3
     assert Poly.zero().max_var() == 0
     assert Poly.one().max_var() == 0
+
+
+# ------------------------------------------------------------- term arrays
+
+def _assert_canonical(q: Poly) -> None:
+    """terms is sorted, duplicate-free, read-only, and int64 unless a mask
+    is 2^63 or more."""
+    values = q.terms.tolist()
+    assert values == sorted(set(values))
+    assert not q.terms.flags.writeable
+    big = bool(values) and values[-1] >= 1 << 63
+    assert q.terms.dtype == (object if big else np.int64)
+
+
+def _formula(masks: list[int]) -> str:
+    """A formula line whose member polynomial has exactly these terms."""
+    def term(t: int) -> str:
+        vs = [f"x{i + 1}" for i in range(t.bit_length()) if t >> i & 1]
+        return "(" + " AND ".join(vs) + ")" if vs else "(x1 OR NOT x1)"
+    return (" XOR ".join(term(t) for t in masks) or "x1 AND NOT x1") + " is FALSE"
+
+
+def _built_every_way(masks: list[int], m: int) -> list[Poly]:
+    """The polynomial with these distinct terms, from every constructor."""
+    q = Poly(masks)
+    r = Poly([1, 6, 7][: len(masks) % 4])
+    built = [
+        q,
+        Poly(masks + masks[:2] * 2),  # repeats cancel in pairs
+        Poly(reversed(masks)),
+        Poly.of_distinct(set(masks)),
+        Poly.of_distinct(masks[::-1]),
+        q + Poly.zero(),
+        Poly.zero() + q,
+        (q + r) + r,
+        q * Poly.one(),
+        Poly.one() * q,
+        normal_form(q, groebner_basis(PolySet(m, frozenset()))),
+    ]
+    (rec,) = reconstruct(zeros(PolySet(m, frozenset({q})))).polys
+    built.append(rec)
+    for line in (f"{poly_to_text(q)} = 0", _formula(masks)):
+        (parsed,) = parse_statements(line + "\n", m).polys
+        built.append(parsed)
+    return built
+
+
+def test_repeated_terms_cancel_in_pairs_and_negative_masks_raise():
+    assert Poly([3, 3]) == Poly.zero()
+    assert Poly([3, 3, 3, 5, 5, 0]) == Poly([0, 3])
+    assert Poly([1 << 70, 2, 1 << 70, 1 << 70]) == Poly([2, 1 << 70])
+    with pytest.raises(VariableOutOfRange):
+        Poly([1, -1])
+    with pytest.raises(VariableOutOfRange):
+        Poly([1 << 64, -(1 << 64)])
+
+
+def test_every_constructor_builds_one_canonical_polynomial():
+    rng = random.Random(2103)
+    for trial in range(60):
+        m = trial % 8 + 1
+        masks = rng.sample(range(1 << m), rng.randint(0, min(12, 1 << m)))
+        built = _built_every_way(masks, m)
+        for q in built:
+            _assert_canonical(q)
+            assert q == built[0] and hash(q) == hash(built[0]), (masks, q)
+        assert len(set(built)) == 1
+
+
+def test_terms_are_read_only():
+    q = Poly([5, 1])
+    with pytest.raises(ValueError):
+        q.terms[0] = 2
+    assert q.terms.tolist() == [1, 5]
+
+
+def test_masks_past_2_63_take_the_object_path_and_back():
+    big = 1 << 63
+    q = Poly([big, 5])
+    for same in (Poly.of_distinct({5, big}), Poly([5, big, 7, 7]), q + Poly.zero(),
+                 q * Poly.one(), (q + Poly([1 << 64])) + Poly([1 << 64])):
+        _assert_canonical(same)
+        assert same == q and hash(same) == hash(q)
+    _assert_canonical(q)
+    assert q.max_var() == 64
+    # cancelling the large term brings the array back to int64
+    small = q + Poly([big])
+    _assert_canonical(small)
+    assert small == Poly([5]) and hash(small) == hash(Poly([5]))
+    assert Poly([big - 1]).terms.dtype == np.int64
+    assert q != Poly([5]) and Poly([5]) != q
+
+
+def test_masks_past_2_63_survive_arithmetic_and_rendering():
+    big = 1 << 63
+    assert Poly([big]) * Poly([1, 2]) == Poly([big | 1, big | 2])
+    assert (Poly([big, 1]) * Poly([big | 4])).terms.tolist() == [big | 4, big | 5]
+    assert Poly([big, 0]) + Poly([1 << 99]) == Poly([0, big, 1 << 99])
+    assert Poly([big | 1]).eval(big | 1) == 1 and Poly([big | 1]).eval(big) == 0
+    ps = PolySet(100, frozenset({Poly([big, 0]), Poly([1 << 99, big | 1])}))
+    assert render_statements(ps) == "x1*x64 + x100 = 0\nx64 + 1 = 0\n"

@@ -469,7 +469,7 @@ def test_bulk_path_matches_token_path():
     for trial in range(1500):
         m = trial % 24 + 1
         text = _random_text(rng, m)
-        bulk_lines += sum(q is not None for q in statements._bulk_polys(text.splitlines(), m)[0])
+        bulk_lines += sum(q is not None for q in statements._bulk_polys(text.splitlines(), m))
         for m_arg in (m, None):
             assert _outcome(parse_statements, text, m_arg) == _outcome(_token_parse, text, m_arg), (
                 text, m_arg
@@ -548,7 +548,7 @@ def _oracle_poly_to_text(q: Poly) -> str:
     if q.is_zero:
         return "0"
     names = [f"x{i}" for i in range(q.max_var() + 1)]
-    keyed = sorted((-t.bit_count(), _oracle_monomial_vars(t)) for t in q.masks)
+    keyed = sorted((-t.bit_count(), _oracle_monomial_vars(t)) for t in q.terms.tolist())
     return " + ".join(
         "*".join([names[i] for i in vs]) if vs else "1" for _, vs in keyed
     )
@@ -680,10 +680,7 @@ def test_whole_file_parse_matches_the_per_line_oracle():
             bits = _oracle_bits(m_arg)
             want = [_oracle_bulk_poly(ln, bits) for ln in split]
             limit = 24 if m_arg is None else m_arg
-            got, top = statements._bulk_polys(split, limit)
-            assert got == want, (split, m_arg)
-            # the largest index read, unless a repeated term may have cancelled it
-            assert top in (None, max((q.max_var() for q in want if q is not None), default=0))
+            assert statements._bulk_polys(split, limit) == want, (split, m_arg)
             assert _outcome(parse_statements, text, m_arg) == _outcome(_oracle_parse, text, m_arg)
             accepted += sum(q is not None for q in want)
             refused += sum(q is None for q in want)
