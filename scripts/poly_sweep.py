@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Time the polynomial <-> zero-set conversions and the statement text path.
 
-For each m and seed, samples one point set from `Single(--density)` with
+For each m and seed, samples one point set from `Single(DENSITY)` with
 `simlab.sample` and prints one row: its points, the terms of its canonical
 polynomial, and the best process time of `algset.zeros`,
 `algset.reconstruct`, `statements.render_statements` and
 `statements.parse_statements` on it. Then prints the best time of
-`parse_statements` on a file of --formula-lines random formula lines over
+`parse_statements` on a file of FORMULA_LINES random formula lines over
 x1..x12 (fixed seed), the path whose connectives run on sets of masks.
 Exits 1 if `zeros(reconstruct(a)) != a`, or if a rendered file does not
 parse back to the same PolySet.
@@ -23,6 +23,9 @@ import time
 from logicast.algset import reconstruct, zeros
 from logicast.simlab import Single, sample
 from logicast.statements import parse_statements, render_statements
+
+DENSITY = 0.2
+FORMULA_LINES = 2000
 
 
 def best(fn, arg, best_of: int) -> tuple[float, object]:
@@ -51,17 +54,15 @@ def formula_file(lines: int) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, nargs="+", default=range(8, 17))
-    ap.add_argument("--density", type=float, default=0.2)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--best-of", type=int, default=5)
-    ap.add_argument("--formula-lines", type=int, default=2000)
     args = ap.parse_args()
-    if args.best_of < 1 or not 0 < args.density < 1 or not all(1 <= m <= 20 for m in args.m):
-        ap.error("need best-of >= 1, 0 < density < 1 and 1 <= m <= 20")
+    if args.best_of < 1 or not all(1 <= m <= 20 for m in args.m):
+        ap.error("need best-of >= 1 and 1 <= m <= 20")
     print("m\tseed\tpoints\tterms\tzeros_ms\treconstruct_ms\trender_ms\tparse_ms")
     for m in args.m:
         for seed in args.seeds:
-            (a,), (ps,) = sample(Single(args.density), m, seed)
+            (a,), (ps,) = sample(Single(DENSITY), m, seed)
             (q,) = ps.polys
             t_zeros, z = best(zeros, ps, args.best_of)
             t_rec, back = best(reconstruct, a, args.best_of)
@@ -76,8 +77,8 @@ def main() -> int:
                 return 1
             print(f"{m}\t{seed}\t{a.size}\t{q.terms.size}\t{t_zeros * 1e3:.3f}\t"
                   f"{t_rec * 1e3:.3f}\t{t_render * 1e3:.3f}\t{t_parse * 1e3:.3f}")
-    t_formula, _ = best(parse_statements, formula_file(args.formula_lines), args.best_of)
-    print(f"formula_lines\t{args.formula_lines}\tparse_ms\t{t_formula * 1e3:.3f}")
+    t_formula, _ = best(parse_statements, formula_file(FORMULA_LINES), args.best_of)
+    print(f"formula_lines\t{FORMULA_LINES}\tparse_ms\t{t_formula * 1e3:.3f}")
     return 0
 
 

@@ -109,6 +109,10 @@ class Poly:
 
     def eval(self, point: int) -> int:
         """Value at the assignment packed into `point` (bit i-1 = x_i)."""
+        if self.terms.dtype == np.int64:
+            # every int64 term is below 2^63, so the bits cut off here
+            # cannot change a term & point, and the AND stays in int64
+            point &= (1 << 63) - 1
         return int(np.count_nonzero(self.terms & point == self.terms)) & 1
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -204,5 +204,8 @@ def test_masks_past_2_63_survive_arithmetic_and_rendering():
     assert (Poly([big, 1]) * Poly([big | 4])).terms.tolist() == [big | 4, big | 5]
     assert Poly([big, 0]) + Poly([1 << 99]) == Poly([0, big, 1 << 99])
     assert Poly([big | 1]).eval(big | 1) == 1 and Poly([big | 1]).eval(big) == 0
+    # an int64 polynomial takes points of any size, as the set loop did
+    assert Poly([1]).eval(1 << 70) == 0 and Poly([1]).eval(big | 1) == 1
+    assert Poly([0, 3]).eval((1 << 100) | 3) == 0 and Poly([2]).eval(-1) == 1
     ps = PolySet(100, frozenset({Poly([big, 0]), Poly([1 << 99, big | 1])}))
     assert render_statements(ps) == "x1*x64 + x100 = 0\nx64 + 1 = 0\n"
