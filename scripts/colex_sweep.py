@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Time the colex unrank's walk steps against its float-guessed chunks.
+"""Time the colex rank, and the unrank's walk steps against its float-guessed chunks.
 
 For random k-subsets of {0..n-1} with k = n // 5 (or --ratio), prints one
 row per (n, seed): the bits of C(n, k), then the best process time of
-`bitcodec._unrank` with walk steps only and with chunks tried first. The
-two modes alternate call by call, so drift on a shared machine hits both
-alike. The crossover moves with k / n; the comment on
-`bitcodec._UNRANK_CHUNK_MIN_BITS` quotes rows at several ratios.
+`bitcodec.subset_rank` on the subset and of `bitcodec._unrank` with walk
+steps only and with chunks tried first. The three calls alternate, so
+drift on a shared machine hits all of them alike. The unrank's crossover
+moves with k / n; the comment on `bitcodec._UNRANK_CHUNK_MIN_BITS` quotes
+rows at several ratios.
 
     PYTHONPATH=src python3 scripts/colex_sweep.py --best-of 9 --seeds 1 2
 """
@@ -22,13 +23,16 @@ from logicast import bitcodec
 SIZES = (128, 1024, 2048, 2560, 3072, 3584, 4096, 6000, 8192, 16384)
 
 
-def best_pair(n: int, members: list[int], best_of: int) -> tuple[float, float]:
-    """Best process seconds of the walk-only and the chunked unrank."""
+def best_times(n: int, members: list[int], best_of: int) -> tuple[float, float, float]:
+    """Best process seconds of the rank, the walk-only and the chunked unrank."""
     k = len(members)
     rank = bitcodec.subset_rank(n, members)
     top = math.comb(n - 1, k)
-    walk = chunk = math.inf
+    rank_s = walk = chunk = math.inf
     for _ in range(best_of):
+        start = time.process_time()
+        bitcodec.subset_rank(n, members)
+        rank_s = min(rank_s, time.process_time() - start)
         for chunks in (False, True):
             start = time.process_time()
             got = bitcodec._unrank(n, k, rank, top, chunks)
@@ -39,7 +43,7 @@ def best_pair(n: int, members: list[int], best_of: int) -> tuple[float, float]:
                 chunk = min(chunk, took)
             else:
                 walk = min(walk, took)
-    return walk, chunk
+    return rank_s, walk, chunk
 
 
 def main() -> int:
@@ -51,14 +55,14 @@ def main() -> int:
     args = ap.parse_args()
     if not 0 < args.ratio < 1 or args.best_of < 1 or min(args.sizes) < 2:
         ap.error("need 0 < ratio < 1, best-of >= 1 and sizes >= 2")
-    print("n\tk\tseed\tbits\twalk_ms\tchunk_ms")
+    print("n\tk\tseed\tbits\trank_ms\twalk_ms\tchunk_ms")
     for n in args.sizes:
         k = max(1, int(n * args.ratio))
         for seed in args.seeds:
             members = sorted(random.Random(seed).sample(range(n), k))
-            walk, chunk = best_pair(n, members, args.best_of)
+            times = best_times(n, members, args.best_of)
             bits = math.comb(n, k).bit_length()
-            print(f"{n}\t{k}\t{seed}\t{bits}\t{walk * 1e3:.3f}\t{chunk * 1e3:.3f}")
+            print(f"{n}\t{k}\t{seed}\t{bits}\t" + "\t".join(f"{t * 1e3:.3f}" for t in times))
     return 0
 
 

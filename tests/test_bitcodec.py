@@ -365,6 +365,35 @@ def test_public_unrank_with_chunks_at_every_size(case):
         assert subset_unrank(n, len(members), rank) == members
 
 
+def test_closes_in_lowest_terms_match_the_plain_quotients(monkeypatch):
+    # every close the rank and the chunked unrank make, at sizes where the
+    # anchor outgrows the chunk's denominator and its ratio is cancelled
+    real_close = bitcodec._close_chunk
+    closes = []
+
+    def recording_close(*args):
+        closes.append((args, real_close(*args)))
+        return closes[-1][1]
+
+    monkeypatch.setattr(bitcodec, "_close_chunk", recording_close)
+    cancelled = 0
+    for n in (1 << 13, 1 << 14):
+        for k in (n // 5, n // 2, n - 30):
+            members = tuple(sorted(random.Random(n + k).sample(range(n), k)))
+            closes.clear()
+            rank = subset_rank(n, members)
+            assert rank == _walk_rank(n, members)
+            assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
+            assert _walk_unrank(n, k, rank) == members
+            assert closes, (n, k)
+            for (anchor, part, num, den), got in closes:
+                assert got == (anchor * part // den, anchor * num // den)
+                assert anchor * part % den == 0 and anchor * num % den == 0
+                if anchor.bit_length() > den.bit_length():
+                    cancelled += math.gcd(num, part, den) > 1
+    assert cancelled > 0
+
+
 def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
     # C(2^18, 200) has about 2360 bits; gaps of about 1300 positions, some
     # of several thousand, make each step's products long
