@@ -278,6 +278,12 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     each step finds the pivots among 8 columns, tabulates the 2^kk
     combinations of its kk pivot rows, and clears those columns from every
     row with one table lookup and one XOR of the words from the block on.
+    The table is built one combination per row: the kk pivot rows are
+    gathered once, combinations 2^a .. 2^(a+1) - 1 are the ones below them
+    XOR pivot row a (one XOR over whole rows per pivot row), and one copy
+    turns it word-major for the lookups, which read it 16 words at a time.
+    At k <= 2100 the numpy calls per step, not the XORed words, set the
+    time, so the step's pivot bookkeeping stays in Python lists and a dict.
     Rows stay where they are; a byte mask marks the live rows (no pivot
     yet), and only those are searched for pivots.  For k constraints that
     is about k^3/512 word operations on k^2/8 bytes.  The pivot columns are
@@ -293,7 +299,7 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     t_bit = 1 << (rows & 7)
     live = np.full(k, 0xFF, dtype=np.uint8)  # 0 once the row is a pivot row
     first = 0  # no live row before it
-    pivot_col = np.zeros(k, dtype=np.int64)
+    pivot_col: dict[int, int] = {}  # pivot row -> its column
     for c in range(0, rows, 8):
         # stop once the target lies in the span of the columns left of c
         if not np.count_nonzero(target & live & t_bit):
@@ -329,30 +335,33 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
                     break
         if not src:
             continue
-        # table[:, s]: XOR of the source rows in s, words from the block on
+        # by_combo[s]: XOR of the source rows in s, words from the block on,
+        # doubled one whole source row at a time; table is its transpose
         w0 = c >> 6
-        rows_src = system[w0:, src]
-        table = np.empty((system.shape[0] - w0, 1 << len(src)), dtype=system.dtype)
-        table[:, 0] = 0
-        for a in range(len(src)):
-            np.bitwise_xor(table[:, : 1 << a], rows_src[:, a, None], out=table[:, 1 << a : 2 << a])
+        by_combo = np.empty((1 << len(src), system.shape[0] - w0), dtype=system.dtype)
+        by_combo[0] = 0
+        for a, row in enumerate(system.T[src, w0:]):
+            np.bitwise_xor(by_combo[: 1 << a], row, out=by_combo[1 << a : 2 << a])
+        table = np.ascontiguousarray(by_combo.T)
         # lut[byte]: the source combination that clears the byte's pivot bits
-        of_bit = np.zeros(8, dtype=np.uint8)
-        pivots = [e[0].bit_length() - 1 for e in basis]
-        of_bit[pivots] = [e[2] for e in basis]
-        idx = np.bitwise_xor.reduce(_BIT_MASKS & of_bit[:, None], axis=0).take(block)
+        of_bit = [0] * 8
+        for e, i in zip(basis, src):
+            p = e[0].bit_length() - 1
+            of_bit[p] = e[2]
+            pivot_col[i] = c + p
+        lut = np.bitwise_xor.reduce(_BIT_MASKS & np.array(of_bit, dtype=np.uint8)[:, None], axis=0)
+        idx = lut.astype(np.intp).take(block)
         for w in range(w0, system.shape[0], _SLAB):
             system[w : w + _SLAB] ^= np.take(table[w - w0 : w - w0 + _SLAB], idx, axis=1)
         # that cleared the source rows too; they become the reduced pivots
         system[w0:, src] = table[:, [e[2] for e in basis]]
-        pivot_col[src] = [c + p for p in pivots]
         live[src] = 0
         while first < k and not live[first]:
             first += 1
     if np.count_nonzero(target & live & t_bit):
         raise SearchExhausted(f"no solvable prefix within {rows} rows")
-    picked = pivot_col[(target & ~live & t_bit) != 0]
-    j = int(picked.max()) + 1 if picked.size else 1
+    picked = [pivot_col[i] for i in np.flatnonzero(target & ~live & t_bit).tolist()]
+    j = max(picked) + 1 if picked else 1
     flags = np.zeros(j, dtype=np.uint8)
     flags[picked] = 1
     return j, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -415,7 +424,8 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
                 raise
             rows = min(rows + _ROW_WORD, J_MAX)
     bits = elias_delta_encode(j)
-    bits.extend((combo >> r) & 1 for r in range(j))
+    # bit r of the combination is character r of the reversed binary text
+    bits.extend(format(combo, f"0{j}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1")))
     return bits
 
 

@@ -476,6 +476,22 @@ def test_first_solvable_prefix_late_pivot():
     assert _outcome(_solve, rows, 1 << 99, k) == "no solvable prefix within 3 rows"
 
 
+def test_first_solvable_prefix_multi_slab():
+    # benchmark scale: k constraints and k + 64 rows make rows of 34 words,
+    # so the lookups run two full slabs and a partial one.  The target needs
+    # a row of the last block that reaches full rank, columns k & ~7 on; k is
+    # not a multiple of 8, so that step finds fewer than 8 pivots (4 here)
+    k = 2100
+    rng = random.Random(114)
+    rows = [rng.getrandbits(k) for _ in range(k + 64)]
+    target = rng.getrandbits(k)
+    system = _system(rows, target, k)
+    assert system.shape[0] == 34
+    j, combo = first_solvable_prefix(system, len(rows))
+    assert j > k & ~7
+    assert (j, combo) == _incremental_prefix(iter(rows), target)
+
+
 def _fair_rows(seed: int, care: int):
     """Generator rows over the constrained columns, column i at bit i."""
     nblk = (care.bit_length() + 63) >> 6
