@@ -11,7 +11,7 @@ word i // 64, so a point set's integer is the words' bytes).  Round j
 XORs each bit whose index has bit j clear onto the bit 2^j above it: for
 j < 6 that is one masked shift-XOR inside every word (the masked-shift idiom
 of Warren, Hacker's Delight), and for j >= 6 one XOR of whole blocks of
-words.
+words.  Universes stop at m = M_MAX, the variable cap of every polynomial.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, UniverseTooLarge
-from .poly import Poly, PolySet
-
-M_MAX = 24
+from .poly import M_MAX, Poly, PolySet
 
 
 def check_m(m: int) -> None:

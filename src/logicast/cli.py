@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .algset import entails
-from .errors import LogicastError
+from .errors import LogicastError, StatementSyntaxError
 from .groebner import entails_groebner
 from .poly import PolySet
 from .protocols import (
@@ -50,7 +50,14 @@ class _UsageError(Exception):
 
 
 def _load_statements(path: str, m: int | None) -> PolySet:
-    return parse_statements(Path(path).read_text(), m)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        lines = (data[: e.start].decode() + "|").splitlines()  # the bad byte's line is last
+        raise StatementSyntaxError(f"byte 0x{data[e.start]:02x} is not UTF-8",
+                                   len(lines), len(lines[-1])) from None
+    return parse_statements(text, m)
 
 
 def _codec_for(scenario: str, flag: str | None) -> str | None:

@@ -367,23 +367,26 @@ def _unpack(acc: int, m: int) -> Poly:
 
 
 class GroebnerBasis:
-    """Reduced basis of an ideal; `polys` ascend by leading-term order."""
+    """Reduced basis of an ideal; `polys`, unpacked when read, ascend by leading-term order."""
 
-    __slots__ = ("m", "polys", "_reducer")
+    __slots__ = ("m", "_reducer")
 
     def __init__(self, m: int, reducer: _Reducer):
         self.m = m
         self._reducer = reducer
-        self.polys = tuple(_unpack(body, m) for _, body in reducer.elems)
+
+    @property
+    def polys(self) -> tuple[Poly, ...]:
+        return tuple(_unpack(body, self.m) for _, body in self._reducer.elems)
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self._reducer.elems)
 
     def __iter__(self):
         return iter(self.polys)
 
     def __repr__(self) -> str:
-        return f"GroebnerBasis(m={self.m}, {len(self.polys)} polynomials)"
+        return f"GroebnerBasis(m={self.m}, {len(self)} polynomials)"
 
 
 def _completion(ngens: int, m: int):

@@ -7,10 +7,10 @@ relations x_i^2 = x_i, so squaring is the identity and every polynomial is a
 function {0,1}^m -> GF(2). Assignments are packed into a point index whose
 bit i-1 is the value of x_i.
 
-A polynomial holds its monomials as one read-only numpy array, `terms`,
-sorted ascending with no repeats, so its largest variable is read off the
-last term. The dtype is int64 whenever every mask is below 2^63, and object
-(Python ints) otherwise, so equal polynomials hold equal arrays of one dtype.
+Every polynomial lives in x1..x`M_MAX`: each mask is below 2^M_MAX, and the
+constructors refuse a larger mask or index with UniverseTooLarge. A
+polynomial holds its monomials as one read-only int64 array, `terms`, sorted
+ascending with no repeats, so its largest variable is read off the last term.
 Arithmetic that builds a polynomial a term at a time (the product, and the
 statement parser's connectives) runs on Python sets of masks and makes the
 array once.
@@ -23,7 +23,9 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .errors import VariableOutOfRange
+from .errors import UniverseTooLarge, VariableOutOfRange
+
+M_MAX = 24  # the largest variable index of any polynomial
 
 
 def monomial_from_vars(indices: Iterable[int]) -> int:
@@ -31,6 +33,8 @@ def monomial_from_vars(indices: Iterable[int]) -> int:
     for i in indices:
         if i < 1:
             raise VariableOutOfRange(f"variable index must be >= 1, got {i}")
+        if i > M_MAX:
+            raise UniverseTooLarge(f"variable index must be <= {M_MAX}, got {i}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -59,6 +63,8 @@ class Poly:
         for t in terms:
             if t < 0:
                 raise VariableOutOfRange(f"monomial mask must be >= 0, got {t}")
+            if t >> M_MAX:
+                raise UniverseTooLarge(f"monomial mask uses x{int(t).bit_length()}, past x{M_MAX}")
             if t in acc:
                 acc.remove(t)
             else:
@@ -68,21 +74,16 @@ class Poly:
     @classmethod
     def of_distinct(cls, masks: Collection[int]) -> "Poly":
         """The polynomial whose terms are `masks`, which the caller knows to
-        be distinct and non-negative, so that no two of them cancel."""
-        try:
-            terms = np.fromiter(masks, np.int64, len(masks))
-        except OverflowError:  # a mask of 2^63 or more
-            terms = np.empty(len(masks), object)
-            terms[:] = sorted(masks)
-        else:
-            terms.sort()
+        be distinct and in 0..2^M_MAX - 1, so that no two of them cancel."""
+        terms = np.fromiter(masks, np.int64, len(masks))
+        terms.sort()
         return cls.of_sorted(terms)
 
     @classmethod
     def of_sorted(cls, terms: np.ndarray) -> "Poly":
         """The polynomial over `terms`, which the caller knows to be sorted,
-        distinct, non-negative and int64 (object only if one is >= 2^63).
-        The array is made read-only and kept, not copied."""
+        distinct, int64 and in 0..2^M_MAX - 1. The array is made read-only
+        and kept, not copied."""
         terms.flags.writeable = False
         out = cls.__new__(cls)
         out.terms = terms
@@ -109,10 +110,9 @@ class Poly:
 
     def eval(self, point: int) -> int:
         """Value at the assignment packed into `point` (bit i-1 = x_i)."""
-        if self.terms.dtype == np.int64:
-            # every int64 term is below 2^63, so the bits cut off here
-            # cannot change a term & point, and the AND stays in int64
-            point &= (1 << 63) - 1
+        # every term is below 2^M_MAX, so the bits cut off here cannot
+        # change a term & point, and the AND stays in int64
+        point &= (1 << M_MAX) - 1
         return int(np.count_nonzero(self.terms & point == self.terms)) & 1
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -125,12 +125,10 @@ class Poly:
         if not isinstance(other, Poly):
             return False
         a, b = self.terms, other.terms
-        return a.shape == b.shape and a.dtype == b.dtype and bool((a == b).all())
+        return a.shape == b.shape and bool((a == b).all())
 
     def __hash__(self) -> int:
-        # an object array's bytes are pointers, so it hashes its values
-        t = self.terms
-        return hash(t.tobytes() if t.dtype == np.int64 else tuple(t.tolist()))
+        return hash(self.terms.tobytes())
 
     def __repr__(self) -> str:
         return f"Poly({self.terms.tolist()})"

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -295,9 +294,8 @@ def t3_decode(tx: Transmission, r: PolySet) -> PolySet:
 
 def _side_shared(seed: int, q_zero: int, q_query: int) -> SharedRandomness:
     # q_query < PARAM_SCALE always, so the one-density never quantizes
-    # to zero and the fraction below is well defined
-    q_one = PARAM_SCALE - q_query
-    return SharedRandomness(seed, Fraction(q_zero, q_zero + q_one))
+    # to zero and the law's bias is well defined
+    return SharedRandomness.for_law(seed, q_zero, PARAM_SCALE - q_query)
 
 
 def _codec(name: str):

@@ -25,14 +25,12 @@ once, from per-byte tables of variable names.
 
 from __future__ import annotations
 
-import functools
 import re
 
 import numpy as np
 
-from .algset import M_MAX
 from .errors import StatementSyntaxError, UniverseTooLarge, VariableOutOfRange
-from .poly import Poly, PolySet, mask_product
+from .poly import M_MAX, Poly, PolySet, mask_product
 
 _TOKEN_RE = re.compile(
     r"""(?P<space>[ \t\r]+)
@@ -337,7 +335,7 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     """Parse a statement file into a PolySet.
 
     The variable count is `m` when given, else the largest index used.
-    A variable past `m` or past algset.M_MAX is refused as it is read.
+    A variable past `m` or past poly.M_MAX is refused as it is read.
     """
     lines = text.splitlines()
     bulk = _bulk_polys(lines, M_MAX if m is None else min(m, M_MAX))
@@ -353,22 +351,14 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     return PolySet(m, frozenset(polys))
 
 
-@functools.cache
-def _name_row(r: int) -> np.ndarray:
-    """Names of the variables of byte value b in byte r of a monomial mask,
-    each name followed by '*', at index b."""
-    return np.array(
-        ["".join(f"x{8 * r + i + 1}*" for i in range(8) if b >> i & 1) for b in range(256)],
-        dtype=object,
-    )
-
-
-# the rows for x1..x24 are built at import; any further row on first use
-for _r in range((M_MAX + 7) // 8):
-    _name_row(_r)
-del _r
-# _POPCOUNT and _REVERSED map a byte to its count of set bits and to its
-# bits in reverse order.
+# _NAME_ROWS[r][b] names the variables of byte value b in byte r of a
+# monomial mask, each name followed by '*'; _POPCOUNT and _REVERSED map a
+# byte to its count of set bits and to its bits in reverse order.
+_NAME_ROWS = tuple(
+    np.array(["".join(f"x{8 * r + i + 1}*" for i in range(8) if b >> i & 1) for b in range(256)],
+             dtype=object)
+    for r in range((M_MAX + 7) // 8)
+)
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], np.int64)
 _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.int64)
 
@@ -380,16 +370,15 @@ def _poly_texts(polys: list[Poly]) -> list[str]:
         return []
     top = max(q.max_var() for q in polys)
     rows = max(1, (top + 7) // 8)
-    # masks past x24 may not fit the int64 sort key; Python ints fit any
-    dtype = np.int64 if top <= M_MAX else object
     sizes = [q.terms.size for q in polys]
-    masks = np.concatenate([q.terms for q in polys]).astype(dtype, copy=False)
-    byte = [(masks >> 8 * r & 255).astype(np.int64) for r in range(rows)]
+    masks = np.concatenate([q.terms for q in polys])
+    byte = [masks >> 8 * r & 255 for r in range(rows)]
     degree = sum(_POPCOUNT[b] for b in byte)
     # One key per term: its polynomial, then degree descending, then the
     # bit-reversed mask descending (its bytes complemented, x1's first),
-    # which puts equal degrees in ascending variable tuples.
-    owner = np.repeat(np.arange(len(polys)), sizes).astype(dtype, copy=False)
+    # which puts equal degrees in ascending variable tuples. The key fits
+    # int64: the owner, 5 bits of degree and at most M_MAX bits of mask.
+    owner = np.repeat(np.arange(len(polys)), sizes)
     key = owner << top.bit_length() | top - degree
     for b in byte:
         key = key << 8 | 255 - _REVERSED[b]
@@ -398,7 +387,7 @@ def _poly_texts(polys: list[Poly]) -> list[str]:
     # a polynomial's last term, "\n"; the '*' before either is cut below
     parts = np.empty((len(order), rows + 1), object)
     for r, b in enumerate(byte):
-        parts[:, r] = _name_row(r)[b[order]]
+        parts[:, r] = _NAME_ROWS[r][b[order]]
     parts[degree[order] == 0, 0] = "1*"
     parts[:, -1] = " + "
     parts[np.cumsum(sizes, dtype=np.int64) - 1, -1] = "\n"

@@ -304,6 +304,38 @@ def test_prove_syntax_error(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("flag", ["encode --in", "prove --knowledge", "decode --background"])
+def test_statement_file_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, flag):
+    good = tmp_path / "good.logic"
+    good.write_text("x1 AND x2\n")
+    bad = tmp_path / "bad.logic"
+    bad.write_bytes(b"\xff x1\n")
+    tx = tmp_path / "tx.bin"
+    assert main(["encode", "--scenario", "t2", "--in", str(good), "--background", str(good),
+                 "--vars", "2", "--out", str(tx)]) == 0
+    capsys.readouterr()
+    argv = {
+        "encode --in": ["encode", "--scenario", "t1", "--in", str(bad), "--vars", "2",
+                        "--out", str(tmp_path / "out.bin")],
+        "prove --knowledge": ["prove", "--knowledge", str(bad), "--query", str(good)],
+        "decode --background": ["decode", "--in", str(tx), "--background", str(bad),
+                                "--out", str(tmp_path / "d.logic")],
+    }[flag]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: StatementSyntaxError: line 1, col 1: ")
+
+
+def test_non_utf8_byte_is_reported_where_it_sits(tmp_path, capsys):
+    bad = tmp_path / "bad.logic"
+    # the column counts characters, so the two-byte é is one column
+    bad.write_bytes("x1\r\n\nx1 AND é".encode() + b"\xff\n")
+    code, _, stderr = run(capsys, ["prove", "--knowledge", str(bad), "--query", str(bad)])
+    assert code == 1
+    assert stderr.startswith("error: StatementSyntaxError: line 3, col 9: byte 0xff ")
+
+
 def test_prove_deep_nesting_is_a_syntax_error(tmp_path, capsys):
     k = tmp_path / "k.logic"
     k.write_text("x1\n" + "NOT " * 5000 + "x1\n")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicast.algset import reconstruct, zeros
-from logicast.errors import VariableOutOfRange
+from logicast.errors import UniverseTooLarge, VariableOutOfRange
 from logicast.groebner import groebner_basis, normal_form
 from logicast.poly import Poly, PolySet, monomial_from_vars
 from logicast.statements import parse_statements, poly_to_text, render_statements
@@ -110,13 +110,11 @@ def test_poly_max_var():
 # ------------------------------------------------------------- term arrays
 
 def _assert_canonical(q: Poly) -> None:
-    """terms is sorted, duplicate-free, read-only, and int64 unless a mask
-    is 2^63 or more."""
+    """terms is sorted, duplicate-free, read-only and int64."""
     values = q.terms.tolist()
     assert values == sorted(set(values))
     assert not q.terms.flags.writeable
-    big = bool(values) and values[-1] >= 1 << 63
-    assert q.terms.dtype == (object if big else np.int64)
+    assert q.terms.dtype == np.int64
 
 
 def _formula(masks: list[int]) -> str:
@@ -155,11 +153,12 @@ def _built_every_way(masks: list[int], m: int) -> list[Poly]:
 def test_repeated_terms_cancel_in_pairs_and_negative_masks_raise():
     assert Poly([3, 3]) == Poly.zero()
     assert Poly([3, 3, 3, 5, 5, 0]) == Poly([0, 3])
-    assert Poly([1 << 70, 2, 1 << 70, 1 << 70]) == Poly([2, 1 << 70])
+    top = 1 << 23  # x24, the last variable
+    assert Poly([top, 2, top, top]) == Poly([2, top])
     with pytest.raises(VariableOutOfRange):
         Poly([1, -1])
     with pytest.raises(VariableOutOfRange):
-        Poly([1 << 64, -(1 << 64)])
+        Poly([top, -top])
 
 
 def test_every_constructor_builds_one_canonical_polynomial():
@@ -181,31 +180,24 @@ def test_terms_are_read_only():
     assert q.terms.tolist() == [1, 5]
 
 
-def test_masks_past_2_63_take_the_object_path_and_back():
-    big = 1 << 63
-    q = Poly([big, 5])
-    for same in (Poly.of_distinct({5, big}), Poly([5, big, 7, 7]), q + Poly.zero(),
-                 q * Poly.one(), (q + Poly([1 << 64])) + Poly([1 << 64])):
-        _assert_canonical(same)
-        assert same == q and hash(same) == hash(q)
-    _assert_canonical(q)
-    assert q.max_var() == 64
-    # cancelling the large term brings the array back to int64
-    small = q + Poly([big])
-    _assert_canonical(small)
-    assert small == Poly([5]) and hash(small) == hash(Poly([5]))
-    assert Poly([big - 1]).terms.dtype == np.int64
-    assert q != Poly([5]) and Poly([5]) != q
+def test_masks_and_indices_past_x24_raise():
+    top = 1 << 23
+    for build in (lambda: Poly([1 << 24]), lambda: Poly([5, top | 1 << 24]),
+                  lambda: Poly([1 << 70]), lambda: Poly.variable(25),
+                  lambda: monomial_from_vars([25]), lambda: monomial_from_vars([1, 25])):
+        with pytest.raises(UniverseTooLarge):
+            build()
+    assert Poly.variable(24) == Poly([top]) and monomial_from_vars([24]) == top
+    full = Poly([(1 << 24) - 1])
+    _assert_canonical(full)
+    assert full.max_var() == 24
+    assert parse_statements(render_statements(PolySet(24, frozenset({full}))), 24).polys == {full}
 
 
-def test_masks_past_2_63_survive_arithmetic_and_rendering():
+def test_eval_takes_points_of_any_size():
     big = 1 << 63
-    assert Poly([big]) * Poly([1, 2]) == Poly([big | 1, big | 2])
-    assert (Poly([big, 1]) * Poly([big | 4])).terms.tolist() == [big | 4, big | 5]
-    assert Poly([big, 0]) + Poly([1 << 99]) == Poly([0, big, 1 << 99])
-    assert Poly([big | 1]).eval(big | 1) == 1 and Poly([big | 1]).eval(big) == 0
-    # an int64 polynomial takes points of any size, as the set loop did
+    # a point's bits past x24 are cut off; a negative point is two's complement
     assert Poly([1]).eval(1 << 70) == 0 and Poly([1]).eval(big | 1) == 1
     assert Poly([0, 3]).eval((1 << 100) | 3) == 0 and Poly([2]).eval(-1) == 1
-    ps = PolySet(100, frozenset({Poly([big, 0]), Poly([1 << 99, big | 1])}))
-    assert render_statements(ps) == "x1*x64 + x100 = 0\nx64 + 1 = 0\n"
+    assert Poly([1 << 23 | 1]).eval(big | 1 << 23 | 1) == 1
+    assert Poly([1 << 23 | 1]).eval(big | 1) == 0
