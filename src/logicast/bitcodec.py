@@ -10,8 +10,11 @@ k-subsets of {0, ..., n-1}, 0-based.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -178,11 +181,90 @@ def elias_delta_length(n: int) -> int:
 
 
 def binom(n: int, k: int) -> int:
+    """C(n, k), exactly; 0 when k > n.
+
+    From `_UNRANK_CHUNK_MIN_BITS` bits on (by the `math.lgamma` estimate),
+    C(n, k) is built from prime powers by :func:`_prime_power_binom`, which
+    never divides a big integer: 0.089 against 0.89 ms for `math.comb` at
+    C(16384, 3276) and 0.62 against 10.0 ms at C(65536, 13107) (CPython
+    3.11, process time). `math.comb` wins on small values (7 against 15 µs
+    at C(1024, 204)) and on sparse k: values of fewer than n / log2(n)
+    bits stay on it, because the prime path touches all n / ln(n) primes
+    up to n (C(2^24, 500): 0.082 against 7.1 ms, sieve not counted).
+    """
+    n, k = operator.index(n), operator.index(k)  # numpy ints too, as math.comb takes
     if n < 0 or k < 0:
         raise DomainError(f"binomial arguments must be nonnegative, got ({n}, {k})")
     if k > n:
         return 0
-    return math.comb(n, k)
+    lg = _log2_binom(n, k)
+    if lg < _UNRANK_CHUNK_MIN_BITS or lg * n.bit_length() < n:
+        return math.comb(n, k)
+    return _prime_power_binom(n, k)
+
+
+def _log2_binom(n: int, k: int) -> float:
+    """log2 C(n, k) from `math.lgamma`, for 0 <= k <= n."""
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+
+
+# (limit, every prime up to limit as an int64 array): grown by _primes_upto
+# to the largest n it is asked for, never at import. Its contents depend on
+# the limit alone, so callers cannot see each other through it.
+_sieve: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes up to n in ascending order, from a cached numpy sieve."""
+    global _sieve
+    limit, primes = _sieve
+    if n > limit:
+        is_prime = np.ones(n + 1, dtype=bool)
+        is_prime[:2] = False
+        is_prime[4::2] = False
+        for p in range(3, math.isqrt(n) + 1, 2):
+            if is_prime[p]:
+                is_prime[p * p :: 2 * p] = False
+        primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+        if n > _sieve[0]:  # another thread may have sieved further meanwhile
+            _sieve = (n, primes)
+    return primes[: np.searchsorted(primes, n, side="right")]
+
+
+def _prime_power_binom(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n as a balanced product of prime powers p^e.
+
+    e is Legendre's sum over i >= 1 of floor(n / p^i) - floor(k / p^i) -
+    floor((n - k) / p^i) (Goetgheluck 1987). Each term is 1 exactly when
+    n mod p^i < k mod p^i, a carry when adding k and n - k in base p
+    (Kummer), so p^e <= n: the factors are multiplied pairwise as int64
+    while the products stay below 2^62, then pairwise as Python ints.
+    Only primes up to sqrt(n) have i >= 2 terms, summed here in Python.
+    """
+    primes = _primes_upto(n)
+    e = (n % primes < k % primes).astype(np.int64)
+    higher = []
+    for p in primes[: np.searchsorted(primes, math.isqrt(n), side="right")].tolist():
+        c, q = 0, p * p
+        while q <= n:
+            c += n % q < k % q
+            q *= p
+        higher.append(c)
+    e[: len(higher)] += np.array(higher, dtype=np.int64)
+    some = e > 0
+    factors = primes[some] ** e[some]
+    bound = n  # no factor exceeds it
+    while factors.size > 1 and bound < 1 << 31:
+        if factors.size & 1:
+            factors = np.append(factors, 1)
+        factors = factors[0::2] * factors[1::2]
+        bound *= bound
+    xs = factors.tolist() or [1]
+    while len(xs) > 1:
+        if len(xs) & 1:
+            xs.append(1)
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])]
+    return xs[0]
 
 
 def rank_width(n: int, k: int) -> int:
@@ -196,7 +278,7 @@ def rank_width(n: int, k: int) -> int:
     if k > n:
         raise DomainError(f"no {k}-subsets of {n} elements to rank")
     if 0 < k < n <= 1 << 24:
-        lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+        lg = _log2_binom(n, k)
         low = math.floor(lg)
         if 1e-4 < lg - low < 1 - 1e-4:
             return low + 1
@@ -208,7 +290,8 @@ def rank_width(n: int, k: int) -> int:
 # against chunks in ms: k = n/5 crosses between 2212 bits (0.86/0.92) and
 # 4326 (2.88/2.04), k = n/2 below 4090 (2.01/1.81; 7.5/4.3 at 8186),
 # k = n/1310 between 2355 (71/108) and 7074 (581/499; 1016/747 at 9433).
-# No benchmark cell has sparse subsets to set it below 5000 on.
+# No benchmark cell has sparse subsets to set it below 5000 on. binom
+# builds a C(n, k) of fewer bits with math.comb.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
@@ -301,7 +384,8 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
 def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
-    `total` is C(n, k) when the caller has built it already. From
+    `total` is C(n, k) when the caller has built it already; otherwise
+    :func:`binom` builds it, from prime powers past its size bound. From
     `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) on, :func:`_unrank` guesses chunks.
     """
     if k < 0 or k > n:
@@ -309,7 +393,9 @@ def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[
     if total is None:
         total = binom(n, k)
     if rank < 0 or rank >= total:
-        raise RankOutOfRange(f"rank {rank} outside 0..{total - 1}")
+        # str() refuses ints past 4300 digits, so a long rank shows its length
+        shown = rank if abs(rank) < 1 << 64 else f"of {rank.bit_length()} bits"
+        raise RankOutOfRange(f"rank {shown} outside 0..C({n}, {k}) - 1")
     if not k:
         return ()
     top = total * (n - k) // n  # binom(n - 1, k)

@@ -217,7 +217,7 @@ def random_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
 
 
 def random_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.ndarray:
-    j, _ = read_codeword(reader, "random")
+    j, _ = read_codeword(reader, "random", n)
     return _biased_row(shared, j, n)
 
 
@@ -409,20 +409,24 @@ def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
     near the number of constraints, on either side of it: a few rows
     above it when the prefix needs them to reach full rank, below it
     when the target already lies in the span of a shorter prefix.
-    Raises SearchExhausted when J_MAX rows do not reach the target.
+    Raises SearchExhausted when the first n + _SURPLUS rows (n cells, at
+    most J_MAX rows) do not reach the target, the longest J that
+    :func:`read_codeword` accepts; from k constraints on, k + _SURPLUS
+    rows miss it with probability about 2**-_SURPLUS.
     """
     psi = x.psi()
     ones = (x.entries[psi] == 1).astype("<u8")
-    rows = min(psi.size + _SURPLUS, J_MAX)
+    most = min(x.entries.size + _SURPLUS, J_MAX)
+    rows = min(psi.size + _SURPLUS, most)
     while True:
         system = _linear_system(shared.seed, psi, ones, rows)
         try:
             j, combo = first_solvable_prefix(system, rows)
             break
         except SearchExhausted:  # elimination is in place, so redraw all rows
-            if rows == J_MAX:
+            if rows == most:
                 raise
-            rows = min(rows + _ROW_WORD, J_MAX)
+            rows = min(rows + _ROW_WORD, most)
     bits = elias_delta_encode(j)
     # bit r of the combination is character r of the reversed binary text
     bits.extend(format(combo, f"0{j}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1")))
@@ -445,7 +449,7 @@ def _linear_system(seed: int, cells: np.ndarray, ones: np.ndarray, rows: int) ->
 def linear_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.ndarray:
     """XOR of the generator rows the codeword picks, drawn in chunks of rows
     so that memory is bounded by the chunk, not by J."""
-    j, combo = read_codeword(reader, "linear")
+    j, combo = read_codeword(reader, "linear", n)
     nblk = (n + 63) >> 6
     chunk = max(8, _CHUNK_WORDS // nblk) & ~7
     cols = np.arange(nblk, dtype=np.uint64)
@@ -465,19 +469,23 @@ def linear_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.nda
     return np.unpackbits(raw_y, count=n, bitorder="little")
 
 
-def read_codeword(reader: BitReader, codec: str) -> tuple[int, int]:
-    """Fields (J, combination bits) of one codeword of either codec.
+def read_codeword(reader: BitReader, codec: str, n: int) -> tuple[int, int]:
+    """Fields (J, combination bits) of one codeword of either codec over n cells.
 
     The random codec sends only its row index J, so its combination is 0;
-    the linear codec follows J with J combination bits, row 1 first.  A
-    truncated or malformed field is re-raised with the field's name and the
-    reader's bit offset where it began.
+    the linear codec follows J with J combination bits, row 1 first, and
+    its J is refused past n + _SURPLUS, where :func:`linear_encode` stops,
+    before the decoder draws J rows of n cells.  A truncated or malformed
+    field is re-raised with the field's name and the reader's bit offset
+    where it began.
     """
     at = reader.bits_read
     try:
         j = reader.read_elias_delta()
         if j > J_MAX:  # no encoder emits it, and the row keys would overflow
             raise MalformedCodeword(f"row index {j} exceeds J_MAX = {J_MAX}")
+        if codec == "linear" and j > n + _SURPLUS:
+            raise MalformedCodeword(f"row index {j} exceeds {n} cells + {_SURPLUS} rows")
     except (TruncatedStream, MalformedCodeword) as exc:
         raise type(exc)(f"{exc} (row index at bit {at})") from None
     if codec != "linear":

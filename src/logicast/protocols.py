@@ -139,8 +139,10 @@ def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
 def _read_ranked(reader: BitReader, n: int) -> tuple[int, int, int]:
     """(k, rank, C(n, k)) of one count + rank codeword over n candidates.
 
-    A truncated or malformed field is re-raised with the field's name and
-    the reader's bit offset where it began.
+    C(n, k) comes from :func:`binom` (prime powers from 5000 bits on, no
+    big-integer division) and also serves the unrank.  A truncated or
+    malformed field is re-raised with the field's name and the reader's
+    bit offset where it began.
     """
     at = reader.bits_read
     try:
@@ -398,7 +400,7 @@ def _scan_payload(
     if scenario in PARTITION_SCENARIOS:
         for side in (inner, (1 << m) - inner):
             if side:
-                read_codeword(reader, codec)
+                read_codeword(reader, codec, side)
     else:
         _read_ranked(reader, inner)
 

@@ -82,6 +82,6 @@ def test_row_counter_reads_j_from_the_payload(traced):
     _, (s, q) = sample(Nested(0.25, 0.75), 7, 11)
     with traced.op_span(1):
         tx = t4_encode(s, q, codec="linear", seed=11)
-    j, _ = read_codeword(BitReader(tx.payload), "linear")
+    j, _ = read_codeword(BitReader(tx.payload), "linear", 1 << 7)
     # the counter is elias_delta_decode(linear_encode(x, shared)[:64])[0]
     assert traced.counts[(1, "partition.rows_drawn")] == j

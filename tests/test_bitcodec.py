@@ -104,10 +104,29 @@ def test_elias_prefix_free_concatenation(values):
 
 # ------------------------------------------------------------------ binomial
 
+def _binom_grid():
+    """Every (n, k) with n < 64, then seeded n up to 2^18 on both sides of
+    binom's switch to prime powers, with k at both ends and in between."""
+    for n in range(64):
+        for k in range(n + 1):
+            yield n, k
+    rng = random.Random(25)
+    for e in range(7, 19):
+        n = rng.randrange((1 << e - 1) + 1, (1 << e) + 1)
+        for k in (0, 1, n // 5, n // 2, n - 1, n):
+            yield n, k
+
+
 def test_binom_matches_math_comb():
-    for n in range(0, 30):
-        for k in range(0, n + 1):
-            assert binom(n, k) == math.comb(n, k)
+    # both paths against math.comb on the whole grid, whichever binom takes
+    paths = set()
+    for n, k in _binom_grid():
+        want = math.comb(n, k)
+        assert binom(n, k) == bitcodec._prime_power_binom(n, k) == want, (n, k)
+        paths.add(bitcodec._log2_binom(n, k) >= bitcodec._UNRANK_CHUNK_MIN_BITS)
+        assert rank_width(n, k) == (want - 1).bit_length(), (n, k)
+    assert paths == {False, True}
+    assert binom(np.int64(16384), np.int64(3276)) == math.comb(16384, 3276)
     assert binom(10, 12) == 0
     with pytest.raises(DomainError):
         binom(-1, 0)

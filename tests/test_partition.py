@@ -328,8 +328,8 @@ def test_read_codeword_fields():
     bits = linear_encode(x, shared)
     j, used = _read_elias(bits)
     combo = int("".join(str(b) for b in bits[used:]), 2)
-    assert read_codeword(_reader(bits), "linear") == (j, combo)
-    assert read_codeword(_reader(bits[:used]), "random") == (j, 0)
+    assert read_codeword(_reader(bits), "linear", 40) == (j, combo)
+    assert read_codeword(_reader(bits[:used]), "random", 40) == (j, 0)
 
 
 def test_linear_decode_truncated_combination():
@@ -529,11 +529,13 @@ def _oracle_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
 
 def test_linear_decode_in_chunks_matches_row_xor(monkeypatch):
     # one word per chunk: 8-row chunks, so J and the byte padding of the
-    # combination straddle chunk boundaries
+    # combination straddle chunk boundaries; J stays within the n + 64 rows
+    # that read_codeword accepts
     monkeypatch.setattr(partition, "_CHUNK_WORDS", 1)
     rng = random.Random(105)
     for trial in range(30):
-        n, j = rng.randrange(1, 130), rng.randrange(1, 90)
+        n = rng.randrange(1, 130)
+        j = rng.randrange(1, min(90, n + 65))
         combo = rng.getrandbits(j)
         shared = SharedRandomness.for_law(14000 + trial, 0.5, 0.5)
         rows = list(islice(_fair_rows(shared.seed, (1 << n) - 1), j))
@@ -580,6 +582,32 @@ def test_linear_encode_search_exhaustion(monkeypatch):
         linear_encode(x, shared)
 
 
+def test_linear_encode_stops_where_the_decoder_refuses(monkeypatch):
+    # a target no prefix reaches: the redraws end at n + _SURPLUS rows, the
+    # longest J that read_codeword accepts for n cells
+    asked = []
+
+    def never(system, rows):
+        asked.append(rows)
+        assert rows <= 264, "redrew past the rows the decoder accepts"
+        raise SearchExhausted(f"no solvable prefix within {rows} rows")
+
+    monkeypatch.setattr(partition, "first_solvable_prefix", never)
+    rng = random.Random(113)
+    x = TernaryVector([rng.choice([0, 1, FREE]) for _ in range(200)])
+    with pytest.raises(SearchExhausted, match=r"^no solvable prefix within 264 rows$"):
+        linear_encode(x, SharedRandomness.for_law(7, 0.5, 0.5))
+    assert asked[0] == x.psi().size + 64 and asked[-1] == 264
+    w = BitWriter()
+    w.write_elias_delta(265)
+    with pytest.raises(MalformedCodeword, match=r"^row index 265 exceeds 200 cells \+ 64 rows"):
+        read_codeword(BitReader(w.to_bits()), "linear", 200)
+    w = BitWriter()
+    w.write_elias_delta(264)
+    w.write_bits(0, 264)
+    assert read_codeword(BitReader(w.to_bits()), "linear", 200) == (264, 0)
+
+
 def test_read_codeword_errors_name_field_and_offset():
     shared = SharedRandomness.for_law(79, 0.5, 0.5)
     bits = linear_encode(_random_tv(random.Random(67), 40), shared)
@@ -588,19 +616,19 @@ def test_read_codeword_errors_name_field_and_offset():
     reader = BitReader(Bits(int("101" + "".join(map(str, bits[:-1])), 2), 3 + len(bits) - 1))
     reader.read_bits(3)
     with pytest.raises(TruncatedStream, match=rf"combination bits at bit {3 + used}\)$"):
-        read_codeword(reader, "linear")
+        read_codeword(reader, "linear", 40)
     # the Elias prefix itself cut short
     reader = BitReader(Bits(int("101" + "".join(map(str, bits[:used - 1])), 2), 2 + used))
     reader.read_bits(3)
     with pytest.raises(TruncatedStream, match=r"row index at bit 3\)$"):
-        read_codeword(reader, "linear")
+        read_codeword(reader, "linear", 40)
     w = BitWriter()
     w.write_bits(0b11, 2)
     w.write_elias_delta(partition.J_MAX + 1)
     reader = BitReader(w.to_bits())
     reader.read_bits(2)
     with pytest.raises(MalformedCodeword, match=r"exceeds J_MAX .* \(row index at bit 2\)$"):
-        read_codeword(reader, "random")
+        read_codeword(reader, "random", 40)
 
 
 # ---------------------------------------------------- constant-weight columns

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logicast
-from logicast import algset, protocols
+from logicast import algset, partition, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.bitcodec import Bits, BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
@@ -23,6 +23,7 @@ from logicast.errors import (
     MalformedCodeword,
     MalformedHeader,
     NotEntailed,
+    RankOutOfRange,
     TruncatedStream,
 )
 from logicast.groebner import entails_groebner
@@ -45,6 +46,7 @@ from logicast.protocols import (
     t5_decode,
     t5_encode,
 )
+from logicast.simlab import Nested, Single, sample
 
 V = Poly.variable
 
@@ -259,6 +261,31 @@ def test_ranked_codeword_errors_name_field_and_offset():
         data = blob[: len(lead) + protocols.HEADER_BYTES + cut_bytes]
         with pytest.raises(TruncatedStream, match=rf"^bit stream exhausted \({field} at bit {at}\)$"):
             read_transmission(data, len(lead))
+
+
+def test_t1_rank_equal_to_the_binomial_raises_at_m16():
+    # C(65536, 13107) is built from prime powers; the largest rank its
+    # width holds is C(n, k) itself, one past the last subset
+    n, k = 1 << 16, (1 << 16) // 5
+    total = math.comb(n, k)
+    body = BitWriter()
+    body.write_elias_delta(k + 1)
+    body.write_bits(total, rank_width(n, k))
+    tx = Transmission("t1", 16, None, 0, (0, 0, 0, 0), body.to_bits())
+    with pytest.raises(RankOutOfRange):
+        t1_decode(tx)
+
+
+@pytest.mark.parametrize("scenario", ["t1", "t2"])
+def test_ranked_round_trip_at_m16(scenario):
+    # both payloads pass 5000 bits and take binom's prime-power path
+    if scenario == "t1":
+        (zs,), (s,) = sample(Single(0.2), 16, 25)
+        back = t1_decode(t1_encode(s, seed=25))
+    else:
+        (zs, _), (s, r) = sample(Nested(0.125, 0.5), 16, 25)
+        back = t2_decode(t2_encode(s, r, seed=25), r)
+    assert zeros(back) == zs
 
 
 def test_encode_determinism():
@@ -601,6 +628,25 @@ try:
 except LogicastError as exc:
     print("raised", type(exc).__name__)
 """
+
+
+def test_forged_linear_row_count_is_refused_before_any_draw(monkeypatch):
+    # J = 2^23 with every combination bit set: 1 MB of t4 payload at m=12,
+    # whose first side has 4096 cells, so no encoder sends more than 4160 rows
+    j = 1 << 23
+    head = BitWriter()
+    head.write_elias_delta(j)
+    head = head.to_bits()
+    payload = Bits((head.value << j) | ((1 << j) - 1), head.nbits + j)
+    tx = Transmission("t4", 12, "linear", 7, (16384, 32768, 0, 0), payload)
+    drawn = []
+    monkeypatch.setattr(partition, "draw_array", lambda *a: drawn.append(a))
+    refused = r"^row index 8388608 exceeds 4096 cells \+ 64 rows \(row index at bit 0\)$"
+    with pytest.raises(MalformedCodeword, match=refused):
+        t4_decode(tx)
+    with pytest.raises(MalformedCodeword, match=refused):
+        read_transmission(tx.to_bytes())
+    assert drawn == []
 
 
 def test_linear_decode_memory_bounded_on_forged_row_count():
