@@ -29,6 +29,12 @@ from .errors import (
 _MAX_ELIAS_WIDTH_BITS = 57
 
 
+def _shown(value: int) -> str:
+    """An int for an error message: str() refuses ints past 4300 digits,
+    so a long one shows its bit length."""
+    return str(value) if abs(value) < 1 << 64 else f"of {value.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class Bits:
     """A packed bit string: `nbits` bits held MSB-first in one integer."""
@@ -38,7 +44,7 @@ class Bits:
 
     def __post_init__(self) -> None:
         if self.nbits < 0 or self.value < 0 or self.value >> self.nbits:
-            raise DomainError(f"value {self.value} is not a {self.nbits}-bit string")
+            raise DomainError(f"value {_shown(self.value)} is not a {self.nbits}-bit string")
 
     def __len__(self) -> int:
         return self.nbits
@@ -85,7 +91,7 @@ class BitWriter:
         if width < 0:
             raise DomainError(f"width must be >= 0, got {width}")
         if value < 0 or value >> width:
-            raise WidthOverflow(f"value {value} does not fit in {width} bits")
+            raise WidthOverflow(f"value {_shown(value)} does not fit in {width} bits")
         self._value = (self._value << width) | value
         self._nbits += width
 
@@ -381,21 +387,17 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
     return a * part + r * part // den, a * num + r * num // den
 
 
-def subset_unrank(n: int, k: int, rank: int, total: int | None = None) -> tuple[int, ...]:
+def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
-    `total` is C(n, k) when the caller has built it already; otherwise
-    :func:`binom` builds it, from prime powers past its size bound. From
+    :func:`binom` builds C(n, k), from prime powers past its size bound. From
     `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) on, :func:`_unrank` guesses chunks.
     """
     if k < 0 or k > n:
         raise DomainError(f"k must lie in 0..{n}, got {k}")
-    if total is None:
-        total = binom(n, k)
+    total = binom(n, k)
     if rank < 0 or rank >= total:
-        # str() refuses ints past 4300 digits, so a long rank shows its length
-        shown = rank if abs(rank) < 1 << 64 else f"of {rank.bit_length()} bits"
-        raise RankOutOfRange(f"rank {shown} outside 0..C({n}, {k}) - 1")
+        raise RankOutOfRange(f"rank {_shown(rank)} outside 0..C({n}, {k}) - 1")
     if not k:
         return ()
     top = total * (n - k) // n  # binom(n - 1, k)

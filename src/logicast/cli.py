@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -60,6 +62,30 @@ def _load_statements(path: str, m: int | None) -> PolySet:
     return parse_statements(text, m)
 
 
+def _write_output(path: str, data: bytes) -> None:
+    """Write `data` over `path` in place, then cut a regular file to its length.
+
+    Truncating on open, as `open(path, "wb")` does, frees the file's blocks
+    only to allocate them again: in the benchmark's cli_roundtrip loop on
+    ext4 mounted with `discard` (2-core VM), such a write took 270-290 µs
+    p50 against 26-28 µs in place. A temporary file and `os.replace` took
+    about 320 µs; unlink and create about 53 µs, but it gives the output a
+    new inode. Here the file keeps its inode, mode and links; a new one
+    gets 0o666 & ~umask. A non-regular target (/dev/null, a FIFO, a
+    terminal) is written but not truncated. The write is not atomic: a
+    reader can see it half done.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _codec_for(scenario: str, flag: str | None) -> str | None:
     if scenario in PARTITION_SCENARIOS:
         return flag or "linear"
@@ -85,7 +111,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
               "t4": t4_encode, "t5": t5_encode}[scenario]
     kw = {} if codec is None else {"codec": codec}
     tx = encode(*operands, seed=args.seed, **kw)
-    Path(args.out).write_bytes(tx.to_bytes())
+    _write_output(args.out, tx.to_bytes())
     print(f"payload_bits={len(tx.payload)}")
     return 0
 
@@ -104,7 +130,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     decode = {"t1": t1_decode, "t2": t2_decode, "t3": t3_decode,
               "t4": t4_decode, "t5": t5_decode}[scenario]
     out = decode(tx, *background)
-    Path(args.out).write_text(render_statements(out))
+    _write_output(args.out, render_statements(out).encode())
     print(f"scenario={scenario}")
     return 0
 

@@ -39,7 +39,6 @@ from .bitcodec import (
     Bits,
     BitReader,
     BitWriter,
-    binom,
     bits_to_int,
     rank_width,
     subset_rank,
@@ -136,13 +135,13 @@ def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
     writer.write_bits(subset_rank(n, members), rank_width(n, len(members)))
 
 
-def _read_ranked(reader: BitReader, n: int) -> tuple[int, int, int]:
-    """(k, rank, C(n, k)) of one count + rank codeword over n candidates.
+def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
+    """(k, rank) of one count + rank codeword over n candidates.
 
-    C(n, k) comes from :func:`binom` (prime powers from 5000 bits on, no
-    big-integer division) and also serves the unrank.  A truncated or
-    malformed field is re-raised with the field's name and the reader's
-    bit offset where it began.
+    The rank is read in the `rank_width(n, k)` bits `_write_ranked` wrote,
+    so framing a payload builds no C(n, k); the unrank builds it once.  A
+    truncated or malformed field is re-raised with the field's name and
+    the reader's bit offset where it began.
     """
     at = reader.bits_read
     try:
@@ -152,13 +151,12 @@ def _read_ranked(reader: BitReader, n: int) -> tuple[int, int, int]:
     except (TruncatedStream, MalformedCodeword) as exc:
         raise type(exc)(f"{exc} (zero set size at bit {at})") from None
     at = reader.bits_read
-    # C(n, k) >= (n // k')^k', k' = min(k, n - k): check before building C(n, k)
+    # C(n, k) >= (n // k')^k', k' = min(k, n - k): check before sizing the rank
     k_low = min(k, n - k)
     try:
         if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
             raise TruncatedStream("bit stream exhausted")
-        total = binom(n, k)
-        return k, reader.read_bits((total - 1).bit_length()), total
+        return k, reader.read_bits(rank_width(n, k))
     except TruncatedStream as exc:
         raise TruncatedStream(f"{exc} (rank at bit {at})") from None
 

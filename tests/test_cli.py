@@ -10,11 +10,11 @@ import pytest
 import logicast
 from logicast.algset import entails, zeros
 from logicast.bitcodec import BitWriter
-from logicast import protocols
+from logicast import bitcodec, protocols
 from logicast.cli import main
 from logicast.partition import J_MAX
 from logicast.protocols import Transmission
-from logicast.simlab import Conditional, Nested, sample
+from logicast.simlab import Conditional, Nested, Single, sample
 from logicast.statements import parse_statements, render_statements
 
 ALICE = "NOT (x1 AND x2 AND x3)\nNOT (NOT x1 AND NOT x2 AND NOT x3)\n"
@@ -260,6 +260,98 @@ def test_cli_bytes_and_output_match_the_library(tmp_path, capsys, scenario, code
     background = operands[-1:] if "r" in files else []
     out = getattr(protocols, f"{scenario}_decode")(tx, *background)
     assert (tmp_path / "d.logic").read_text() == render_statements(out)
+
+
+# ---------------------------------------------------------------- outputs
+
+def _encode_decode(tmp_path, tx, dec, src_text=ALICE, m=3):
+    src = tmp_path / "s.logic"
+    src.write_text(src_text)
+    assert main(["encode", "--scenario", "t1", "--in", str(src), "--vars", str(m),
+                 "--seed", "5", "--out", str(tx)]) == 0
+    assert main(["decode", "--in", str(tx), "--out", str(dec)]) == 0
+
+
+def test_outputs_written_over_longer_files_hold_exactly_the_new_bytes(tmp_path, capsys):
+    _encode_decode(tmp_path, tmp_path / "tx0.bin", tmp_path / "d0.logic")
+    tx, dec = tmp_path / "tx.bin", tmp_path / "d.logic"
+    tx.write_bytes(b"\xff" * 5000)
+    dec.write_bytes(b"x9 = 0\n" * 1000)
+    _encode_decode(tmp_path, tx, dec)
+    assert tx.read_bytes() == (tmp_path / "tx0.bin").read_bytes()
+    assert dec.read_bytes() == (tmp_path / "d0.logic").read_bytes()
+
+
+def test_outputs_written_over_shorter_files_grow_them(tmp_path, capsys):
+    tx, dec = tmp_path / "tx.bin", tmp_path / "d.logic"
+    _encode_decode(tmp_path, tx, dec)
+    short = tx.read_bytes(), dec.read_bytes()
+    # a larger universe: a longer transmission and more statement lines
+    (zs,), (s,) = sample(Single(0.3), 6, 3)
+    _encode_decode(tmp_path, tx, dec, render_statements(s), 6)
+    assert len(tx.read_bytes()) > len(short[0]) and len(dec.read_bytes()) > len(short[1])
+    assert tx.read_bytes() == protocols.t1_encode(s, seed=5).to_bytes()
+    assert zeros(parse_statements(dec.read_text(), 6)) == zs
+
+
+def test_outputs_keep_an_existing_files_mode_and_inode(tmp_path, capsys):
+    tx, dec = tmp_path / "tx.bin", tmp_path / "d.logic"
+    for path in (tx, dec):
+        path.write_bytes(b"old contents, longer than the new ones" * 10)
+        path.chmod(0o600)
+    before = [os.stat(path) for path in (tx, dec)]
+    _encode_decode(tmp_path, tx, dec)
+    for path, old in zip((tx, dec), before):
+        now = os.stat(path)
+        assert now.st_mode & 0o777 == 0o600
+        assert (now.st_ino, now.st_dev) == (old.st_ino, old.st_dev)
+
+
+def test_new_outputs_get_the_umasked_default_mode(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        _encode_decode(tmp_path, tmp_path / "tx.bin", tmp_path / "d.logic")
+    finally:
+        os.umask(old)
+    for name in ("tx.bin", "d.logic"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_outputs_to_the_null_device(tmp_path, capsys):
+    # not a regular file: written, never truncated
+    tx = tmp_path / "tx.bin"
+    _encode_decode(tmp_path, tx, tmp_path / "d.logic")
+    src = tmp_path / "s.logic"
+    assert main(["encode", "--scenario", "t1", "--in", str(src), "--vars", "3",
+                 "--out", os.devnull]) == 0
+    assert main(["decode", "--in", str(tx), "--out", os.devnull]) == 0
+
+
+def test_repeated_round_trips_into_the_same_paths_give_identical_files(tmp_path, capsys):
+    tx, dec = tmp_path / "tx.bin", tmp_path / "d.logic"
+    _encode_decode(tmp_path, tx, dec)
+    first = tx.read_bytes(), dec.read_bytes()
+    _encode_decode(tmp_path, tx, dec)
+    assert (tx.read_bytes(), dec.read_bytes()) == first
+
+
+def test_cli_t1_decode_builds_the_binomial_once(tmp_path, capsys, monkeypatch):
+    # framing the payload sizes the rank by log-gamma; only the unrank
+    # builds C(2^m, |Z(s)|)
+    m = 12
+    (zs,), (s,) = sample(Single(0.2), m, 3)
+    tx = tmp_path / "tx.bin"
+    tx.write_bytes(protocols.t1_encode(s).to_bytes())
+    built = []
+    binom = bitcodec.binom
+
+    def counting_binom(n, k):
+        built.append((n, k))
+        return binom(n, k)
+
+    monkeypatch.setattr(bitcodec, "binom", counting_binom)
+    assert main(["decode", "--in", str(tx), "--out", str(tmp_path / "d.logic")]) == 0
+    assert built == [(1 << m, zs.size)]
 
 
 # ---------------------------------------------------------------- prove

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logicast
-from logicast import algset, partition, protocols
+from logicast import algset, bitcodec, partition, protocols
 from logicast.algset import AlgSet, entails, reconstruct, zeros
 from logicast.bitcodec import Bits, BitWriter, elias_delta_length, rank_width, subset_rank
 from logicast.errors import (
@@ -199,23 +199,44 @@ def test_concatenated_transmissions_self_delimit():
 
 
 def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
-    # a t1 header at m=20 claiming 2^19 members, then nothing: the rank
-    # width C(2^20, 2^19) must not be computed for a stream this short
+    # a t1 header at m=20 claiming 2^19 members, then nothing: neither
+    # C(2^20, 2^19) nor the rank width may be computed for a stream this short
     body = BitWriter()
     body.write_elias_delta((1 << 19) + 1)
     blob = Transmission("t1", 20, None, 0, (0, 0, 0, 0), body.to_bits()).to_bytes()
 
-    def no_binomial(n, k):
-        raise AssertionError("binom called")
+    def not_called(n, k):
+        raise AssertionError("rank sized")
 
-    monkeypatch.setattr(protocols, "binom", no_binomial)
+    monkeypatch.setattr(bitcodec, "binom", not_called)
+    monkeypatch.setattr(protocols, "rank_width", not_called)
     with pytest.raises(TruncatedStream):
         read_transmission(blob)
 
 
+def test_framing_a_t1_payload_builds_no_binomial(monkeypatch):
+    # the framer reads the rank in rank_width(n, k) bits, a log-gamma
+    # estimate here, and leaves C(n, k) to the unrank
+    m = 12
+    s = _sigma_of(m, random.Random(3).sample(range(1 << m), 800))
+    blob = t1_encode(s).to_bytes()
+    built = []
+    binom = bitcodec.binom
+
+    def counting_binom(n, k):
+        built.append((n, k))
+        return binom(n, k)
+
+    monkeypatch.setattr(bitcodec, "binom", counting_binom)
+    tx, used = read_transmission(blob)
+    assert built == [] and used == len(blob)
+    assert zeros(t1_decode(tx)) == zeros(s)
+    assert built == [(1 << m, 800)]
+
+
 def test_t1_round_trip_builds_the_binomial_once(monkeypatch):
-    # the decoder's C(n, k), which also serves the unrank; the encoder's
-    # rank width comes from a log-gamma estimate
+    # the unrank's C(n, k); the encoder's and the decoder's rank widths
+    # come from a log-gamma estimate
     m = 12
     s = _sigma_of(m, random.Random(3).sample(range(1 << m), 800))
     built = []
