@@ -15,12 +15,13 @@ terms as parsed, held as Python sets of monomial masks, and a line's `Poly`
 is read as a list of monomial masks. Raw lines in the canonical shape
 `render_statements` writes (factors spelled x<i> or 1, blanks or tabs only
 around factors, no comment) are read in one pass of numpy work over the
-whole text: the bytes are classified, each line checked, and each factor
-x<i> becomes the bit 1 << (i - 1), ORed into term masks by
-`np.bitwise_or.reduceat`; one sort of all terms by line and mask gives
-every line its term array. Every other line, and every error, goes through
-the tokenizer. Rendering sorts and spells the terms of a whole PolySet at
-once, from per-byte tables of variable names.
+whole text: one `bytes.translate` classifies the bytes and deletes blanks
+and tabs, each line is checked, and each factor x<i> becomes the bit
+1 << (i - 1), ORed into term masks by `np.bitwise_or.reduceat`; one sort
+gives every line its term array. Every other line, and every error, goes
+through the tokenizer. Rendering sorts and spells the terms of a whole
+PolySet at once, from per-byte tables that hold each run of variable names
+with and without its leading '*'. Timings: `scripts/poly_sweep.py`.
 """
 
 from __future__ import annotations
@@ -240,11 +241,10 @@ def _parse_poly_line(cur: _Cursor) -> Poly:
 
 # ------------------------------------------------------ whole-text bulk pass
 # Byte classes of the canonical raw-line alphabet: a digit is its own value.
-_X, _STAR, _PLUS, _EQ, _NL, _BLANK, _OTHER = range(10, 17)
+_X, _STAR, _PLUS, _EQ, _NL, _OTHER = range(10, 16)
 _CLASS = bytes(
-    {"x": _X, "*": _STAR, "+": _PLUS, "=": _EQ, "\n": _NL, " ": _BLANK, "\t": _BLANK,
-     **{str(d): d for d in range(10)}}.get(chr(b), _OTHER)
-    for b in range(256)
+    {"x": _X, "*": _STAR, "+": _PLUS, "=": _EQ, "\n": _NL, **{str(d): d for d in range(10)}}
+    .get(chr(b), _OTHER) for b in range(256)
 )
 
 
@@ -253,60 +253,69 @@ def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     product of factors x<i> (1 <= i <= limit, no leading zero) or 1, with
     blanks or tabs only around factors; None for any other line.
 
-    The work is numpy calls over the whole text, not per line: the blanks
-    are dropped and every byte is checked against its neighbours.
+    Numpy calls over the whole text: one `bytes.translate` classifies the
+    bytes and deletes blanks and tabs, and every byte left is checked against
+    its neighbours. A line with a blank inside a factor has more pairs of
+    adjacent factor bytes (digits, x) after the deletion than before it.
     """
     out: list[Poly | None] = [None] * len(lines)
     if not lines:
         return out
-    # one byte per character: anything not ASCII becomes '?', which no line takes
-    text = "\n".join(lines).encode("ascii", "replace").translate(_CLASS)
-    cls = np.frombuffer(text, np.uint8)
-    keep = cls != _BLANK
-    # bit 7 marks a character after a blank, so that one pass drops the blanks
-    tagged = np.zeros(len(cls), np.uint8)
-    tagged[1:] = ~keep[:-1]
-    tagged = (cls | tagged << 7)[keep]
-    # The classes with the blanks dropped (gap: a blank came before), two
+    # One byte per character (not ASCII: '?', which no line takes), two
     # newlines before and three after, so every shift below stays in range;
     # position 1 opens the first line, as each newline opens the next.
-    nl = np.full(3, _NL, np.uint8)
-    c = np.concatenate((nl[:2], tagged & 127, nl))
-    gap = np.concatenate(([False, False], tagged > 127, [False] * 3))
+    raw = "\n".join(["\n", *lines, "\n\n"]).encode("ascii", "replace")
+    c = np.frombuffer(raw.translate(_CLASS, b" \t"), np.uint8)  # blanks deleted
     word = c <= _X
     cur, prev, nxt, nxt2 = c[1:-3], c[:-4], c[2:-2], c[3:-1]
     wcur, wprev, wnxt, wnxt3 = word[1:-3], word[:-4], word[2:-2], word[4:]
     x = cur == _X
     eq = cur == _EQ
     number = (cur <= 9) & ~wprev  # a word that starts with a digit
-    # the index i of x<i>: one digit, or two; classes stay below 17, so the
-    # uint8 sums stay below 256 (np.where with a mixed mask is far slower)
-    index = nxt + (nxt2 <= 9) * (nxt * 9 + nxt2)
-    bad = (cur == _OTHER) | (gap[1:-3] & wcur & wprev)  # a blank inside a factor
+    one = number & (cur == 1)
+    # the index i of x<i> (one digit, or two), 0 off an x; classes stay
+    # below 16, so the uint8 sums stay below 256
+    index = (nxt + (nxt2 <= 9) * (nxt * 9 + nxt2)) * x
+    bad = (cur == _OTHER) | (index > limit)
     # an operator follows a factor; the word after it is checked in turn,
     # and the line must end in '=' and a lone 0
     bad |= (cur >= _STAR) & (cur <= _EQ) & ~wprev
     # x<i>: x opens the word, then a digit 1-9 and at most one more digit
-    bad |= x & (wprev | (nxt == 0) | (nxt > 9) | ((nxt2 <= 9) & wnxt3) | (index > limit))
+    bad |= x & (wprev | (nxt == 0) | (nxt > 9) | ((nxt2 <= 9) & wnxt3))
     # a number is the factor 1, or the 0 right after '='
-    bad |= number & (wnxt | ((cur != 1) & ((cur != 0) | (prev != _EQ))))
+    bad |= number & (wnxt | ~one & ((cur != 0) | (prev != _EQ)))
     # '=' ends the line with a lone 0
     bad |= eq & ((nxt != 0) | (nxt2 != _NL))
-
-    starts = np.flatnonzero(cur == _NL)
-    ok = np.logical_or.reduceat(eq, starts) & ~np.logical_or.reduceat(bad, starts)
-    factor = (x | (number & (cur == 1))) & np.repeat(ok, np.diff(starts, append=len(cur)))
+    r = np.frombuffer(raw, np.uint8)
+    w = (r - 48 < 10) | (r == 120)  # the factor bytes before the deletion
+    pair, raw_pair = wcur & wprev, w[1:-3] & w[:-4]
+    gained = np.count_nonzero(pair) != np.count_nonzero(raw_pair)
+    factor = x | one
+    ok = np.ones(len(lines), bool)
+    starts = np.flatnonzero(cur == _NL) if len(lines) > 1 else np.zeros(1, np.intp)
+    # no bad byte leaves two '=' on a line, so one per line means all pass
+    if gained or bad.any() or np.count_nonzero(eq) != len(lines):
+        ok = np.logical_or.reduceat(eq, starts) & ~np.logical_or.reduceat(bad, starts)
+        if gained:  # r's newlines open its lines as cur's do
+            ok &= np.add.reduceat(pair, starts, dtype=np.intp) == np.add.reduceat(
+                raw_pair, np.flatnonzero(r[1:-3] == 10), dtype=np.intp)
+        factor &= np.repeat(ok, np.diff(starts, append=len(cur)))
     at = np.flatnonzero(factor)
-    # x<i> is the bit 1 << (i - 1); the factor 1 is no bit
-    bits = np.left_shift(1, (index[at] * x[at]).astype(np.int64)) >> 1
-    term = (prev[at] == _PLUS) | (prev[at] == _NL)
-    masks = np.bitwise_or.reduceat(bits, np.flatnonzero(term))
-    line_of_term = np.searchsorted(starts, at[term], side="right") - 1
-    # One sort by line, then mask (a mask has at most M_MAX bits); of each
-    # run of equal terms an odd count leaves one, an even count none.
-    key = np.sort(line_of_term << M_MAX | masks)
-    run = np.flatnonzero(np.diff(key, prepend=-1))
-    key = key[run[np.diff(run, append=len(key)) & 1 == 1]]
+    bits = np.left_shift(1, index[at].astype(np.int32)) >> 1  # x<i>: 1 << (i - 1); 1: none
+    term = np.flatnonzero((prev != _STAR)[at])
+    masks = np.bitwise_or.reduceat(bits, term)
+    if len(lines) > 1:  # each mask's line, above its at most M_MAX bits
+        masks = np.searchsorted(starts, at[term], side="right") - 1 << M_MAX | masks
+    # One sort by line, then mask; of each run of equal terms an odd count
+    # leaves one, an even count none.
+    key = np.sort(masks)
+    if not (key[1:] != key[:-1]).all():
+        run = np.flatnonzero(np.diff(key, prepend=-1))
+        key = key[run[np.diff(run, append=len(key)) & 1 == 1]]
+    key = key.astype(np.int64, copy=False)
+    if len(lines) == 1:  # one slice, the whole key
+        out[0] = Poly.of_sorted(key) if ok[0] else None
+        return out
     masks = key & (1 << M_MAX) - 1
     bounds = np.searchsorted(key >> M_MAX, np.arange(len(lines) + 1)).tolist()
     for line in np.flatnonzero(ok).tolist():
@@ -351,21 +360,22 @@ def parse_statements(text: str, m: int | None = None) -> PolySet:
     return PolySet(m, frozenset(polys))
 
 
-# _NAME_ROWS[r][b] names the variables of byte value b in byte r of a
-# monomial mask, each name followed by '*'; _POPCOUNT and _REVERSED map a
-# byte to its count of set bits and to its bits in reverse order.
+# _NAME_ROWS[r][b] names the variables of byte value b in byte r of a mask,
+# each after a '*' (entry 256 + b drops the first one); _POPCOUNT and
+# _REVERSED map a byte to its count of set bits and to its bits reversed.
 _NAME_ROWS = tuple(
-    np.array(["".join(f"x{8 * r + i + 1}*" for i in range(8) if b >> i & 1) for b in range(256)],
-             dtype=object)
-    for r in range((M_MAX + 7) // 8)
+    np.array(names + [s[1:] for s in names], dtype=object)
+    for names in (["".join(f"*x{8 * r + i + 1}" for i in range(8) if b >> i & 1)
+                   for b in range(256)] for r in range((M_MAX + 7) // 8))
 )
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], np.int64)
 _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.int64)
 
 
 def _poly_texts(polys: list[Poly]) -> list[str]:
-    """Canonical text of each nonzero polynomial (see poly_to_text), with
-    the terms of all of them sorted and spelled by numpy calls at once."""
+    """Canonical text of each nonzero polynomial (see poly_to_text): numpy
+    calls sort the terms of all of them at once and pick each term's names,
+    which one join spells out with no pass over the text after it."""
     if not polys:
         return []
     top = max(q.max_var() for q in polys)
@@ -383,16 +393,16 @@ def _poly_texts(polys: list[Poly]) -> list[str]:
     for b in byte:
         key = key << 8 | 255 - _REVERSED[b]
     order = np.argsort(key)
-    # one row of parts per term: its variables' names, then " + " or, after
-    # a polynomial's last term, "\n"; the '*' before either is cut below
+    masks = masks[order]
+    # one row of parts per term: its variables' names, each after a '*'
+    # but the term's first, then " + " or, after a polynomial's last term, "\n"
     parts = np.empty((len(order), rows + 1), object)
-    for r, b in enumerate(byte):
-        parts[:, r] = _NAME_ROWS[r][b[order]]
-    parts[degree[order] == 0, 0] = "1*"
+    for r, b in enumerate(byte):  # + 256 where the bytes below are empty
+        parts[:, r] = _NAME_ROWS[r][b[order] | (masks & (1 << 8 * r) - 1 == 0) << 8]
+    parts[degree[order] == 0, 0] = "1"
     parts[:, -1] = " + "
     parts[np.cumsum(sizes, dtype=np.int64) - 1, -1] = "\n"
-    text = "".join(parts.ravel().tolist()).replace("* + ", " + ").replace("*\n", "\n")
-    return text.split("\n")[:-1]
+    return "".join(parts.ravel().tolist()).split("\n")[:-1]
 
 
 def poly_to_text(q: Poly) -> str:

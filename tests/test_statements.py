@@ -649,6 +649,13 @@ _ODD_LINES = [
     "x123 = 0",
     "11 = 0",
     "x1 + x2 = 0\x0cx3 = 0",
+    # blanks inside a factor or between two words; a blank before '*' only
+    "x1 2 = 0",
+    "x 12 = 0",
+    "x1\t \t2 = 0",
+    "1 1 = 0",
+    "x1 + x2 = 0 0",
+    "x1 *x2 + x3 = 0",
 ]
 
 
@@ -681,6 +688,18 @@ def test_whole_file_parse_matches_the_per_line_oracle():
             accepted += sum(q is not None for q in want)
             refused += sum(q is None for q in want)
     assert accepted > 1000 and refused > 1000
+
+
+def test_a_blank_inside_a_factor_refuses_only_its_line():
+    # the other lines pass, so only the per-line count of adjacent factor
+    # bytes before and after the blanks are deleted can refuse the middle one
+    lines = ["x1*x2 + x3 = 0", "x1*x1 2 + x3 = 0", "x12 + 1 = 0"]
+    bits = _oracle_bits(12)
+    want = [_oracle_bulk_poly(ln, bits) for ln in lines]
+    assert want[0] is not None and want[1] is None and want[2] is not None
+    assert statements._bulk_polys(lines, 12) == want
+    for i in range(3):  # the same line alone, and each neighbour alone
+        assert statements._bulk_polys(lines[i:i + 1], 12) == want[i:i + 1]
 
 
 def test_render_then_parse_is_the_identity_at_m_24():
