@@ -191,12 +191,10 @@ def binom(n: int, k: int) -> int:
 
     From `_UNRANK_CHUNK_MIN_BITS` bits on (by the `math.lgamma` estimate),
     C(n, k) is built from prime powers by :func:`_prime_power_binom`, which
-    never divides a big integer: 0.089 against 0.89 ms for `math.comb` at
-    C(16384, 3276) and 0.62 against 10.0 ms at C(65536, 13107) (CPython
-    3.11, process time). `math.comb` wins on small values (7 against 15 µs
-    at C(1024, 204)) and on sparse k: values of fewer than n / log2(n)
-    bits stay on it, because the prime path touches all n / ln(n) primes
-    up to n (C(2^24, 500): 0.082 against 7.1 ms, sieve not counted).
+    never divides a big integer. `math.comb` wins on small values and on
+    sparse k: values of fewer than n / log2(n) bits stay on it, because the
+    prime path touches all n / ln(n) primes up to n. Timings:
+    `scripts/sweep.py colex` and BENCH_25_binom_prime_powers.json.
     """
     n, k = operator.index(n), operator.index(k)  # numpy ints too, as math.comb takes
     if n < 0 or k < 0:
@@ -292,12 +290,11 @@ def rank_width(n: int, k: int) -> int:
 
 
 # Colex unranks whose C(n, k) has fewer bits than this go by exact walk
-# steps only. scripts/colex_sweep.py (CPython 3.11, best of 3-7), walk
-# against chunks in ms: k = n/5 crosses between 2212 bits (0.86/0.92) and
-# 4326 (2.88/2.04), k = n/2 below 4090 (2.01/1.81; 7.5/4.3 at 8186),
-# k = n/1310 between 2355 (71/108) and 7074 (581/499; 1016/747 at 9433).
-# No benchmark cell has sparse subsets to set it below 5000 on. binom
-# builds a C(n, k) of fewer bits with math.comb.
+# steps only. The walk/chunk crossover moves with k / n, from below 4090
+# bits at k = n/2 to between 2355 and 7074 at k = n/1310 (`scripts/sweep.py
+# colex --ratio`; BENCH_22_colex_lowest_terms.json), and no benchmark cell
+# has sparse subsets to set it below 5000 on. binom builds a C(n, k) of
+# fewer bits with math.comb.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048
@@ -312,9 +309,8 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
     The log2 C(n, k)-bit integer is touched once per chunk of members, by
     one divmod and two multiplies with the chunk's product of about
     `_CHUNK_BITS` bits, instead of once per position as in a walk over
-    0..max(subset); each gap's factors come from `math.perm`. At k = n/5,
-    scripts/colex_sweep.py measured 0.54 ms at n = 3072, 5.1 ms at
-    n = 16384 and 50-52 ms at n = 65536 (CPython 3.11, 2-core VM).
+    0..max(subset); each gap's factors come from `math.perm`. Timings:
+    `scripts/sweep.py colex`.
     """
     members = sorted(subset)
     if members:
@@ -375,10 +371,8 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
     When the anchor is longer than den, the chunk's ratios are first put in
     lowest terms, which shortens the divisor of the long anchor: at
     n = 16384, k = 3276 that took 48% of den's bits off in the rank and 40%
-    in the unrank, and took the rank from 6.3 to 5.1 ms and the unrank from
-    8.8 to 8.2 ms (CPython 3.11). A shorter anchor skips the gcd, which
-    costs more than it saves there: ranks of 409 of 2048 and of 200 of 2^18
-    took 6-15% longer with it.
+    in the unrank (BENCH_22_colex_lowest_terms.json). A shorter anchor
+    skips the gcd, which costs more than it saves there.
     """
     if anchor.bit_length() > den.bit_length():
         g = math.gcd(num, part, den)

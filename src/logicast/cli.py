@@ -66,11 +66,11 @@ def _write_output(path: str, data: bytes) -> None:
     """Write `data` over `path` in place, then cut a regular file to its length.
 
     Truncating on open, as `open(path, "wb")` does, frees the file's blocks
-    only to allocate them again: in the benchmark's cli_roundtrip loop on
-    ext4 mounted with `discard` (2-core VM), such a write took 270-290 µs
-    p50 against 26-28 µs in place. A temporary file and `os.replace` took
-    about 320 µs; unlink and create about 53 µs, but it gives the output a
-    new inode. Here the file keeps its inode, mode and links; a new one
+    only to allocate them again, which made a write several times slower
+    than in place on ext4 mounted with `discard`; so did a temporary file
+    and `os.replace`, and unlink and create gives the output a new inode
+    (`scripts/sweep.py write`, BENCH_26_cli_inplace_writes.json).
+    Here the file keeps its inode, mode and links; a new one
     gets 0o666 & ~umask. A non-regular target (/dev/null, a FIFO, a
     terminal) is written but not truncated. The write is not atomic: a
     reader can see it half done.

@@ -69,32 +69,17 @@ __all__ = [
 
 # A cap on work: the tables are Θ(m·2^m) bits, but every reduction step costs
 # a few 2^m-bit operations, and Buchberger's bases of five random sparse
-# statements (tests/test_groebner.py::_sparse_statements, seeds 1-5) took up
-# to 1.0 s at m = 15 and 1.3 s at m = 16 (process time, 2-core VM, CPython
-# 3.11.7).
+# statements (tests/test_groebner.py::_sparse_statements) pass a second at
+# m = 16.
 GB_M_MAX = 16
 
 # The largest Macaulay matrix, generators * 4^m bits, that `groebner_basis`
-# eliminates instead of running Buchberger.  Buchberger's time over the
-# matrix's, best of 5 each, seeds 1-3 (scripts/groebner_sweep.py --best-of 5
-# --seeds 1 2 3; 2-core VM, CPython 3.11.7, numpy 2.4.6); one generator
-# makes a 4^m-bit matrix, five make 5 * 4^m bits, and `many` has as many
-# three-term generators as fill 2^17 bits (512 at m = 4, 2 at m = 8, then 1):
-#
-#   family  gens  m=4        m=6      m=7       m=8        m=9        m=10
-#   t3       1    2.6-3.6    5.7-6.4  5.6-6.4   5.8-7.0    4.9-5.1    3.9-7.1
-#   single   1    0.60-4.6   5.5-7.1  7.2-8.5   7.0-7.9    5.8-6.9    4.4-6.0
-#   sparse   1    2.5-3.4    2.5-4.4  1.9-4.2   1.6-4.3    0.85-2.8   0.36-1.3
-#   five     5    1.3-2.8    1.1-1.9  2.1-2.2   0.55-1.8   0.20-0.55  0.17-0.46
-#   many     -    0.42-0.46  1.1-1.2  0.91-1.6  0.69-1.9   0.29-0.39  0.10-0.17
-#
-# Up to 2^17 bits the matrix wins every row of one to five generators but
-# one at m = 4 (0.03 against 0.05 ms).  With as many generators as fill the
-# bound it loses at m = 4, 5 (0.42-0.57x at 1-3 ms; hundreds of generators,
-# whose rows mostly reduce to zero) and on some seeds at m = 7, 8
-# (0.69-0.91x).  Past 2^17 bits the sparse rows lose on some seeds; dense
-# generators still gain at m = 10, but the size alone does not tell them
-# apart.
+# eliminates instead of running Buchberger.  Up to 2^17 bits the matrix won
+# on every input of one to five generators but one at m = 4, and lost with
+# as many generators as fill the bound, whose rows mostly reduce to zero.
+# Past 2^17 bits sparse generators lose on some seeds while dense ones still
+# gain, but the size alone does not tell them apart (`scripts/sweep.py
+# groebner`; the table is in BENCH_19_groebner_macaulay.json).
 _MACAULAY_MAX_BITS = 1 << 17
 
 

@@ -232,9 +232,9 @@ def random_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.nda
 _ROW_WORD = 64
 _SURPLUS = 64
 # The encoder draws this many row words per draw_array call.  For k = 2048
-# cells of 4096 (33 words), 4 words a call built the system in 3.2 ms against
-# 5.8 ms for one word a call; one call for all 33 words was no faster (3.7 ms)
-# but raised peak RSS by 4.0 MB against 1.05 MB (best of 15, process time).
+# cells of 4096 (33 words), 4 words a call beat one word a call, and one call
+# for all 33 words was no faster but raised peak RSS by 4.0 MB against
+# 1.05 MB (`draw_group_size` in BENCH_20_linear_draw.json).
 _DRAW_WORDS = 4
 # The decoder XORs its selected rows in chunks of about this many words; at
 # 2^16 words the chunk's draw temporaries raised peak RSS at m=12 by 1.2 MB.

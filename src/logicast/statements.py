@@ -21,7 +21,7 @@ and tabs, each line is checked, and each factor x<i> becomes the bit
 gives every line its term array. Every other line, and every error, goes
 through the tokenizer. Rendering sorts and spells the terms of a whole
 PolySet at once, from per-byte tables that hold each run of variable names
-with and without its leading '*'. Timings: `scripts/poly_sweep.py`.
+with and without its leading '*'. Timings: `scripts/sweep.py poly`.
 """
 
 from __future__ import annotations
