@@ -20,6 +20,11 @@ One JSON file:
 * ``machine`` (``bench/harness.machine_meta``) and ``end_to_end_effect``:
   per workload, the op_p50_ms medians, their ratio, the pairs won and the
   parent's interquartile range.
+* ``change_head`` and ``change_dirty``: this checkout's ``git rev-parse
+  HEAD`` and whether ``git status --porcelain`` lists any change, both
+  taken before the first run (None outside a git checkout). The change
+  side is the working tree, so with ``change_dirty`` true it is not
+  ``change_head``; ``machine.git_sha`` is the same HEAD.
 
 The parent checkout can be an exported copy (``git archive``); run nothing
 else meanwhile, as every run shares the machine.
@@ -50,6 +55,16 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> 
     result = json.loads(proc.stdout.splitlines()[-1])
     return {"attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _checkout() -> dict:
+    """This checkout's HEAD and whether `git status` lists any change."""
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    return {"change_head": head, "change_dirty": None if status is None else status != ""}
 
 
 def _summary(xs: list[float]) -> dict:
@@ -156,12 +171,14 @@ def main(argv=None) -> int:
     import harness  # this checkout's benchmark, for the machine record
 
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    checkout = _checkout()
     pairs = dict(args.pairs)
     end_to_end = {w: _ab(trees, w, n, args.seed, args.seconds) for w, n in pairs.items()}
     report = {
         "parent": args.parent_rev,
         "layer": args.layer,
         "machine": harness.machine_meta(args.seed),
+        **checkout,
         "end_to_end_effect": _effect(end_to_end),
         "method": f"bench/run.py --seconds {args.seconds:g} --trace 0 --seed {args.seed}; "
                   + ", ".join(f"{n} pairs on {w}" for w, n in pairs.items())

@@ -36,9 +36,12 @@ with a message on the first mismatch.
   with blank runs and tabs around every operator (`parse_padded_ms`) and on
   SHORT_LINES canonical lines of one to four terms of degree at most three
   (`parse_lines_ms`); last, `parse_statements` on FORMULA_LINES random
-  formula lines over x1..x12. The m=12 row parses and renders the same
-  law at the same size as cli_roundtrip's t1 files. Exits 1 if
-  zeros(reconstruct(a)) != a, or a file parses to another set.
+  formula lines over x1..x12. `parse_peak_x` is the `tracemalloc` peak of
+  one warm parse of the rendered file over its bytes: the parse's
+  footprint, which a cold parse exceeds by the per-thread rows it grows.
+  The m=12 row parses and renders the same law at the same size as
+  cli_roundtrip's t1 files. Exits 1 if zeros(reconstruct(a)) != a, or a
+  file parses to another set.
 * ``rates``: the rate report of every `simlab.DEFAULT_MATRIX` cell, with
   its wall seconds.
 * ``write``: the cli_roundtrip benchmark loop in process with
@@ -60,6 +63,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +246,17 @@ def poly_files(m: int, seed: int) -> dict[str, tuple[str, object]]:
             "many-line": (lines, PolySet(m, frozenset(polys)))}
 
 
+def _parse_peak_x(text: str, m: int) -> float:
+    """Traced peak of one warm `parse_statements` of text over its bytes."""
+    parse_statements(text, m)
+    tracemalloc.start()
+    try:
+        parse_statements(text, m)
+        return tracemalloc.get_traced_memory()[1] / len(text.encode())
+    finally:
+        tracemalloc.stop()
+
+
 def _poly(args):
     for m in args.sizes:
         for seed in args.seeds:
@@ -255,7 +270,7 @@ def _poly(args):
             check(z == a and back == ps, f"zeros(reconstruct(a)) != a at m={m}, seed={seed}")
             for (name, (_, want)), got in zip(files.items(), parsed):
                 check(got == want, f"{name} file parses to another set at m={m}, seed={seed}")
-            yield m, seed, a.size, q.terms.size, *ms
+            yield m, seed, a.size, q.terms.size, *ms, _parse_peak_x(files["rendered"][0], m)
     rng = random.Random(2000)
     tails = ["", " is TRUE", " is FALSE"]
     text = "".join(f"{_formula(rng, 3)}{rng.choice(tails)}\n" for _ in range(FORMULA_LINES))
@@ -353,7 +368,7 @@ TIMED = {
                  "\tspeedup\tpath", range(4, 11), 2, 11, 3),
     "linear": (_linear, "cell\tm\tseed\tk\trows\tJ\tdraw_ms\tsolve_ms", range(8, 13), 2, 14, 3),
     "poly": (_poly, "m\tseed\tpoints\tterms\tzeros_ms\treconstruct_ms\trender_ms\tparse_ms"
-             "\tparse_padded_ms\tparse_lines_ms", range(8, 17), 1, 20, 5),
+             "\tparse_padded_ms\tparse_lines_ms\tparse_peak_x", range(8, 17), 1, 20, 5),
 }
 
 

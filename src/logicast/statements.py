@@ -18,15 +18,20 @@ around factors, no comment) are read in one pass of numpy work over the
 whole text: one `bytes.translate` classifies the bytes and deletes blanks
 and tabs, each line is checked, and each factor x<i> becomes the bit
 1 << (i - 1), ORed into term masks by `np.bitwise_or.reduceat`; one sort
-gives every line its term array. Every other line, and every error, goes
-through the tokenizer. Rendering sorts and spells the terms of a whole
-PolySet at once, from per-byte tables that hold each run of variable names
-with and without its leading '*'. Timings: `scripts/sweep.py poly`.
+gives every line its term array. The pass writes its per-byte flags into
+six uint8 rows that each thread keeps (`threading.local`), at the length
+of the longest text it has parsed, so a warm parse allocates no per-byte
+array; a thread that has parsed an n-byte text retains about 6n bytes.
+Every other line, and every error, goes through the tokenizer. Rendering
+sorts and spells the terms of a whole PolySet at once, from per-byte
+tables that hold each run of variable names with and without its leading
+'*'. Timings: `scripts/sweep.py poly`.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 
 import numpy as np
 
@@ -248,6 +253,9 @@ _CLASS = bytes(
 )
 
 
+_LOCAL = threading.local()  # rows: this thread's per-byte scratch
+
+
 def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     """Polynomial of each line that reads `t + ... + t = 0`, each term t a
     product of factors x<i> (1 <= i <= limit, no leading zero) or 1, with
@@ -256,7 +264,10 @@ def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     Numpy calls over the whole text: one `bytes.translate` classifies the
     bytes and deletes blanks and tabs, and every byte left is checked against
     its neighbours. A line with a blank inside a factor has more pairs of
-    adjacent factor bytes (digits, x) after the deletion than before it.
+    adjacent factor bytes after the deletion than before it. Every per-byte
+    flag is written with `out=` into this thread's six rows, allocated by
+    its first parse, replaced only by a longer text's and kept between
+    calls; only the factor-level arrays are new, and no `Poly` shares them.
     """
     out: list[Poly | None] = [None] * len(lines)
     if not lines:
@@ -265,47 +276,87 @@ def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
     # newlines before and three after, so every shift below stays in range;
     # position 1 opens the first line, as each newline opens the next.
     raw = "\n".join(["\n", *lines, "\n\n"]).encode("ascii", "replace")
+    r = np.frombuffer(raw, np.uint8)
+    rows = getattr(_LOCAL, "rows", None)
+    if rows is None or rows.shape[1] < r.size:
+        _LOCAL.rows = rows = None  # the old rows go before the new come
+        rows = _LOCAL.rows = np.empty((6, r.size), np.uint8)
+    flags = rows.view(bool)
+    # adjacent factor bytes (digits, x) before the deletion; row 2 is scratch
+    f, g = flags[0, :r.size], flags[1, :r.size]
+    np.less(np.subtract(r, 48, out=rows[2, :r.size]), 10, out=f)
+    f |= np.equal(r, 120, out=g)
+    raw_pair = np.logical_and(f[1:], f[:-1], out=g[1:])
     c = np.frombuffer(raw.translate(_CLASS, b" \t"), np.uint8)  # blanks deleted
-    word = c <= _X
+    word = np.less_equal(c, _X, out=flags[0, :c.size])  # the factor bytes after it
+    pair = np.logical_and(word[1:], word[:-1], out=flags[2, 1:c.size])
+    joined = None
+    if np.count_nonzero(pair) != np.count_nonzero(raw_pair):  # on which lines?
+        # the pairs before each newline; line i lies between newlines i + 1 and i + 2
+        raw_before, before = (
+            np.searchsorted(np.flatnonzero(p), np.flatnonzero(np.equal(text, nl, out=flags[3, :text.size])))
+            for p, text, nl in ((raw_pair, r, 10), (pair, c, _NL)))
+        joined = np.diff(before - raw_before)[1:-2] > 0
+    del raw, r  # c and the rows hold all that is read from here on
     cur, prev, nxt, nxt2 = c[1:-3], c[:-4], c[2:-2], c[3:-1]
-    wcur, wprev, wnxt, wnxt3 = word[1:-3], word[:-4], word[2:-2], word[4:]
-    x = cur == _X
-    eq = cur == _EQ
-    number = (cur <= 9) & ~wprev  # a word that starts with a digit
-    one = number & (cur == 1)
+    wprev, wnxt, wnxt3 = word[:-4], word[2:-2], word[4:]
+    x, bad, t, u = flags[1:5, :cur.size]
+    index = rows[5, :cur.size]
+    np.equal(cur, _X, out=x)
     # the index i of x<i> (one digit, or two), 0 off an x; classes stay
     # below 16, so the uint8 sums stay below 256
-    index = (nxt + (nxt2 <= 9) * (nxt * 9 + nxt2)) * x
-    bad = (cur == _OTHER) | (index > limit)
+    np.less_equal(nxt2, 9, out=t)
+    np.multiply(nxt, 9, out=index)
+    index += nxt2
+    index *= t
+    index += nxt
+    index *= x
+    # x<i>: x opens the word, then a digit 1-9 and at most one more digit
+    t &= wnxt3
+    t |= wprev
+    t |= np.equal(nxt, 0, out=u)
+    t |= np.greater(nxt, 9, out=u)
+    np.logical_and(t, x, out=bad)
+    bad |= np.equal(cur, _OTHER, out=u)
+    bad |= np.greater(index, limit, out=u)
     # an operator follows a factor; the word after it is checked in turn,
     # and the line must end in '=' and a lone 0
-    bad |= (cur >= _STAR) & (cur <= _EQ) & ~wprev
-    # x<i>: x opens the word, then a digit 1-9 and at most one more digit
-    bad |= x & (wprev | (nxt == 0) | (nxt > 9) | ((nxt2 <= 9) & wnxt3))
-    # a number is the factor 1, or the 0 right after '='
-    bad |= number & (wnxt | ~one & ((cur != 0) | (prev != _EQ)))
+    np.logical_and(np.greater_equal(cur, _STAR, out=t), np.less_equal(cur, _EQ, out=u), out=t)
+    np.logical_not(wprev, out=u)  # no word byte before; the numbers read it too
+    bad |= np.logical_and(t, u, out=t)
+    # a number (a word that starts with a digit) is the factor 1, or the 0
+    # right after '='; a 1 there fails the check of '=' below
+    np.logical_and(np.less_equal(cur, 9, out=t), u, out=t)
+    np.not_equal(cur, np.not_equal(prev, _EQ, out=u), out=u)
+    u |= wnxt
+    bad |= np.logical_and(u, t, out=u)
+    x |= np.logical_and(np.equal(cur, 1, out=u), t, out=u)  # x<i> or 1: a factor
     # '=' ends the line with a lone 0
-    bad |= eq & ((nxt != 0) | (nxt2 != _NL))
-    r = np.frombuffer(raw, np.uint8)
-    w = (r - 48 < 10) | (r == 120)  # the factor bytes before the deletion
-    pair, raw_pair = wcur & wprev, w[1:-3] & w[:-4]
-    gained = np.count_nonzero(pair) != np.count_nonzero(raw_pair)
-    factor = x | one
+    eq = np.count_nonzero(np.equal(cur, _EQ, out=t))
+    bad |= np.logical_and(np.not_equal(nxt, 0, out=u), t, out=u)
+    bad |= np.logical_and(np.not_equal(nxt2, _NL, out=u), t, out=u)
     ok = np.ones(len(lines), bool)
-    starts = np.flatnonzero(cur == _NL) if len(lines) > 1 else np.zeros(1, np.intp)
+    starts = np.flatnonzero(np.equal(cur, _NL, out=t)) if len(lines) > 1 else np.zeros(1, np.intp)
     # no bad byte leaves two '=' on a line, so one per line means all pass
-    if gained or bad.any() or np.count_nonzero(eq) != len(lines):
-        ok = np.logical_or.reduceat(eq, starts) & ~np.logical_or.reduceat(bad, starts)
-        if gained:  # r's newlines open its lines as cur's do
-            ok &= np.add.reduceat(pair, starts, dtype=np.intp) == np.add.reduceat(
-                raw_pair, np.flatnonzero(r[1:-3] == 10), dtype=np.intp)
-        factor &= np.repeat(ok, np.diff(starts, append=len(cur)))
-    at = np.flatnonzero(factor)
-    bits = np.left_shift(1, index[at].astype(np.int32)) >> 1  # x<i>: 1 << (i - 1); 1: none
-    term = np.flatnonzero((prev != _STAR)[at])
-    masks = np.bitwise_or.reduceat(bits, term)
+    if joined is not None or eq != len(lines) or bad.any():
+        ok = np.logical_or.reduceat(np.equal(cur, _EQ, out=t), starts)
+        ok &= ~np.logical_or.reduceat(bad, starts)
+        if joined is not None:
+            ok &= ~joined
+        # t marks the bytes of accepted lines: xor runs over each change of ok
+        t.fill(False)
+        t[starts] = np.diff(ok, prepend=False)
+        x &= np.logical_xor.accumulate(t, out=t)
+    # the first factor of each term
+    np.logical_and(np.not_equal(prev, _STAR, out=t), x, out=t)
+    at = np.flatnonzero(x)
+    first, index = np.flatnonzero(t[at]), index[at]  # per factor from here
+    del at  # the int64 positions go before the int32 bits come
+    bits = np.left_shift(1, index, dtype=np.int32)  # x<i>: 1 << (i - 1); 1: none
+    bits >>= 1
+    masks = np.bitwise_or.reduceat(bits, first)
     if len(lines) > 1:  # each mask's line, above its at most M_MAX bits
-        masks = np.searchsorted(starts, at[term], side="right") - 1 << M_MAX | masks
+        masks = np.searchsorted(starts, np.flatnonzero(t), side="right") - 1 << M_MAX | masks
     # One sort by line, then mask; of each run of equal terms an odd count
     # leaves one, an even count none.
     key = np.sort(masks)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,19 @@ def test_ab_pairs_alternate_count_ties_for_neither_and_use_inclusive_quartiles(m
     assert lower["parent_iqr"] == 2.0
     assert ab._effect({"sim_exact": out}) == (
         "sim_exact op_p50_ms 11.0000 -> 10.0000 ms (0.9091x, 3 of 5 pairs; parent IQR 2.0000 ms)")
+
+
+def test_ab_records_the_change_sides_head_and_whether_it_is_dirty(tmp_path, monkeypatch):
+    ab = _load("ab")
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert ab._checkout() == {"change_head": None, "change_dirty": None}  # not a checkout
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=ab", "-c", "user.email=ab@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (tmp_path / "f").write_text("1")
+    subprocess.run([*git, "add", "f"], check=True)
+    subprocess.run([*git, "commit", "-qm", "f"], check=True)
+    clean = ab._checkout()
+    assert re.fullmatch("[0-9a-f]{40}", clean["change_head"]) and clean["change_dirty"] is False
+    (tmp_path / "f").write_text("2")
+    assert ab._checkout() == {"change_head": clean["change_head"], "change_dirty": True}

@@ -6,9 +6,12 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from logicast.errors import (
     VariableOutOfRange,
 )
 from logicast.poly import Poly, PolySet, monomial_from_vars
+from logicast.simlab import Single, sample
 from logicast.statements import parse_statements, poly_to_text, render_statements
 
 
@@ -709,3 +713,83 @@ def test_render_then_parse_is_the_identity_at_m_24():
         text = render_statements(ps)
         assert parse_statements(text) == ps
         assert parse_statements(text.replace("\n", "\r\n"), 24) == ps
+
+
+def test_a_warm_parse_peaks_under_eight_times_its_text():
+    # the m=12 Single(0.2) statement file, about 45 kB on one line
+    ps = sample(Single(0.2), 12, 1)[1][0]
+    text = render_statements(ps)
+    assert parse_statements(text, 12) == ps  # grows this thread's rows
+    tracemalloc.start()
+    try:
+        parse_statements(text, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+
+def _mixed_file(rng: random.Random, m: int, lines: int) -> str:
+    """Rendered lines of random polynomials over x1..xm, with padded lines and
+    the odd lines that parse among them, so both the bulk pass and the
+    tokenizer accept some."""
+    out = []
+    while len(out) < lines:
+        out += render_statements(_random_polyset(rng, m)).splitlines()
+    out += [_pad(rng, ln) for ln in out if rng.random() < 0.3]
+    out += [ln for ln in _ODD_LINES if isinstance(_outcome(_oracle_parse, ln, m), PolySet)]
+    rng.shuffle(out)
+    return "\n".join(out) + "\n"
+
+
+def test_a_parse_keeps_its_set_after_later_parses_reuse_the_rows():
+    rng = random.Random(1415)
+    a, b = _mixed_file(rng, 12, 60), _mixed_file(rng, 12, 240)
+    c = render_statements(PolySet(12, frozenset([Poly(rng.sample(range(1 << 12), 60))])))
+    assert len(c) < len(a) < len(b) and c.count("\n") == 1  # C takes the one-line path
+    results = {}
+
+    def run():  # a new thread starts with no rows, so B grows them and C reuses them
+        for name, text in (("a", a), ("b", b), ("c", c)):
+            results[name] = parse_statements(text, 12)
+        rows = statements._LOCAL.rows
+        results["shared"] = [np.shares_memory(q.terms, rows)
+                             for ps in results.values() for q in ps.polys]
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results["a"] == _oracle_parse(a, 12)
+    assert results["b"] == _oracle_parse(b, 12)
+    assert results["c"] == _oracle_parse(c, 12)
+    assert not any(results["shared"])
+
+
+def test_threads_parsing_at_once_each_get_their_own_set():
+    # more threads than cores, switching often, each on its own file
+    rng = random.Random(1416)
+    files = [render_statements(sample(Single(0.2), 12, seed)[1][0]) + _mixed_file(rng, 12, 200)
+             for seed in (1, 2, 3, 4)]
+    wants = [_oracle_parse(text, 12) for text in files]
+    start = threading.Barrier(len(files))
+    got = [[] for _ in files]
+
+    def run(i):
+        start.wait()
+        for _ in range(50):
+            got[i].append(parse_statements(files[i], 12))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(files))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, sets in zip(wants, got):
+        assert len(sets) == 50 and all(ps == want for ps in sets)
