@@ -28,8 +28,10 @@ with a message on the first mismatch.
   `linear_encode` receives in one `simlab.run_trials` trial of each
   `sim_linear` cell, the constraint count k, the rows drawn, J, then
   `partition._linear_system` (drawing and packing the system) and
-  `partition.first_solvable_prefix` on the system just drawn. Exits 1 if
-  the picked rows, drawn again by `linear_decode`, miss the target.
+  `partition.first_solvable_prefix` on the system just drawn, then
+  `step_us`, the solve time over its ceil(J / 8) eight-column steps: the
+  per-step cost, which numpy's fixed cost per call sets at m <= 12. Exits
+  1 if the picked rows, drawn again by `linear_decode`, miss the target.
 * ``poly [m ...]``: for a point set of `Single(0.2)` (`simlab.sample`), its
   points, its polynomial's terms, then `algset.zeros`, `algset.reconstruct`,
   `render_statements` and `parse_statements` on the rendered file, on it
@@ -206,7 +208,7 @@ def _linear(args):
                     y = partition.linear_decode(BitReader(Bits(bits_to_int(bits), len(bits))), x.n, shared)
                     check(np.array_equal(y[psi], x.entries[psi]),
                           f"picked rows miss the target: k={psi.size}, seed={shared.seed}")
-                    yield name, m, seed, psi.size, rows, j, draw, solve
+                    yield name, m, seed, psi.size, rows, j, draw, solve, solve * 1e3 / -(-j // 8)
 
 
 # -------------------------------------------------------------------- poly
@@ -366,7 +368,7 @@ TIMED = {
     # the matrix path holds a 4^m-entry count array per generator: 32 MB at m = 11
     "groebner": (_groebner, "family\tm\tseed\tgens\tmatrix_bits\tbuchberger_ms\tmacaulay_ms"
                  "\tspeedup\tpath", range(4, 11), 2, 11, 3),
-    "linear": (_linear, "cell\tm\tseed\tk\trows\tJ\tdraw_ms\tsolve_ms", range(8, 13), 2, 14, 3),
+    "linear": (_linear, "cell\tm\tseed\tk\trows\tJ\tdraw_ms\tsolve_ms\tstep_us", range(8, 13), 2, 14, 3),
     "poly": (_poly, "m\tseed\tpoints\tterms\tzeros_ms\treconstruct_ms\trender_ms\tparse_ms"
              "\tparse_padded_ms\tparse_lines_ms\tparse_peak_x", range(8, 17), 1, 20, 5),
 }

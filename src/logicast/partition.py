@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -245,6 +245,12 @@ _CHUNK_WORDS = 1 << 14
 _SLAB = 16
 # _BIT_MASKS[b, v] is 0xFF where the byte v has bit b set, else 0
 _BIT_MASKS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0, bitorder="little") * np.uint8(0xFF)
+# The Gray walk visits the combinations p ^ p >> 1, p = 0 .. 255, each one
+# bit from the last: step p flips bit _RULER[p - 1], and _GRAY_RANK[combo] is
+# the step reaching combo, a map linear over GF(2) (bit i of the step is the
+# XOR of the combination's bits i and up)
+_RULER = np.array([(p & -p).bit_length() - 1 for p in range(1, 256)], dtype=np.intp)
+_GRAY_RANK = sorted(range(256), key=lambda p: p ^ p >> 1)
 # (j, mask) of the six swap rounds of a 64 x 64 bit transpose: the mask
 # keeps the low j bits of every 2j
 _TRANSPOSE_ROUNDS = [
@@ -263,6 +269,21 @@ def pack_columns(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.view("<u8").T)
 
 
+def _pivot_candidates(
+    block: np.ndarray, live: np.ndarray, pivot_col: dict, first: int, valid: int
+) -> Iterator[tuple[int, int]]:
+    """(row, byte & valid) of each live row from ``first`` on whose ``block``
+    byte has a bit in ``valid``.  Most blocks find their pivots among the first
+    few such rows, so the first 64 rows are read as one list, their pivot rows
+    skipped by the dict, and the rest are masked only if the caller asks."""
+    head = (block[first : first + 64] & valid).tolist()
+    yield from ((i, v) for i, v in enumerate(head, first) if v and i not in pivot_col)
+    rest = block[first + 64 :] & valid
+    rest[live[first + 64 :] == 0] = 0
+    at = np.flatnonzero(rest)
+    yield from zip((at + (first + 64)).tolist(), rest[at].tolist())
+
+
 def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     """(J, combination) of the shortest prefix of generator rows spanning a target.
 
@@ -276,16 +297,17 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     Four-Russians elimination (Arlazarov, Dinic, Kronrod and Faradzev; the
     M4RI variant of Albrecht and Bard) to reduced echelon form, in place:
     each step finds the pivots among 8 columns, tabulates the 2^kk
-    combinations of its kk pivot rows, and clears those columns from every
-    row with one table lookup and one XOR of the words from the block on.
-    The table is built one combination per row: the kk pivot rows are
-    gathered once, combinations 2^a .. 2^(a+1) - 1 are the ones below them
-    XOR pivot row a (one XOR over whole rows per pivot row), and one copy
-    turns it word-major for the lookups, which read it 16 words at a time.
-    At k <= 2100 the numpy calls per step, not the XORed words, set the
-    time, so the step's pivot bookkeeping stays in Python lists and a dict.
-    Rows stay where they are; a byte mask marks the live rows (no pivot
-    yet), and only those are searched for pivots.  For k constraints that
+    combinations of its kk pivot (source) rows, and clears those columns
+    from every row with one table lookup and one XOR of the words from the
+    block on, 16 words at a time.  The table follows a Gray walk (Bard), so
+    it is one XOR accumulate of the source rows gathered in walk order.  A
+    row's lookup index is the walk step of the combination that clears its
+    pivot bits; a source row's is that of its reduced combination XOR
+    itself, so the same sweep leaves the reduced pivot rows in place.  At
+    k <= 2100 the numpy calls per step, not the XORed words, set the time,
+    so the step's pivot bookkeeping stays in Python lists and a dict.  Rows
+    stay where they are; a byte mask keeps the target bit of the live rows
+    (no pivot yet), the rows searched for pivots.  For k constraints that
     is about k^3/512 word operations on k^2/8 bytes.  The pivot columns are
     the row rank profile of the generator prefix, and in reduced form the
     target column holds the combination.
@@ -297,27 +319,21 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     # the byte of each row holding column c is m8[c >> 6, 8 * row + (c >> 3 & 7)]
     target = m8[rows >> 6, rows >> 3 & 7 :: 8]
     t_bit = 1 << (rows & 7)
-    live = np.full(k, 0xFF, dtype=np.uint8)  # 0 once the row is a pivot row
+    live = np.full(k, t_bit, dtype=np.uint8)  # 0 once the row is a pivot row
     first = 0  # no live row before it
     pivot_col: dict[int, int] = {}  # pivot row -> its column
     for c in range(0, rows, 8):
         # stop once the target lies in the span of the columns left of c
-        if not np.count_nonzero(target & live & t_bit):
+        if not np.count_nonzero(target & live):
             break
         valid = (1 << min(rows - c, 8)) - 1
         block = m8[c >> 6, c >> 3 & 7 :: 8]
         # pivots of this block: src[a] is the live row behind basis[a] =
-        # [pivot bit, reduced byte, combination of src rows]; most blocks
-        # fill all 8 columns from the first few nonzero live rows, so rows
-        # past the first 64 from `first` are masked only when they do not
+        # [pivot bit, reduced byte, combination of src rows]
         src: list[int] = []
         basis: list[list[int]] = []
         need = valid.bit_count()
-        parts = ((first, first + 64), (first + 64, k))
-        for i in chain.from_iterable(
-            (np.flatnonzero(block[a:b] & live[a:b] & valid) + a).tolist() for a, b in parts
-        ):
-            v = int(block[i]) & valid
+        for i, v in _pivot_candidates(block, live, pivot_col, first, valid):
             combo = 1 << len(src)
             for e in basis:
                 if v & e[0]:
@@ -335,32 +351,33 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
                     break
         if not src:
             continue
-        # by_combo[s]: XOR of the source rows in s, words from the block on,
-        # doubled one whole source row at a time; table is its transpose
+        # table[:, p]: XOR of the source rows in combination p ^ p >> 1, words
+        # from the block on
         w0 = c >> 6
-        by_combo = np.empty((1 << len(src), system.shape[0] - w0), dtype=system.dtype)
-        by_combo[0] = 0
-        for a, row in enumerate(system.T[src, w0:]):
-            np.bitwise_xor(by_combo[: 1 << a], row, out=by_combo[1 << a : 2 << a])
-        table = np.ascontiguousarray(by_combo.T)
-        # lut[byte]: the source combination that clears the byte's pivot bits
-        of_bit = [0] * 8
+        steps = (1 << len(src)) - 1
+        table = np.empty((system.shape[0] - w0, steps + 1), dtype=system.dtype)
+        table[:, 0] = 0
+        np.bitwise_xor.accumulate(system[w0:, np.array(src)[_RULER[:steps]]], axis=1, out=table[:, 1:])
+        # lut[byte]: the walk step of the source combination that clears the
+        # byte's pivot bits, the XOR of its bits' steps
+        step_of_bit = [0] * 8
         for e, i in zip(basis, src):
             p = e[0].bit_length() - 1
-            of_bit[p] = e[2]
+            step_of_bit[p] = _GRAY_RANK[e[2]]
             pivot_col[i] = c + p
-        lut = np.bitwise_xor.reduce(_BIT_MASKS & np.array(of_bit, dtype=np.uint8)[:, None], axis=0)
+        lut = np.bitwise_xor.reduce(_BIT_MASKS & np.array(step_of_bit, dtype=np.uint8)[:, None], axis=0)
         idx = lut.astype(np.intp).take(block)
+        # a source row is XORed with the rest of its reduced combination
+        idx[src] = [_GRAY_RANK[e[2] ^ 1 << a] for a, e in enumerate(basis)]
         for w in range(w0, system.shape[0], _SLAB):
             system[w : w + _SLAB] ^= np.take(table[w - w0 : w - w0 + _SLAB], idx, axis=1)
-        # that cleared the source rows too; they become the reduced pivots
-        system[w0:, src] = table[:, [e[2] for e in basis]]
         live[src] = 0
-        while first < k and not live[first]:
+        while first in pivot_col:
             first += 1
-    if np.count_nonzero(target & live & t_bit):
+    if np.count_nonzero(target & live):
         raise SearchExhausted(f"no solvable prefix within {rows} rows")
-    picked = [pivot_col[i] for i in np.flatnonzero(target & ~live & t_bit).tolist()]
+    # every row left with the target bit is a pivot row
+    picked = [pivot_col[i] for i in np.flatnonzero(target & t_bit).tolist()]
     j = max(picked) + 1 if picked else 1
     flags = np.zeros(j, dtype=np.uint8)
     flags[picked] = 1

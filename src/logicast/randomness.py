@@ -30,12 +30,21 @@ def draw(seed: int, key: int) -> int:
 
 
 def draw_array(seed: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized `draw` over a uint64 key array."""
+    """Vectorized `draw` over a uint64 key array: one result array and one
+    scratch array, each step computed in place."""
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed & MASK64) + (keys + np.uint64(1)) * np.uint64(GOLDEN))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        return z ^ (z >> np.uint64(31))
+        z = keys + np.uint64(1)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(seed & MASK64)
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MUL1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MUL2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
 
 def derive_seed(seed: int, lane: int) -> int:

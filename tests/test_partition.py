@@ -492,6 +492,16 @@ def test_first_solvable_prefix_multi_slab():
     assert (j, combo) == _incremental_prefix(iter(rows), target)
 
 
+def test_gray_walk_visits_every_combination_once():
+    # the eliminator's table of kk source rows: from combination 0, step p
+    # flips bit _RULER[p - 1], and _GRAY_RANK finds the step of a combination
+    for kk in range(1, 9):
+        flips = np.left_shift(1, partition._RULER[: (1 << kk) - 1])
+        walk = [0, *np.bitwise_xor.accumulate(flips).tolist()]
+        assert sorted(walk) == list(range(1 << kk))
+        assert [partition._GRAY_RANK[combo] for combo in walk] == list(range(1 << kk))
+
+
 def _fair_rows(seed: int, care: int):
     """Generator rows over the constrained columns, column i at bit i."""
     nblk = (care.bit_length() + 63) >> 6
