@@ -37,13 +37,16 @@ with a message on the first mismatch.
   `render_statements` and `parse_statements` on the rendered file, on it
   with blank runs and tabs around every operator (`parse_padded_ms`) and on
   SHORT_LINES canonical lines of one to four terms of degree at most three
-  (`parse_lines_ms`); last, `parse_statements` on FORMULA_LINES random
-  formula lines over x1..x12. `parse_peak_x` is the `tracemalloc` peak of
+  (`parse_lines_ms`); then `parse_statements` on FORMULA_LINES random
+  formula lines over x1..x12 (`formula_lines`) and, last, on SHORT_LINES
+  raw lines over x1..x12 that the bulk pass refuses, each spelling one
+  short canonical line with x0<i> factors, 1 factors, a 0 term and a
+  comment (`raw_lines`). `parse_peak_x` is the `tracemalloc` peak of
   one warm parse of the rendered file over its bytes: the parse's
   footprint, which a cold parse exceeds by the per-thread rows it grows.
   The m=12 row parses and renders the same law at the same size as
   cli_roundtrip's t1 files. Exits 1 if zeros(reconstruct(a)) != a, or a
-  file parses to another set.
+  file parses to another set (the raw lines: than their canonical lines).
 * ``rates``: the rate report of every `simlab.DEFAULT_MATRIX` cell, with
   its wall seconds.
 * ``write``: the cli_roundtrip benchmark loop in process with
@@ -236,6 +239,15 @@ def poly_files(m: int, seed: int) -> dict[str, tuple[str, object]]:
     padded = text
     for op, pad in PADS.items():
         padded = padded.replace(op, pad)
+    polys = _short_polys(m)
+    lines = "".join(f"{poly_to_text(q)} = 0\n" for q in polys)
+    return {"rendered": (text, ps), "padded": (padded, ps),
+            "many-line": (lines, PolySet(m, frozenset(polys)))}
+
+
+def _short_polys(m: int) -> list[Poly]:
+    """SHORT_LINES nonzero polynomials of one to four terms of degree at most
+    three over x1..xm, seeded by m."""
     rng = random.Random(m)
     polys = []
     while len(polys) < SHORT_LINES:
@@ -243,9 +255,22 @@ def poly_files(m: int, seed: int) -> dict[str, tuple[str, object]]:
                  for _ in range(rng.randint(1, 4)))
         if not q.is_zero:
             polys.append(q)
-    lines = "".join(f"{poly_to_text(q)} = 0\n" for q in polys)
-    return {"rendered": (text, ps), "padded": (padded, ps),
-            "many-line": (lines, PolySet(m, frozenset(polys)))}
+    return polys
+
+
+def _raw_line(rng: random.Random, q: Poly, m: int) -> str:
+    """A raw line of q that only the tokenizer reads, such as
+    `x03*x7 + x5*0 + x2 + 1 = 0 # c`: some factors spelled x0<i>, a 1 factor
+    in some terms, a term with a 0 factor, and a comment."""
+    terms = []
+    for t in q.terms.tolist():
+        factors = [f"x0{v + 1}" if rng.random() < 0.3 else f"x{v + 1}"
+                   for v in range(m) if t >> v & 1]
+        if not factors or rng.random() < 0.3:
+            factors.append("1")
+        terms.append("*".join(factors))
+    terms.insert(rng.randint(0, len(terms)), f"x{rng.randint(1, m)}*0")
+    return " + ".join(terms) + " = 0 # c"
 
 
 def _parse_peak_x(text: str, m: int) -> float:
@@ -278,6 +303,12 @@ def _poly(args):
     text = "".join(f"{_formula(rng, 3)}{rng.choice(tails)}\n" for _ in range(FORMULA_LINES))
     (ms,), _ = timed([lambda: parse_statements(text)], args.best_of)
     yield "formula_lines", FORMULA_LINES, "parse_ms", ms
+    polys = _short_polys(12)
+    text = "".join(f"{_raw_line(rng, q, 12)}\n" for q in polys)
+    want = parse_statements("".join(f"{poly_to_text(q)} = 0\n" for q in polys), 12)
+    (ms,), (got,) = timed([lambda: parse_statements(text, 12)], args.best_of)
+    check(got == want, "raw lines parse to another set than their canonical lines")
+    yield "raw_lines", len(polys), "parse_ms", ms
 
 
 # ------------------------------------------------------------------- rates

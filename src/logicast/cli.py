@@ -86,6 +86,12 @@ def _write_output(path: str, data: bytes) -> None:
         os.close(fd)
 
 
+def _check_flag(scenario: str, flag: str, value: str | None, takers: tuple[str, ...]) -> None:
+    if (scenario in takers) != bool(value):
+        verb = "needs" if scenario in takers else "does not take"
+        raise _UsageError(f"{scenario} {verb} --{flag}")
+
+
 def _codec_for(scenario: str, flag: str | None) -> str | None:
     if scenario in PARTITION_SCENARIOS:
         return flag or "linear"
@@ -98,10 +104,8 @@ def _codec_for(scenario: str, flag: str | None) -> str | None:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     scenario = args.scenario
-    for flag, takers in (("background", BACKGROUND_SCENARIOS), ("query", PARTITION_SCENARIOS)):
-        if (scenario in takers) != bool(getattr(args, flag)):
-            verb = "needs" if scenario in takers else "does not take"
-            raise _UsageError(f"{scenario} {verb} --{flag}")
+    _check_flag(scenario, "background", args.background, BACKGROUND_SCENARIOS)
+    _check_flag(scenario, "query", args.query, PARTITION_SCENARIOS)
     codec = _codec_for(scenario, args.codec)
 
     # the encoders take s, then q, then r: whichever of them the scenario uses
@@ -121,11 +125,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     data = Path(args.infile).read_bytes()
     scenario, _, m = peek_header(data)
-    background = ()
-    if scenario in BACKGROUND_SCENARIOS:
-        if not args.background:
-            raise _UsageError(f"{scenario} needs --background to decode")
-        background = (_load_statements(args.background, m),)
+    _check_flag(scenario, "background", args.background, BACKGROUND_SCENARIOS)
+    background = (_load_statements(args.background, m),) if args.background else ()
     tx, _ = read_transmission(data, 0, *background)
     decode = {"t1": t1_decode, "t2": t2_decode, "t3": t3_decode,
               "t4": t4_decode, "t5": t5_decode}[scenario]

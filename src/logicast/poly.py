@@ -84,7 +84,7 @@ class Poly:
         """The polynomial over `terms`, which the caller knows to be sorted,
         distinct, int64 and in 0..2^M_MAX - 1. The array is made read-only
         and kept, not copied."""
-        terms.flags.writeable = False
+        terms.setflags(write=False)
         out = cls.__new__(cls)
         out.terms = terms
         return out

@@ -407,8 +407,11 @@ def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
     """Validate a header and return (scenario, codec, universe size).
 
     Lets a caller learn the universe size before committing to a full
-    parse, e.g. to read the background statements the payload needs.
+    parse, e.g. to read the background statements the payload needs. A
+    negative offset is a DomainError.
     """
+    if offset < 0:
+        raise DomainError(f"negative offset {offset}")
     if len(data) - offset < HEADER_BYTES:
         raise MalformedHeader("truncated header")
     magic, tag, codec_id, m = _HEADER.unpack_from(data, offset)[:4]

@@ -9,13 +9,16 @@ Formula connectives bind NOT > AND > XOR > OR > IMPLIES, with IMPLIES
 right-associative; a bare formula is read as asserted TRUE. `#` starts a
 comment. Variables are written x1, x2, ... (1-indexed).
 
-No syntax tree is built: each connective is applied to its operands'
-terms as parsed, held as Python sets of monomial masks, and a line's `Poly`
-(its sorted int64 array of terms) is built once from the result; a raw line
-is read as a list of monomial masks. Raw lines in the canonical shape
-`render_statements` writes (factors spelled x<i> or 1, blanks or tabs only
-around factors, no comment) are read in one pass of numpy work over the
-whole text: one `bytes.translate` classifies the bytes and deletes blanks
+Both forms share one expression engine: precedence climbing over one table
+of binary operators, in which a raw line's `+` and `*` are XOR and AND at
+those connectives' precedence, and its factors 1 and 0 are constants. No
+syntax tree is built: each operator is applied to its operands' terms as
+parsed, held as Python sets of monomial masks, and a line's `Poly` (its
+sorted int64 array of terms) is built once from the result.
+
+Raw lines in the canonical shape `render_statements` writes (factors
+spelled x<i> or 1, blanks or tabs only around factors, no comment) are
+read in one pass of numpy work over the whole text: one `bytes.translate` classifies the bytes and deletes blanks
 and tabs, each line is checked, and each factor x<i> becomes the bit
 1 << (i - 1), ORed into term masks by `np.bitwise_or.reduceat`; one sort
 gives every line its term array. The pass writes its per-byte flags into
@@ -30,6 +33,7 @@ tables that hold each run of variable names with and without its leading
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 
@@ -137,111 +141,54 @@ class _Cursor:
         self.next()
 
 
-# ------------------------------------------------------------ formula parser
-# Each level returns the terms of the truth polynomial of what it parsed, a
-# set of distinct masks; sum is symmetric difference, product mask_product.
+# ------------------------------------------------------------- expressions
+# Both forms share one engine. Every value is the set of distinct monomial
+# masks of a polynomial, owned by the expression that made it (so a sum may
+# update its left operand): sum is symmetric difference, product
+# mask_product. A formula's value is its truth polynomial; a raw line's +
+# and * are XOR and AND under other names.
 
-def _parse_implies(cur: _Cursor) -> set[int]:
-    a = _parse_or(cur)
-    if cur.kind() == "IMPLIES":
+# The binary operators of formula lines, then of raw lines:
+# token kind -> (precedence, right-associative, combine).
+_OPERATORS = (
+    {
+        "IMPLIES": (1, True, lambda a, b: mask_product(a, b) ^ a ^ _ONE),
+        "OR": (2, False, lambda a, b: a ^ b ^ mask_product(a, b)),
+        "XOR": (3, False, operator.ixor),
+        "AND": (4, False, mask_product),
+    },
+    {"PLUS": (3, False, operator.ixor), "STAR": (4, False, mask_product)},
+)
+
+
+def _parse_expr(cur: _Cursor, raw: bool, lowest: int = 1) -> set[int]:
+    """Terms of the expression at the cursor, by precedence climbing: only
+    operators of precedence >= lowest join it; a flat chain nests nothing."""
+    operators = _OPERATORS[raw]
+    a = _parse_atom(cur, raw)
+    while (op := operators.get(cur.kind())) and op[0] >= lowest:
+        prec, right, combine = op
         cur.next()
-        b = _parse_implies(cur)  # right-associative
-        return mask_product(a, b) ^ a ^ _ONE
+        a = combine(a, _parse_expr(cur, raw, prec if right else prec + 1))
     return a
 
 
-def _parse_or(cur: _Cursor) -> set[int]:
-    a = _parse_xor(cur)
-    while cur.kind() == "OR":
-        cur.next()
-        b = _parse_xor(cur)
-        a = a ^ b ^ mask_product(a, b)
-    return a
-
-
-def _parse_xor(cur: _Cursor) -> set[int]:
-    a = _parse_and(cur)
-    while cur.kind() == "XOR":
-        cur.next()
-        a = a ^ _parse_and(cur)
-    return a
-
-
-def _parse_and(cur: _Cursor) -> set[int]:
-    a = _parse_unary(cur)
-    while cur.kind() == "AND":
-        cur.next()
-        a = mask_product(a, _parse_unary(cur))
-    return a
-
-
-def _parse_unary(cur: _Cursor) -> set[int]:
-    kind = cur.kind()
-    if kind == "NOT":
-        cur.next()
-        return _parse_unary(cur) ^ _ONE
+def _parse_atom(cur: _Cursor, raw: bool) -> set[int]:
+    """Terms of one operand: a variable; on raw lines also 1 ({0}) or 0 (no
+    terms), in formulas NOT and a parenthesised expression."""
+    kind, value, col = cur.next()
     if kind == "VAR":
-        return {1 << (cur.next()[1] - 1)}
-    if kind == "LP":
-        cur.next()
-        a = _parse_implies(cur)
+        return {1 << (value - 1)}
+    if raw and kind in ("ONE", "ZERO"):
+        return {0} if kind == "ONE" else set()
+    if not raw and kind == "NOT":
+        return _parse_atom(cur, raw) ^ _ONE
+    if not raw and kind == "LP":
+        a = _parse_expr(cur, raw)
         cur.expect("RP", "')'")
         return a
-    raise cur.error("expected a variable, NOT, or '('")
-
-
-def _parse_formula_line(cur: _Cursor) -> Poly:
-    """Member polynomial of a formula statement: zero exactly where it holds.
-
-    "f is TRUE" (or bare f) gives truth(f) + 1; "f is FALSE" gives truth(f).
-    """
-    truth = _parse_implies(cur)
-    asserted = True
-    if cur.kind() == "is":
-        cur.next()
-        if cur.kind() == "TRUE":
-            cur.next()
-        elif cur.kind() == "FALSE":
-            cur.next()
-            asserted = False
-        else:
-            raise cur.error("expected TRUE or FALSE after 'is'")
-    cur.expect("END", "end of statement")
-    return Poly.of_distinct(truth ^ _ONE if asserted else truth)
-
-
-# --------------------------------------------------------- raw polynomial mode
-
-def _parse_term(cur: _Cursor) -> int | None:
-    """Monomial mask of one product of factors; None when a factor is 0."""
-    mask = 0
-    vanishes = False
-    while True:
-        if cur.kind() not in ("VAR", "ONE", "ZERO"):
-            raise cur.error("expected a variable, 1, or 0")
-        kind, value, _ = cur.next()
-        if kind == "VAR":
-            mask |= 1 << (value - 1)
-        elif kind == "ZERO":
-            vanishes = True
-        if cur.kind() != "STAR":
-            return None if vanishes else mask
-        cur.next()
-
-
-def _parse_poly_line(cur: _Cursor) -> Poly:
-    terms = []
-    while True:
-        mask = _parse_term(cur)
-        if mask is not None:
-            terms.append(mask)
-        if cur.kind() != "PLUS":
-            break
-        cur.next()
-    cur.expect("EQ", "'='")
-    cur.expect("ZERO", "'0' on the right-hand side")
-    cur.expect("END", "end of statement")
-    return Poly(terms)
+    what = "a variable, 1, or 0" if raw else "a variable, NOT, or '('"
+    raise StatementSyntaxError(f"expected {what}", cur.line_no, col)
 
 
 # ------------------------------------------------------ whole-text bulk pass
@@ -377,16 +324,31 @@ def _bulk_polys(lines: list[str], limit: int) -> list[Poly | None]:
 # ------------------------------------------------------------------ lines
 
 def _parse_line(raw: str, line_no: int, m: int | None) -> Poly | None:
-    """Member polynomial of one line through the tokenizer; None when blank."""
+    """Member polynomial of one line through the tokenizer, zero exactly where
+    the statement holds; None when blank. "p = 0" gives p; "f is FALSE" gives
+    truth(f), and "f is TRUE" (or bare f) truth(f) + 1."""
     tokens = _tokenize_line(raw, line_no, m)
     if tokens[0][0] == "END":
         return None
     cur = _Cursor(tokens, line_no)
     raw_poly = any(tok[0] == "EQ" for tok in tokens)
     try:
-        return _parse_poly_line(cur) if raw_poly else _parse_formula_line(cur)
+        terms = _parse_expr(cur, raw_poly)
     except RecursionError:
         raise StatementSyntaxError("statement nests too deeply", line_no, 1) from None
+    if raw_poly:
+        cur.expect("EQ", "'='")
+        cur.expect("ZERO", "'0' on the right-hand side")
+    elif cur.kind() == "is":
+        cur.next()
+        if cur.kind() not in ("TRUE", "FALSE"):
+            raise cur.error("expected TRUE or FALSE after 'is'")
+        if cur.next()[0] == "TRUE":
+            terms ^= _ONE
+    else:
+        terms ^= _ONE
+    cur.expect("END", "end of statement")
+    return Poly.of_distinct(terms)
 
 
 # ------------------------------------------------------------------ public

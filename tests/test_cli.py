@@ -132,6 +132,31 @@ def test_decode_t2_needs_background(tmp_path, capsys):
     assert zeros(shat) == zeros(parse_statements("x1 AND x2\n", 2))
 
 
+@pytest.mark.parametrize("scenario", ["t1", "t4"])
+@pytest.mark.parametrize("background", ["missing", "malformed"])
+def test_decode_refuses_background_the_scenario_does_not_take(tmp_path, capsys, scenario,
+                                                              background):
+    src = tmp_path / "s.logic"
+    src.write_text("x1 = 0\n")
+    query = tmp_path / "q.logic"
+    query.write_text("x1*x2 = 0\n")
+    tx = tmp_path / "tx.bin"
+    extra = ["--query", str(query)] if scenario == "t4" else []
+    assert main(["encode", "--scenario", scenario, "--in", str(src), *extra,
+                 "--vars", "2", "--out", str(tx)]) == 0
+    bg = tmp_path / "r.logic"
+    if background == "malformed":
+        bg.write_text("x1 NAND x2\n")
+    capsys.readouterr()
+    out = tmp_path / "d.logic"
+    code, stdout, stderr = run(capsys, ["decode", "--in", str(tx), "--background", str(bg),
+                                        "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"usage error: {scenario} does not take --background\n"
+    assert not out.exists()
+
+
 def test_decode_t3_writes_difference(tmp_path, capsys):
     src = tmp_path / "s.logic"
     src.write_text("x1\n")

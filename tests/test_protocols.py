@@ -182,6 +182,16 @@ def test_read_transmission_rejects_garbage():
         read_transmission(bytes(crossed))
 
 
+def test_negative_offset_is_a_domain_error():
+    blob = t1_encode(_alice(), seed=99).to_bytes()
+    # -1 once raised struct.error; -len(blob) read the header and returned
+    # end offset 0, so a loop over concatenated transmissions never advanced
+    for offset in (-1, -len(blob)):
+        for call in (peek_header, read_transmission):
+            with pytest.raises(DomainError, match="negative offset"):
+                call(blob, offset)
+
+
 def test_concatenated_transmissions_self_delimit():
     rng = random.Random(7)
     s1, q1 = _random_nested(rng, 4, 0.3, 0.7)

@@ -497,6 +497,57 @@ def test_canonical_lines_skip_the_tokenizer(monkeypatch):
     assert [parse_statements(text, 24) for text in texts] == expected
 
 
+def _respell(rng: random.Random, line: str, m: int) -> str:
+    """A canonical raw line with edits that keep its meaning, at least one of
+    which (an x0<i> spelling, an added x<j>*0 term, a trailing comment) the
+    bulk pass refuses; the others are *1 factors, a repeated factor and
+    blank runs."""
+    terms = [term.split("*") for term in line.removesuffix(" = 0").split(" + ")]
+    factors = [f for term in terms for f in term if f != "1"]
+    refused = set(rng.sample(["x0", "zero", "note"], rng.randint(1, 3)))
+    if not factors and refused == {"x0"}:
+        refused.add("note")
+    if "x0" in refused and factors:
+        named = set(rng.sample(factors, rng.randint(1, len(factors))))
+        terms = [[f"x0{f[1:]}" if f in named else f for f in term] for term in terms]
+    for term in terms:
+        if rng.random() < 0.3:
+            term.insert(rng.randint(0, len(term)), "1")
+        if rng.random() < 0.3:
+            term.append(rng.choice(term))
+    texts = [rng.choice(["*", " * ", "\t*  "]).join(term) for term in terms]
+    if "zero" in refused:
+        texts.insert(rng.randint(0, len(texts)), f"x{rng.randint(1, m)}*0")
+    text = rng.choice([" + ", "  +\t", "+"]).join(texts) + rng.choice([" = 0", "=0", "  =\t0"])
+    return text + (rng.choice([" # note", "\t# x1 + 1 = 0", "#"]) if "note" in refused else "")
+
+
+def test_respelled_raw_lines_parse_as_their_canonical_line():
+    # the token path's raw lines against the bulk pass, which reads each
+    # canonical line and refuses each respelled one
+    rng = random.Random(3131)
+    checked = 0
+    for m in (1, 2, 3, 5, 8, 12, 17, 24):
+        for _ in range(50):
+            for line in render_statements(_random_polyset(rng, m)).splitlines():
+                if line == "0 = 0":  # the one rendered line the bulk pass refuses
+                    continue
+                (want,) = statements._bulk_polys([line], m)
+                assert want is not None, line
+                edited = _respell(rng, line, m)
+                assert statements._bulk_polys([edited], m) == [None], edited
+                assert statements._parse_line(edited, 1, m) == want, (line, edited)
+                assert parse_statements(edited, m) == parse_statements(line, m), (line, edited)
+                checked += 1
+    assert checked > 300
+    # the raw form's + and * are the formula form's XOR and AND
+    for a, b, c in [(1, 2, 3), (2, 1, 3), (5, 5, 2), (24, 3, 1), (7, 4, 7)]:
+        raw = f"x{a}*x{b} + x{c} = 0"
+        want = statements._parse_line(f"(x{a} AND x{b}) XOR x{c} is FALSE", 1, None)
+        assert statements._parse_line(raw, 1, None) == want
+        assert statements._bulk_polys([raw], 24) == [want]
+
+
 # Lines built from a unit repeated to a given size: near misses of the bulk
 # path (refused by it after a walk over the whole line) and two lines it
 # accepts.  The bulk attempt alone must stay linear on 1 MB.  A refused line
