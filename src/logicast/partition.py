@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -269,19 +269,13 @@ def pack_columns(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.view("<u8").T)
 
 
-def _pivot_candidates(
-    block: np.ndarray, live: np.ndarray, pivot_col: dict, first: int, valid: int
-) -> Iterator[tuple[int, int]]:
-    """(row, byte & valid) of each live row from ``first`` on whose ``block``
-    byte has a bit in ``valid``.  Most blocks find their pivots among the first
-    few such rows, so the first 64 rows are read as one list, their pivot rows
-    skipped by the dict, and the rest are masked only if the caller asks."""
-    head = (block[first : first + 64] & valid).tolist()
-    yield from ((i, v) for i, v in enumerate(head, first) if v and i not in pivot_col)
-    rest = block[first + 64 :] & valid
-    rest[live[first + 64 :] == 0] = 0
+def _live_tail(block: np.ndarray, live: np.ndarray, start: int, valid: int) -> Iterator[tuple[int, int]]:
+    """(row, byte & valid) of each live row from ``start`` on whose ``block``
+    byte has a bit in ``valid``, masked only once the caller asks for one."""
+    rest = block[start:] & valid
+    rest[live[start:] == 0] = 0
     at = np.flatnonzero(rest)
-    yield from zip((at + (first + 64)).tolist(), rest[at].tolist())
+    yield from zip((at + start).tolist(), rest[at].tolist())
 
 
 def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
@@ -300,7 +294,8 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     combinations of its kk pivot (source) rows, and clears those columns
     from every row with one table lookup and one XOR of the words from the
     block on, 16 words at a time.  The table follows a Gray walk (Bard), so
-    it is one XOR accumulate of the source rows gathered in walk order.  A
+    it is one XOR accumulate of the source rows gathered in walk order, into
+    a view of one (words, 256) buffer whose column 0 is zeroed once.  A
     row's lookup index is the walk step of the combination that clears its
     pivot bits; a source row's is that of its reduced combination XOR
     itself, so the same sweep leaves the reduced pivot rows in place.  At
@@ -310,7 +305,11 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     (no pivot yet), the rows searched for pivots.  For k constraints that
     is about k^3/512 word operations on k^2/8 bytes.  The pivot columns are
     the row rank profile of the generator prefix, and in reduced form the
-    target column holds the combination.
+    target column holds the combination.  The stop test (no live row holds
+    the target bit) runs at the first step, then only while at most
+    _SURPLUS rows are live.  Testing late is exact: once the target is in
+    the span no later source row holds the target bit, so no later XOR
+    moves one; it costs extra steps only (on random systems, odds ~2**-64).
     """
     k = system.shape[1]
     if rows < 1:
@@ -322,9 +321,12 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     live = np.full(k, t_bit, dtype=np.uint8)  # 0 once the row is a pivot row
     first = 0  # no live row before it
     pivot_col: dict[int, int] = {}  # pivot row -> its column
+    buf = np.empty((system.shape[0], 256), dtype=system.dtype)
+    buf[:, 0] = 0
     for c in range(0, rows, 8):
-        # stop once the target lies in the span of the columns left of c
-        if not np.count_nonzero(target & live):
+        # stop once the target lies in the span of the columns left of c,
+        # tested at the first step and near full rank (see above)
+        if (c == 0 or k - len(pivot_col) <= _SURPLUS) and not np.count_nonzero(target & live):
             break
         valid = (1 << min(rows - c, 8)) - 1
         block = m8[c >> 6, c >> 3 & 7 :: 8]
@@ -333,7 +335,11 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
         src: list[int] = []
         basis: list[list[int]] = []
         need = valid.bit_count()
-        for i, v in _pivot_candidates(block, live, pivot_col, first, valid):
+        head = enumerate(block[first : first + 64].tolist(), first)
+        for i, v in chain(head, _live_tail(block, live, first + 64, valid)):
+            v &= valid
+            if not v or i in pivot_col:
+                continue
             combo = 1 << len(src)
             for e in basis:
                 if v & e[0]:
@@ -355,8 +361,7 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
         # from the block on
         w0 = c >> 6
         steps = (1 << len(src)) - 1
-        table = np.empty((system.shape[0] - w0, steps + 1), dtype=system.dtype)
-        table[:, 0] = 0
+        table = buf[: system.shape[0] - w0, : steps + 1]
         np.bitwise_xor.accumulate(system[w0:, np.array(src)[_RULER[:steps]]], axis=1, out=table[:, 1:])
         # lut[byte]: the walk step of the source combination that clears the
         # byte's pivot bits, the XOR of its bits' steps

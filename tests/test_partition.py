@@ -492,6 +492,43 @@ def test_first_solvable_prefix_multi_slab():
     assert (j, combo) == _incremental_prefix(iter(rows), target)
 
 
+# The eliminator tests whether the target is in the span at the first step and
+# then only once at most _SURPLUS rows are live; the next three systems reach
+# their answer, or fail to, where no test runs.
+
+
+def test_first_solvable_prefix_target_in_span_long_before_full_rank():
+    # the target is rows 2 + 5, in the span after the first block, when about
+    # 295 of the 300 rows are still live; the answer is read at full rank
+    k = 300
+    rng = random.Random(321)
+    rows = [rng.getrandbits(k) for _ in range(k + 64)]
+    target = rows[1] ^ rows[4]
+    assert _solve(rows, target, k) == (5, 0b10010) == _incremental_prefix(iter(rows), target)
+
+
+def test_first_solvable_prefix_low_rank_never_tests_again():
+    # 120 rows spanning 40 dimensions leave 160 of the 200 rows live, so after
+    # the first step only the final check sees the target
+    k = 200
+    rng = random.Random(322)
+    basis = [rng.getrandbits(k) for _ in range(40)]
+    rows = [reduce(xor, rng.sample(basis, rng.randint(1, 40)), 0) for _ in range(120)]
+    for _ in range(5):
+        target = reduce(xor, (v for v in rows if rng.random() < 0.5), 0)
+        assert _solve(rows, target, k) == _incremental_prefix(iter(rows), target)
+    target = rng.getrandbits(k)
+    assert _outcome(_incremental_prefix, iter(rows), target) == "no solvable prefix within 120 rows"
+    assert _outcome(_solve, rows, target, k) == "no solvable prefix within 120 rows"
+
+
+def test_first_solvable_prefix_zero_target_stops_at_first_step():
+    k = 300
+    rng = random.Random(323)
+    rows = [rng.getrandbits(k) for _ in range(k + 64)]
+    assert _solve(rows, 0, k) == (1, 0) == _incremental_prefix(iter(rows), 0)
+
+
 def test_gray_walk_visits_every_combination_once():
     # the eliminator's table of kk source rows: from combination 0, step p
     # flips bit _RULER[p - 1], and _GRAY_RANK finds the step of a combination
