@@ -30,8 +30,9 @@ with a message on the first mismatch.
   `partition._linear_system` (drawing and packing the system) and
   `partition.first_solvable_prefix` on the system just drawn, then
   `step_us`, the solve time over its ceil(J / 8) eight-column steps: the
-  per-step cost, which numpy's fixed cost per call sets at m <= 12. Exits
-  1 if the picked rows, drawn again by `linear_decode`, miss the target.
+  per-step cost, which numpy's fixed cost per call sets at m <= 12 and the
+  row tiles each step looks up and XORs set from m = 13 on. Exits 1 if the
+  picked rows, drawn again by `linear_decode`, miss the target.
 * ``poly [m ...]``: for a point set of `Single(0.2)` (`simlab.sample`), its
   points, its polynomial's terms, then `algset.zeros`, `algset.reconstruct`,
   `render_statements` and `parse_statements` on the rendered file, on it

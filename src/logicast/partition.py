@@ -16,8 +16,9 @@ Two codecs live here.
 * ``linear``: solve for the combination of shared random rows that matches
   the constrained cells (:func:`first_solvable_prefix`) and transmit it.
   Polynomial work, about k^3/512 word operations on k^2/8 bytes of packed
-  matrix for k constrained cells, but one bit per constrained cell: a + b
-  bits per coordinate, meeting :func:`lambda_fn` only at a = b.
+  matrix for k constrained cells, each row's words kept in tiles of four
+  so that a table lookup copies 32 bytes, but one bit per constrained
+  cell: a + b bits per coordinate, meeting :func:`lambda_fn` only at a = b.
 
 Both shared-randomness codecs draw their codebooks from a splitmix64
 keystream (see :mod:`logicast.randomness`), so encoder and decoder only
@@ -231,17 +232,21 @@ def random_decode(reader: BitReader, n: int, shared: SharedRandomness) -> np.nda
 # about 1 - 2**-_SURPLUS.
 _ROW_WORD = 64
 _SURPLUS = 64
-# The encoder draws this many row words per draw_array call.  For k = 2048
+# The packed system keeps each row's words in tiles of this many: row i's
+# words 4t .. 4t + 3 (columns 256t .. 256t + 255) sit together at
+# system[t, i], so a table lookup copies 32 bytes per row, numpy's widest
+# fixed-size take; 2 words a tile were slower and 8 slower still.  The
+# encoder draws one tile of row words per draw_array call: for k = 2048
 # cells of 4096 (33 words), 4 words a call beat one word a call, and one call
 # for all 33 words was no faster but raised peak RSS by 4.0 MB against
 # 1.05 MB (`draw_group_size` in BENCH_20_linear_draw.json).
-_DRAW_WORDS = 4
+_TILE = 4
 # The decoder XORs its selected rows in chunks of about this many words; at
 # 2^16 words the chunk's draw temporaries raised peak RSS at m=12 by 1.2 MB.
 _CHUNK_WORDS = 1 << 14
-# The eliminator XORs table rows into the matrix this many words per row at a
-# time; one full-width lookup temporary per block raised peak RSS at m=12 by
-# about 0.5 MB, and slabs run no slower.
+# The eliminator XORs table rows into the matrix this many words (_SLAB //
+# _TILE tiles) per row at a time; one full-width lookup temporary per block
+# raised peak RSS at m=12 by about 0.5 MB, and slabs run no slower.
 _SLAB = 16
 # _BIT_MASKS[b, v] is 0xFF where the byte v has bit b set, else 0
 _BIT_MASKS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0, bitorder="little") * np.uint8(0xFF)
@@ -260,13 +265,16 @@ _TRANSPOSE_ROUNDS = [
 
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:
-    """A (k, c) 0/1 array as the word-major packed system that
-    :func:`first_solvable_prefix` reads: entry [w, i] is the little-endian
-    uint64 holding columns 64w .. 64w + 63 of row i, column j at bit j % 64."""
+    """A (k, c) 0/1 array as the tiled packed system that
+    :func:`first_solvable_prefix` reads, a (tiles, k, _TILE) uint64 array:
+    entry [t, i, u] is the little-endian word holding columns 64w .. 64w + 63
+    of row i, w = _TILE * t + u, column j at bit j % 64.  Words past the last
+    column are 0."""
     k, c = bits.shape
-    out = np.zeros((k, ((c + 63) >> 6) * 8), dtype=np.uint8)
+    tiles = -(-c // (64 * _TILE))
+    out = np.zeros((k, tiles * 8 * _TILE), dtype=np.uint8)
     out[:, : (c + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return np.ascontiguousarray(out.view("<u8").T)
+    return np.ascontiguousarray(out.view("<u8").reshape(k, tiles, _TILE).transpose(1, 0, 2))
 
 
 def _live_tail(block: np.ndarray, live: np.ndarray, start: int, valid: int) -> Iterator[tuple[int, int]]:
@@ -281,21 +289,24 @@ def _live_tail(block: np.ndarray, live: np.ndarray, start: int, valid: int) -> I
 def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     """(J, combination) of the shortest prefix of generator rows spanning a target.
 
-    ``system`` is the transposed GF(2) system as packed by :func:`pack_columns`:
-    one row per constraint, column c < ``rows`` is generator row c + 1 and
-    column ``rows`` is the target.  Bit r - 1 of the combination picks row r,
-    and only rows independent of the rows before them are picked, so the
-    answer is unique.  Raises SearchExhausted when all ``rows`` rows leave the
-    target outside their span.
+    ``system`` is the transposed GF(2) system as packed by :func:`pack_columns`,
+    in tiles of _TILE words: one row per constraint, column c < ``rows`` is
+    generator row c + 1 and column ``rows`` is the target.  Bit r - 1 of the
+    combination picks row r, and only rows independent of the rows before
+    them are picked, so the answer is unique.  Raises SearchExhausted when
+    all ``rows`` rows leave the target outside their span.
 
     Four-Russians elimination (Arlazarov, Dinic, Kronrod and Faradzev; the
     M4RI variant of Albrecht and Bard) to reduced echelon form, in place:
     each step finds the pivots among 8 columns, tabulates the 2^kk
     combinations of its kk pivot (source) rows, and clears those columns
-    from every row with one table lookup and one XOR of the words from the
-    block on, 16 words at a time.  The table follows a Gray walk (Bard), so
-    it is one XOR accumulate of the source rows gathered in walk order, into
-    a view of one (words, 256) buffer whose column 0 is zeroed once.  A
+    from every row with one table lookup and one XOR of the tiles from the
+    block's tile on, _SLAB // _TILE tiles at a time, so each lookup copies
+    a row's 32-byte tile.  The words of the block's tile left of the block
+    hold only columns already passed, which are read no more.  The table
+    follows a Gray walk (Bard), so it is one XOR accumulate of the source
+    rows' tiles gathered in walk order, into a view of one
+    (tiles, 256, _TILE) buffer whose column 0 is zeroed once.  A
     row's lookup index is the walk step of the combination that clears its
     pivot bits; a source row's is that of its reduced combination XOR
     itself, so the same sweep leaves the reduced pivot rows in place.  At
@@ -314,22 +325,26 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     k = system.shape[1]
     if rows < 1:
         raise SearchExhausted("no solvable prefix within 0 rows")
+    tiles = system.shape[0]
     m8 = system.view(np.uint8)
-    # the byte of each row holding column c is m8[c >> 6, 8 * row + (c >> 3 & 7)]
-    target = m8[rows >> 6, rows >> 3 & 7 :: 8]
+    # the byte of each row holding column c, of word w = c >> 6, is
+    # m8[w // 4, row, (w % 4) * 8 + (c >> 3 & 7)]: a tile of _TILE = 4
+    # words holds 256 columns, 32 bytes a row
+    target = m8[rows >> 8, :, rows >> 3 & 31]
     t_bit = 1 << (rows & 7)
     live = np.full(k, t_bit, dtype=np.uint8)  # 0 once the row is a pivot row
     first = 0  # no live row before it
     pivot_col: dict[int, int] = {}  # pivot row -> its column
-    buf = np.empty((system.shape[0], 256), dtype=system.dtype)
+    buf = np.empty((tiles, 256, _TILE), dtype=system.dtype)
     buf[:, 0] = 0
+    slab = _SLAB // _TILE
     for c in range(0, rows, 8):
         # stop once the target lies in the span of the columns left of c,
         # tested at the first step and near full rank (see above)
         if (c == 0 or k - len(pivot_col) <= _SURPLUS) and not np.count_nonzero(target & live):
             break
         valid = (1 << min(rows - c, 8)) - 1
-        block = m8[c >> 6, c >> 3 & 7 :: 8]
+        block = m8[c >> 8, :, c >> 3 & 31]
         # pivots of this block: src[a] is the live row behind basis[a] =
         # [pivot bit, reduced byte, combination of src rows]
         src: list[int] = []
@@ -357,12 +372,13 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
                     break
         if not src:
             continue
-        # table[:, p]: XOR of the source rows in combination p ^ p >> 1, words
-        # from the block on
-        w0 = c >> 6
+        # table[:, p]: XOR of the source rows in combination p ^ p >> 1, tiles
+        # from the block's on
+        t0 = c >> 8
         steps = (1 << len(src)) - 1
-        table = buf[: system.shape[0] - w0, : steps + 1]
-        np.bitwise_xor.accumulate(system[w0:, np.array(src)[_RULER[:steps]]], axis=1, out=table[:, 1:])
+        table = buf[: tiles - t0, : steps + 1]
+        walk = np.array(src)[_RULER[:steps]]
+        np.bitwise_xor.accumulate(np.take(system[t0:], walk, axis=1), axis=1, out=table[:, 1:])
         # lut[byte]: the walk step of the source combination that clears the
         # byte's pivot bits, the XOR of its bits' steps
         step_of_bit = [0] * 8
@@ -374,8 +390,8 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
         idx = lut.astype(np.intp).take(block)
         # a source row is XORed with the rest of its reduced combination
         idx[src] = [_GRAY_RANK[e[2] ^ 1 << a] for a, e in enumerate(basis)]
-        for w in range(w0, system.shape[0], _SLAB):
-            system[w : w + _SLAB] ^= np.take(table[w - w0 : w - w0 + _SLAB], idx, axis=1)
+        for t in range(t0, tiles, slab):
+            system[t : t + slab] ^= np.take(table[t - t0 : t - t0 + slab], idx, axis=1)
         live[src] = 0
         while first in pivot_col:
             first += 1
@@ -389,23 +405,24 @@ def first_solvable_prefix(system: np.ndarray, rows: int) -> tuple[int, int]:
     return j, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _draw_columns(seed: int, cells: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out``, a (words, cells.size) uint64 array, with generator rows
-    1 .. 64 * words at the given ascending cells: out[w, i] holds row
-    64w + 1 + b of cell cells[i] at bit b.
+def _draw_columns(seed: int, cells: np.ndarray, out: np.ndarray, words: int) -> None:
+    """Fill the first ``words`` words of ``out``, a (tiles, cells.size, _TILE)
+    uint64 array laid out as :func:`pack_columns` packs it, with generator
+    rows 1 .. 64 * words at the given ascending cells: word w of cell
+    cells[i], out[w // _TILE, i, w % _TILE], holds row 64w + 1 + b at bit b.
+    Words past ``words`` are left as they are.
 
-    Each draw_array call covers _DRAW_WORDS words of rows.  Row r's word at
-    column block blk holds cells 64 blk .. 64 blk + 63, so each 64 rows x
-    one block is a 64 x 64 bit matrix whose transpose holds one word per
-    cell; six masked swap rounds transpose all blocks at once (Warren,
-    Hacker's Delight, section 7-3).
+    Each draw_array call covers one tile of rows.  Row r's word at column
+    block blk holds cells 64 blk .. 64 blk + 63, so each 64 rows x one block
+    is a 64 x 64 bit matrix whose transpose holds one word per cell; six
+    masked swap rounds transpose all blocks at once (Warren, Hacker's
+    Delight, section 7-3).
     """
-    words = out.shape[0]
     nblk = (int(cells[-1]) >> 6) + 1 if cells.size else 0
     blk = np.arange(nblk, dtype=np.uint64)
     bit, col = cells & 63, cells >> 6
-    for w0 in range(0, words, _DRAW_WORDS):
-        g = min(_DRAW_WORDS, words - w0)
+    for w0 in range(0, words, _TILE):
+        g = min(_TILE, words - w0)
         rows = np.arange(w0 * _ROW_WORD + 1, (w0 + g) * _ROW_WORD + 1, dtype=np.uint64)
         keys = (rows[:, None] << np.uint64(COL_SHIFT)) | blk
         x = draw_array(seed, keys).reshape(g, _ROW_WORD, nblk)
@@ -420,7 +437,7 @@ def _draw_columns(seed: int, cells: np.ndarray, out: np.ndarray) -> None:
             hi ^= t
             t <<= np.uint64(j)
             lo ^= t
-        out[w0 : w0 + g] = x[:, bit, col]
+        out[w0 // _TILE, :, :g] = x[:, bit, col].T
 
 
 def linear_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
@@ -460,11 +477,12 @@ def _linear_system(seed: int, cells: np.ndarray, ones: np.ndarray, rows: int) ->
     1 .. ``rows`` at the constrained cells, then the target bits ``ones``
     (one uint64 0 or 1 per cell) as column ``rows``."""
     full = rows >> 6
-    system = np.zeros((full + 1, cells.size), dtype="<u8")
-    _draw_columns(seed, cells, system[: (rows + _ROW_WORD - 1) // _ROW_WORD])
+    system = np.zeros((full // _TILE + 1, cells.size, _TILE), dtype="<u8")
+    _draw_columns(seed, cells, system, (rows + _ROW_WORD - 1) // _ROW_WORD)
     # the target column follows row `rows`; drop the rows drawn past it
-    system[full] &= np.uint64((1 << (rows & 63)) - 1)
-    system[full] |= ones << np.uint64(rows & 63)
+    last = system[full // _TILE, :, full % _TILE]
+    last &= np.uint64((1 << (rows & 63)) - 1)
+    last |= ones << np.uint64(rows & 63)
     return system
 
 

@@ -421,7 +421,7 @@ def _prefix_systems(draw):
     k = draw(st.integers(0, 150))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows: list[int] = []
-    for _ in range(draw(st.integers(0, 200))):
+    for _ in range(draw(st.integers(0, 600))):
         kind = rng.randrange(5) if rows else 0
         if kind == 0:
             rows.append(rng.getrandbits(k) if rng.random() < 0.9 else 0)
@@ -477,8 +477,9 @@ def test_first_solvable_prefix_late_pivot():
 
 
 def test_first_solvable_prefix_multi_slab():
-    # benchmark scale: k constraints and k + 64 rows make rows of 34 words,
-    # so the lookups run two full slabs and a partial one.  The target needs
+    # benchmark scale: k constraints and k + 64 rows make rows of 34 words in
+    # 9 tiles of 4, so the lookups run two full slabs of 4 tiles and a
+    # partial one.  The target needs
     # a row of the last block that reaches full rank, columns k & ~7 on; k is
     # not a multiple of 8, so that step finds fewer than 8 pivots (4 here)
     k = 2100
@@ -486,7 +487,7 @@ def test_first_solvable_prefix_multi_slab():
     rows = [rng.getrandbits(k) for _ in range(k + 64)]
     target = rng.getrandbits(k)
     system = _system(rows, target, k)
-    assert system.shape[0] == 34
+    assert system.shape == (9, k, partition._TILE)
     j, combo = first_solvable_prefix(system, len(rows))
     assert j > k & ~7
     assert (j, combo) == _incremental_prefix(iter(rows), target)
@@ -550,21 +551,26 @@ def _fair_rows(seed: int, care: int):
 
 def test_draw_columns_match_row_by_row_draws():
     # n = 300 leaves the last 64-cell block partly filled; word counts reach
-    # one past a draw call's group, so the last call draws fewer words
+    # one past a tile, so the last call draws fewer words than a tile holds
+    # and the words past them stay 0
     n = 300
     rng = random.Random(111)
     cell_sets = [[0], [63], [64], [n - 1], [], list(range(n))]
     cell_sets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
-    for words in range(1, partition._DRAW_WORDS + 2):
+    for words in range(1, partition._TILE + 2):
         seed = 15000 + words
         rows = list(islice(_fair_rows(seed, (1 << n) - 1), 64 * words))
         # column c over all drawn rows, row r at bit r - 1
         columns = [sum(((v >> c) & 1) << r for r, v in enumerate(rows)) for c in range(n)]
         for cells in cell_sets:
-            out = np.zeros((words, len(cells)), dtype="<u8")
-            partition._draw_columns(seed, np.array(cells, dtype=np.int64), out)
+            tiles = -(-words // partition._TILE)
+            out = np.zeros((tiles, len(cells), partition._TILE), dtype="<u8")
+            partition._draw_columns(seed, np.array(cells, dtype=np.int64), out, words)
+            # word w of every cell, then the words past `words`
+            flat = out.transpose(0, 2, 1).reshape(tiles * partition._TILE, len(cells))
             want = [[(columns[c] >> 64 * w) & MASK64 for c in cells] for w in range(words)]
-            assert out.tolist() == want, (words, cells)
+            assert flat[:words].tolist() == want, (words, cells)
+            assert not flat[words:].any(), (words, cells)
 
 
 def _oracle_encode(x: TernaryVector, shared: SharedRandomness) -> list[int]:
