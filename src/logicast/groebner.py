@@ -28,19 +28,21 @@ skipped once g is inactive, which is criterion B's case, and when every
 term of g has xb, so that xb*g = g.  The product criterion is not applied
 between two elements.
 
-Reducers look divisors up in one table indexed by position, and one pass in
-ascending leading-term order makes the completed basis minimal and reduced.
+Reducers look divisors up in one table indexed by position.  One pass in
+ascending leading-term order makes the completed basis minimal, and one tail
+reduction, shared by both completions, makes it reduced.
 
 Small inputs skip Buchberger.  Modulo the field equations, the ideal of G is
 spanned as a vector space by the products t*g over every monomial t and every
-g in G, so one reduced row echelon form of those rows, with columns in the
-term order, holds the whole ideal (Lazard's Macaulay matrix; PolyBoRi uses
-the same view in this ring).  Its rows whose leading term no smaller one
-divides are the reduced basis.  The matrix has (generators)*4^m bits, and
-`groebner_basis` builds it only up to `_MACAULAY_MAX_BITS`.  Buchberger's
-work follows the basis rather than the matrix, so it is faster on sparse
-inputs past that bound and is the only path up to `GB_M_MAX`.  Neither
-path reads the zero set, so this engine stays independent of `algset`'s.
+g in G, so one forward echelon form of those rows, with columns in the term
+order, holds the whole ideal (Lazard's Macaulay matrix; PolyBoRi uses the
+same view in this ring).  Its rows whose leading term no smaller one divides
+are a minimal basis for the shared tail reduction.  The matrix has
+(generators)*4^m bits, and `groebner_basis` builds it only up to
+`_MACAULAY_MAX_BITS`.  Buchberger's work follows the basis rather than the
+matrix, so it is faster on sparse inputs past that bound and is the only
+path up to `GB_M_MAX`.  Neither path reads the zero set, so this engine
+stays independent of `algset`'s.
 """
 from __future__ import annotations
 
@@ -260,26 +262,29 @@ def _buchberger(gens: Iterable[int], m: int) -> _Reducer:
         elif a in active and elems[a][1] & has[b] != elems[a][1]:  # the two field-pair skips
             add(_mono_mul(elems[a][1], 1 << b, has, m))
 
-    # A proper divisor has a smaller degree, so it is kept before its
-    # multiples are met; no leading term divides a smaller monomial, so a
-    # tail reduced against every kept element is reduced against the others.
+    # A proper divisor has a smaller degree, so it is kept before its multiples
     out = _Reducer(m)
     for lt, body in sorted(elems, key=lambda e: monomial_key(e[0], m)):
         if out.div[pos[lt]] < 0:
             out.append(lt, body)
-    out.elems[:] = [
-        (lt, (1 << pos[lt]) | out.full(body ^ (1 << pos[lt]))) for lt, body in out.elems
-    ]
-    return out
+    return _reduce_tails(out)
+
+
+def _reduce_tails(red: _Reducer) -> _Reducer:
+    """Reduce a minimal basis: each element's tail becomes its normal form
+    against the basis (no leading term divides a smaller monomial)."""
+    pos = red.pos.data
+    red.elems[:] = [(lt, (1 << pos[lt]) | red.full(body ^ (1 << pos[lt])))
+                    for lt, body in red.elems]
+    return red
 
 
 def _macaulay(gens: list[int], m: int) -> _Reducer:
-    """Reduced basis from one elimination of the Macaulay matrix: a row t*g
-    for every monomial t and generator g, whose bit `column[pos[u]]` holds
-    the coefficient of monomial u.  In reduced row echelon form each row's top
-    column is a leading term of the ideal and its other columns are standard
-    monomials, so the rows whose leading term no smaller one divides are the
-    reduced basis, appended in ascending order."""
+    """Reduced basis from one forward elimination of the Macaulay matrix: a
+    row t*g for every monomial t and generator g, whose bit `column[pos[u]]`
+    holds the coefficient of monomial u.  The pivot columns are the ideal's
+    leading terms, so the pivot rows whose leading term no smaller one
+    divides are a minimal basis, which `_reduce_tails` reduces."""
     n = 1 << m
     pos, _, _, column = _tables(m)
     width = (n + 7) // 8
@@ -302,35 +307,20 @@ def _macaulay(gens: list[int], m: int) -> _Reducer:
                 pivots[c] = row
                 break
             row ^= pivots[c]
-    # Back substitution, ascending: each row xors in reduced rows of smaller
-    # pivots, and each of those clears its own pivot bit and sets no other.
-    # A proper divisor has a smaller degree, so it is kept before its multiples.
+    # A proper divisor has a smaller degree, so it is kept before its multiples
     out = _Reducer(m)
-    monomial = pos[np.argsort(column)]  # each column's monomial
-    done = 0
-    for c, row in enumerate(pivots):
-        if not row:
-            continue
-        hit = row & done
-        while hit:
-            k = hit.bit_length() - 1
-            row ^= pivots[k]
-            hit ^= 1 << k
-        pivots[c] = row
-        done |= 1 << c
-        lt = int(monomial[c])
-        if out.div[pos[lt]] < 0:
+    monomial = pos[np.argsort(column)].tolist()  # each column's monomial
+    for lt, row in zip(monomial, pivots):
+        if row and out.div[pos[lt]] < 0:
             out.append(lt, row)
     # back from columns to positions: bit p of a body is bit column[p] of its row
     data = b"".join(row.to_bytes(width, "little") for _, row in out.elems)
     bits = np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(out.elems), width),
                          axis=1, bitorder="little")
     data = np.packbits(bits[:, column], axis=1, bitorder="little").tobytes()
-    out.elems[:] = [
-        (lt, int.from_bytes(data[i:i + width], "little"))
-        for (lt, _), i in zip(out.elems, range(0, len(data), width))
-    ]
-    return out
+    out.elems[:] = [(lt, int.from_bytes(data[i:i + width], "little"))
+                    for (lt, _), i in zip(out.elems, range(0, len(data), width))]
+    return _reduce_tails(out)
 
 
 def _positions(acc: int, m: int) -> np.ndarray:

@@ -436,17 +436,24 @@ def read_transmission(
     """Parse one transmission; returns it plus the offset just past it.
 
     Scenarios whose payload geometry depends on the background need r
-    to find their own end.
+    to find their own end.  The payload is read from a window of at least
+    2^m + 256 bits, so framing a stream takes linear time.  No payload a
+    decoder accepts is longer than 2^m + 194 bits: a ranked one is
+    elias(k + 1), at most 33 bits, and at most 2^m rank bits; a partition
+    one is a codeword per side, each elias(J), at most 35 bits, and for the
+    linear codec J <= side + 64 bits (its elias(J) then takes at most 33).
     """
     scenario, codec, m = peek_header(data, offset)
     if r is not None and r.m != m:
         raise DomainError(f"background universe {r.m} does not match header {m}")
     seed, *params = _HEADER.unpack_from(data, offset)[4:]
     # a reader from the payload's first bit: error offsets match t1_decode's
-    body = data[offset + HEADER_BYTES:]
-    scanner = BitReader(body)
+    start = offset + HEADER_BYTES
+    window = data[start:start + ((1 << m) + 263) // 8]  # 2^m + 256 bits, rounded up
+    scanner = BitReader(window)
     _scan_payload(scenario, codec, m, scanner, r)
     nbits = scanner.bits_read
-    payload = Bits(BitReader(body).read_bits(nbits), nbits)
+    nbytes = (nbits + 7) // 8
+    payload = Bits(int.from_bytes(window[:nbytes], "big") >> (8 * nbytes - nbits), nbits)
     tx = Transmission(scenario, m, codec, seed, tuple(params), payload)
-    return tx, offset + HEADER_BYTES + (nbits + 7) // 8
+    return tx, start + nbytes

@@ -208,6 +208,37 @@ def test_concatenated_transmissions_self_delimit():
     assert zeros(t1_decode(got2)) == zeros(s2)
 
 
+def test_framing_a_long_stream_reads_bounded_windows(monkeypatch):
+    # a reader over the whole rest of the stream made framing quadratic in
+    # its length; each transmission now builds one reader over a window of
+    # 2^m + 256 bits, rounded up to bytes, past its header
+    m, rng = 3, random.Random(5)
+    txs = []
+    for i in range(300):
+        if i % 2:
+            s, q = _random_nested(rng, m, 0.3, 0.7)
+            txs.append(t4_encode(s, q, codec=("linear", "random")[i % 4 // 2], seed=i))
+        else:
+            s = _sigma_of(m, rng.sample(range(1 << m), rng.randint(0, 1 << m)))
+            txs.append(t1_encode(s, seed=i))
+    blob = b"".join(tx.to_bytes() for tx in txs)
+    sizes = []
+    reader = protocols.BitReader
+
+    def recording_reader(data, *args):
+        sizes.append(len(data))
+        return reader(data, *args)
+
+    monkeypatch.setattr(protocols, "BitReader", recording_reader)
+    back, offset = [], 0
+    while offset < len(blob):
+        tx, offset = read_transmission(blob, offset)
+        back.append(tx)
+    assert back == txs and offset == len(blob)
+    assert len(sizes) == len(txs)
+    assert max(sizes) <= ((1 << m) + 263) // 8 < len(blob) // 100
+
+
 def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
     # a t1 header at m=20 claiming 2^19 members, then nothing: neither
     # C(2^20, 2^19) nor the rank width may be computed for a stream this short
