@@ -15,7 +15,8 @@ One JSON file:
   workload of ``--pairs``.
 * ``sweep`` (with ``--sweep``): this checkout's ``scripts/sweep.py`` with
   each side's ``src`` first on ``PYTHONPATH``, ``--rounds`` rounds whose
-  first side alternates; for the poly layer, also the bytes of each file
+  first side alternates, each after an untimed warm-up sweep of that side
+  whose rows are dropped; for the poly layer, also the bytes of each file
   it parses.
 * ``machine`` (``bench/harness.machine_meta``) and ``end_to_end_effect``:
   per workload, the op_p50_ms medians, their ratio, the pairs won and the
@@ -123,16 +124,21 @@ def _field(text: str):
 def _sweep(trees: dict[str, Path], argv: list[str], rounds: int) -> dict:
     runs = {side: [] for side in trees}
     for i in range(rounds):
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        # a round's first sweep read slower on unchanged code, so an untimed
+        # sweep of that side runs first and its rows are dropped
+        for timed, side in enumerate((order[0], *order)):
             proc = subprocess.run(
                 [sys.executable, str(ROOT / "scripts" / "sweep.py"), *argv], capture_output=True,
                 text=True, check=True, env=dict(os.environ, PYTHONPATH=str(trees[side] / "src")),
             )
             header, *rows = proc.stdout.splitlines()
-            runs[side].append([[_field(f) for f in row.split("\t")] for row in rows])
+            if timed:
+                runs[side].append([[_field(f) for f in row.split("\t")] for row in rows])
     report = {
         "method": f"scripts/sweep.py {shlex.join(argv)} (this checkout's) with each side's src "
-                  f"first on PYTHONPATH, {rounds} rounds alternating",
+                  f"first on PYTHONPATH, {rounds} rounds alternating; each round first runs one "
+                  "untimed sweep of its first side and drops its rows",
         "columns": header.split("\t"),
         "runs": runs,
     }

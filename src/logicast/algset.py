@@ -64,9 +64,6 @@ class AlgSet:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, point: int) -> bool:
-        return 0 <= point < (1 << self.m) and (self.bits >> point) & 1 == 1
-
     def points_list(self) -> list[int]:
         """Member points in ascending order."""
         return np.flatnonzero(self.to_bool_array()).tolist()

@@ -77,10 +77,6 @@ class BitWriter:
         self._value = 0
         self._nbits = 0
 
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
-
     def write_bit(self, bit: int) -> None:
         if bit not in (0, 1):
             raise DomainError(f"bit must be 0 or 1, got {bit!r}")
@@ -108,14 +104,12 @@ class BitWriter:
 class BitReader:
     """Sequential reader over packed bits: bytes from :class:`BitWriter`, or Bits."""
 
-    def __init__(self, data: bytes | Bits, bit_offset: int = 0) -> None:
+    def __init__(self, data: bytes | Bits) -> None:
         if isinstance(data, Bits):
             self._value, self._end = data.value, data.nbits
         else:
             self._value, self._end = int.from_bytes(data, "big"), 8 * len(data)
-        if bit_offset < 0 or bit_offset > self._end:
-            raise DomainError(f"bit_offset {bit_offset} outside stream")
-        self._pos = bit_offset
+        self._pos = 0
 
     @property
     def bits_read(self) -> int:

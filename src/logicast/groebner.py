@@ -65,7 +65,6 @@ __all__ = [
     "entails_groebner",
     "delta",
     "monomial_key",
-    "leading_term",
 ]
 
 
@@ -93,12 +92,6 @@ def monomial_key(mask: int, m: int) -> int:
         raise DomainError(f"monomial {mask:#x} out of range for m={m}")
     rev = int(f"{mask:0{m}b}"[::-1], 2)
     return (mask.bit_count() << m) | (((1 << m) - 1) ^ rev)
-
-
-def leading_term(q: Poly, m: int) -> int:
-    if q.is_zero:
-        raise DomainError("the zero polynomial has no leading term")
-    return max(q.terms.tolist(), key=lambda t: monomial_key(t, m))
 
 
 def _bitmask(flags: np.ndarray) -> int:
@@ -356,9 +349,6 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self._reducer.elems)
-
-    def __iter__(self):
-        return iter(self.polys)
 
     def __repr__(self) -> str:
         return f"GroebnerBasis(m={self.m}, {len(self)} polynomials)"

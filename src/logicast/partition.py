@@ -70,14 +70,6 @@ class TernaryVector:
         arr.flags.writeable = False
         self.entries = arr
 
-    @classmethod
-    def from_string(cls, text: str) -> "TernaryVector":
-        table = {"0": 0, "1": 1, "*": FREE, "⊗": FREE}
-        try:
-            return cls(table[ch] for ch in text)
-        except KeyError as exc:
-            raise DomainError(f"unexpected symbol {exc.args[0]!r}") from None
-
     @property
     def n(self) -> int:
         return self.entries.size

@@ -108,13 +108,6 @@ class Poly:
     def max_var(self) -> int:
         return int(self.terms[-1]).bit_length() if self.terms.size else 0
 
-    def eval(self, point: int) -> int:
-        """Value at the assignment packed into `point` (bit i-1 = x_i)."""
-        # every term is below 2^M_MAX, so the bits cut off here cannot
-        # change a term & point, and the AND stays in int64
-        point &= (1 << M_MAX) - 1
-        return int(np.count_nonzero(self.terms & point == self.terms)) & 1
-
     def __add__(self, other: "Poly") -> "Poly":
         return Poly.of_distinct(set(self.terms.tolist()) ^ set(other.terms.tolist()))
 

@@ -49,6 +49,7 @@ from .errors import (
     MalformedCodeword,
     MalformedHeader,
     NotEntailed,
+    RankOutOfRange,
     TruncatedStream,
 )
 from .groebner import delta
@@ -135,8 +136,8 @@ def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
     writer.write_bits(subset_rank(n, members), rank_width(n, len(members)))
 
 
-def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
-    """(k, rank) of one count + rank codeword over n candidates.
+def _read_ranked(reader: BitReader, n: int) -> tuple[int, int, int]:
+    """(k, rank, the rank's bit offset) of one count + rank codeword over n candidates.
 
     The rank is read in the `rank_width(n, k)` bits `_write_ranked` wrote,
     so framing a payload builds no C(n, k); the unrank builds it once.  A
@@ -156,7 +157,7 @@ def _read_ranked(reader: BitReader, n: int) -> tuple[int, int]:
     try:
         if k_low and reader.bits_left < k_low * ((n // k_low).bit_length() - 1):
             raise TruncatedStream("bit stream exhausted")
-        return k, reader.read_bits(rank_width(n, k))
+        return k, reader.read_bits(rank_width(n, k)), at
     except TruncatedStream as exc:
         raise TruncatedStream(f"{exc} (rank at bit {at})") from None
 
@@ -271,7 +272,11 @@ def _ranked_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> 
     _check_decode(tx, r, scenarios)
     points = np.flatnonzero(zeros(r).to_bool_array())
     n = points.size
-    members = subset_unrank(n, *_read_ranked(BitReader(tx.payload), n))
+    k, rank, at = _read_ranked(BitReader(tx.payload), n)
+    try:
+        members = subset_unrank(n, k, rank)
+    except RankOutOfRange as exc:
+        raise RankOutOfRange(f"{exc} (rank at bit {at})") from None
     mask = np.zeros(1 << tx.m, dtype=bool)
     mask[points[list(members)]] = True
     return reconstruct(AlgSet.from_bool_array(tx.m, mask))
@@ -408,26 +413,29 @@ def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
 
     Lets a caller learn the universe size before committing to a full
     parse, e.g. to read the background statements the payload needs. A
-    negative offset is a DomainError.
+    negative offset is a DomainError; a MalformedHeader names its offset.
     """
     if offset < 0:
         raise DomainError(f"negative offset {offset}")
-    if len(data) - offset < HEADER_BYTES:
-        raise MalformedHeader("truncated header")
-    magic, tag, codec_id, m = _HEADER.unpack_from(data, offset)[:4]
-    if magic != MAGIC:
-        raise MalformedHeader(f"bad magic {magic!r}")
-    if tag not in _NAME_OF:
-        raise MalformedHeader(f"unknown scenario tag {tag}")
-    scenario = _NAME_OF[tag]
-    if codec_id not in _CODEC_NAME:
-        raise MalformedHeader(f"unknown codec id {codec_id}")
-    codec = _CODEC_NAME[codec_id]
-    if (codec is None) == (scenario in PARTITION_SCENARIOS):
-        raise MalformedHeader("codec id inconsistent with scenario tag")
-    if not 1 <= m <= M_MAX:
-        raise MalformedHeader(f"universe size {m} unsupported")
-    return scenario, codec, m
+    try:
+        if len(data) - offset < HEADER_BYTES:
+            raise MalformedHeader("truncated header")
+        magic, tag, codec_id, m = _HEADER.unpack_from(data, offset)[:4]
+        if magic != MAGIC:
+            raise MalformedHeader(f"bad magic {magic!r}")
+        if tag not in _NAME_OF:
+            raise MalformedHeader(f"unknown scenario tag {tag}")
+        scenario = _NAME_OF[tag]
+        if codec_id not in _CODEC_NAME:
+            raise MalformedHeader(f"unknown codec id {codec_id}")
+        codec = _CODEC_NAME[codec_id]
+        if (codec is None) == (scenario in PARTITION_SCENARIOS):
+            raise MalformedHeader("codec id inconsistent with scenario tag")
+        if not 1 <= m <= M_MAX:
+            raise MalformedHeader(f"universe size {m} unsupported")
+        return scenario, codec, m
+    except MalformedHeader as exc:
+        raise MalformedHeader(f"{exc} (header at byte {offset})") from None
 
 
 def read_transmission(

@@ -468,7 +468,7 @@ def test_writer_packs_msb_first():
     w.write_bit(1)
     w.write_bit(0)
     w.write_bit(1)
-    assert w.bit_length == 3
+    assert len(w.to_bits()) == 3
     assert w.to_bytes() == b"\xa0"
 
 
@@ -478,7 +478,7 @@ def test_writer_fixed_width_big_endian():
     assert w.to_bytes() == b"\xa0"
     w2 = BitWriter()
     w2.write_bits(0, 0)
-    assert w2.bit_length == 0 and w2.to_bytes() == b""
+    assert len(w2.to_bits()) == 0 and w2.to_bytes() == b""
 
 
 def test_writer_width_overflow():
@@ -508,7 +508,7 @@ def test_reader_roundtrip_mixed_fields():
     assert r.read_bits(4) == 0b1011
     assert r.read_elias_delta() == 1
     assert r.read_bits(1) == 1
-    assert r.bits_read == w.bit_length
+    assert r.bits_read == len(w.to_bits())
 
 
 def test_reader_truncation():
@@ -523,14 +523,6 @@ def test_reader_truncation():
     r2.read_bits(6)
     with pytest.raises(TruncatedStream):
         r2.read_bits(1)
-
-
-def test_reader_bit_offset():
-    w = BitWriter()
-    w.write_bits(0b0110, 4)
-    w.write_elias_delta(3)
-    r = BitReader(w.to_bytes(), bit_offset=4)
-    assert r.read_elias_delta() == 3
 
 
 @settings(max_examples=200)
@@ -548,7 +540,7 @@ def test_stream_roundtrip_random_fields(fields):
         w.write_bits(value, width)
         wrote.append((value, width))
     data = w.to_bytes()
-    assert len(data) == (w.bit_length + 7) // 8
+    assert len(data) == (len(w.to_bits()) + 7) // 8
     r = BitReader(data)
     for value, width in wrote:
         assert r.read_bits(width) == value
@@ -610,7 +602,7 @@ def test_writer_matches_packbits_reference(fields):
     for value, width in fields:
         w.write_bits(value, width)
         ref += _field_bits(value, width)
-    assert w.bit_length == len(ref)
+    assert len(w.to_bits()) == len(ref)
     assert w.to_bytes() == _packed(ref)
     assert w.to_bits() == Bits(int("".join(map(str, ref)) or "0", 2), len(ref))
     assert w.to_bits().to_bytes() == _packed(ref)
@@ -622,7 +614,8 @@ def test_reader_matches_reference_at_any_offset(data, draw):
     ref = _unpacked(data)
     offset = draw.draw(st.integers(min_value=0, max_value=len(ref)))
     widths = draw.draw(st.lists(st.integers(min_value=0, max_value=90), max_size=8))
-    r = BitReader(data, bit_offset=offset)
+    r = BitReader(data)
+    r.read_bits(offset)
     pos = offset
     for width in widths:
         if pos + width > len(ref):
@@ -643,10 +636,13 @@ def test_elias_reader_on_arbitrary_bytes(data, draw):
     try:
         want = _reference_elias(ref, offset)
     except (TruncatedStream, MalformedCodeword) as exc:
+        r = BitReader(data)
+        r.read_bits(offset)
         with pytest.raises(type(exc)):
-            BitReader(data, bit_offset=offset).read_elias_delta()
+            r.read_elias_delta()
         return
-    r = BitReader(data, bit_offset=offset)
+    r = BitReader(data)
+    r.read_bits(offset)
     assert (r.read_elias_delta(), r.bits_read) == want
 
 

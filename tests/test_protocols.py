@@ -4,6 +4,7 @@ import os
 import dataclasses
 import math
 import random
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -338,6 +339,20 @@ def test_t1_rank_equal_to_the_binomial_raises_at_m16():
         t1_decode(tx)
 
 
+def test_rank_out_of_range_names_the_rank_field():
+    # a forged t1 payload at m = 5: k = 10 (elias(11) takes bits 0..7) and
+    # the largest rank its 26 bits hold, past C(32, 10) = 64512240
+    body = BitWriter()
+    body.write_elias_delta(11)
+    body.write_bits((1 << 26) - 1, rank_width(32, 10))
+    tx = Transmission("t1", 5, None, 0, (0, 0, 0, 0), body.to_bits())
+    refused = r"^rank 67108863 outside 0\.\.C\(32, 10\) - 1 \(rank at bit 8\)$"
+    with pytest.raises(RankOutOfRange, match=refused):
+        t1_decode(tx)
+    with pytest.raises(RankOutOfRange, match=refused):
+        t1_decode(read_transmission(tx.to_bytes())[0])
+
+
 @pytest.mark.parametrize("scenario", ["t1", "t2"])
 def test_ranked_round_trip_at_m16(scenario):
     # both payloads pass 5000 bits and take binom's prime-power path
@@ -417,8 +432,8 @@ def test_t2_payload_matches_position_ranking_oracle():
             s, r = _random_nested(random.Random(seed), m, 0.1, 0.5)
             zs, zr = zeros(s), zeros(r)
             position = {pt: i for i, pt in enumerate(
-                pt for pt in range(1 << m) if pt in zr)}
-            ranked = [position[pt] for pt in range(1 << m) if pt in zs]
+                pt for pt in range(1 << m) if zr.bits >> pt & 1)}
+            ranked = [position[pt] for pt in range(1 << m) if zs.bits >> pt & 1]
             want = BitWriter()
             want.write_elias_delta(len(ranked) + 1)
             want.write_bits(subset_rank(zr.size, ranked),
@@ -644,6 +659,29 @@ def test_peek_header_reads_scenario_and_universe():
         peek_header(blob[:10])
     with pytest.raises(MalformedHeader):
         peek_header(b"XXXX" + blob[4:])
+
+
+def test_a_malformed_header_names_its_byte_offset():
+    # each refusal of the second header of a stream ends in its byte offset
+    lead = t1_encode(PolySet.of(2, [V(1)]), seed=9).to_bytes()
+    at = len(lead)
+
+    def forged(pos: int, raw: bytes) -> bytes:
+        return lead[:pos] + raw + lead[pos + len(raw):]
+
+    for header, what in (
+        (lead[:10], "truncated header"),
+        (forged(0, b"XXXX"), "bad magic b'XXXX'"),
+        (forged(4, b"\x09"), "unknown scenario tag 9"),
+        (forged(5, b"\x07"), "unknown codec id 7"),
+        (forged(5, b"\x02"), "codec id inconsistent with scenario tag"),
+        (forged(6, b"\x00\x19"), "universe size 25 unsupported"),
+    ):
+        for call in (peek_header, read_transmission):
+            with pytest.raises(MalformedHeader, match=rf"^{re.escape(what)} \(header at byte {at}\)$"):
+                call(lead + header, at)
+    with pytest.raises(MalformedHeader, match=r"^bad magic b'XXXX' \(header at byte 0\)$"):
+        peek_header(forged(0, b"XXXX"))
 
 
 # ------------------------------------------------------------ hostile input

@@ -1,4 +1,4 @@
-"""The measuring scripts' pure parts: the trajectory reader and the A/B pair summary."""
+"""The measuring scripts' pure parts: the trajectory reader, the A/B pair summary and sweep order."""
 
 from __future__ import annotations
 
@@ -92,6 +92,28 @@ def test_ab_pairs_alternate_count_ties_for_neither_and_use_inclusive_quartiles(m
     assert lower["parent_iqr"] == 2.0
     assert ab._effect({"sim_exact": out}) == (
         "sim_exact op_p50_ms 11.0000 -> 10.0000 ms (0.9091x, 3 of 5 pairs; parent IQR 2.0000 ms)")
+
+
+def test_ab_sweep_warms_up_before_each_round_and_drops_the_warm_up_rows(monkeypatch):
+    ab = _load("ab")
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    calls = []
+
+    def run(cmd, *, env, **kwargs):
+        side = Path(env["PYTHONPATH"]).parent.name
+        calls.append(side)
+        # each sweep prints one row naming its call, so a kept row shows where it came from
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"m\tcall\n4\t{side}{len(calls)}\n")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    out = ab._sweep(trees, ["groebner", "4"], 3)
+    # per round: an untimed sweep of its first side, then the two timed ones
+    assert calls == ["parent", "parent", "change", "change", "change", "parent",
+                     "parent", "parent", "change"]
+    assert out["runs"] == {"parent": [[[4.0, "parent2"]], [[4.0, "parent6"]], [[4.0, "parent8"]]],
+                           "change": [[[4.0, "change3"]], [[4.0, "change5"]], [[4.0, "change9"]]]}
+    assert out["columns"] == ["m", "call"]
+    assert "untimed sweep" in out["method"]
 
 
 def test_ab_records_the_change_sides_head_and_whether_it_is_dirty(tmp_path, monkeypatch):

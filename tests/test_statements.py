@@ -275,6 +275,11 @@ def _truth_poly(f, minimal: bool) -> Poly:
     return q
 
 
+def _value(q: Poly, point: int) -> int:
+    """q at `point`, whose bit i-1 is x_i: the parity of the terms the point covers."""
+    return sum(t & point == t for t in q.terms.tolist()) & 1
+
+
 def _assign_to_point(assign, m):
     return sum(assign[i] << (i - 1) for i in range(1, m + 1))
 
@@ -284,7 +289,7 @@ def _assert_faithful(f, m):
         q = _truth_poly(f, minimal)
         for bits in itertools.product((0, 1), repeat=m):
             assign = {i + 1: bits[i] for i in range(m)}
-            assert q.eval(_assign_to_point(assign, m)) == _eval_formula(f, assign), (
+            assert _value(q, _assign_to_point(assign, m)) == _eval_formula(f, assign), (
                 _render(f, minimal)
             )
 
