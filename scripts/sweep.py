@@ -8,13 +8,17 @@ round calling every timed function once in turn, so drift on a shared
 machine hits them all alike. Each layer checks its results and exits 1
 with a message on the first mismatch.
 
-* ``colex [n ...]``: for random k-subsets of {0..n-1}, k = n * --ratio, the
-  bits of C(n, k), then `bitcodec.subset_rank`, `bitcodec._unrank` with
-  walk steps only and with chunks tried first, `math.comb(n, k)` and
-  `bitcodec.binom(n, k)`. The walk/chunk crossover moves with k / n; the
-  comment on `bitcodec._UNRANK_CHUNK_MIN_BITS` cites rows at several
-  ratios. Exits 1 if an unrank misses its subset or binom differs from
-  math.comb.
+* ``ranked [n ...]``: for random k-subsets of {0..n-1}, k = n * --ratio, the
+  bits of C(n, k), then the rank and unrank of the halving order that
+  ranked payloads of codec id 3 carry (`bitcodec.subset_rank` and
+  `bitcodec.subset_unrank`), the colex unrank that codec id 0 still takes
+  (`bitcodec.colex_unrank`), fed the subset's colex rank from a slow
+  oracle, then `math.comb(n, k)` and `bitcodec.binom(n, k)`. Exits 1 if an
+  unrank misses its subset or binom differs from math.comb.
+* ``roundtrip [m ...]``: in-process t1 round trips of `Single(0.2)` and t2
+  round trips of `Nested(0.125, 0.5)` (`simlab.sample`): the candidates n
+  and members k, the payload bits, then `protocols` encode and decode.
+  Exits 1 if a decoded zero set differs from the sampled one.
 * ``groebner [m ...]``: per input family, the generators, the Macaulay
   matrix's bits (generators · 4^m), `groebner._buchberger` and
   `groebner._macaulay` on the same packed generators, the first's time over
@@ -58,7 +62,7 @@ with a message on the first mismatch.
   cycle of each block, which follows another writer, left out), then the
   volume written: its path, device, mount point, filesystem and options.
 
-    PYTHONPATH=src python3 scripts/sweep.py colex 8192 16384 --best-of 9 --seeds 1 2
+    PYTHONPATH=src python3 scripts/sweep.py ranked 8192 16384 --best-of 9 --seeds 1 2
     PYTHONPATH=src python3 scripts/sweep.py poly 12 14 16 --best-of 15
 """
 
@@ -103,26 +107,62 @@ def check(ok: bool, message: str) -> None:
         raise SystemExit(message)
 
 
-# ------------------------------------------------------------------- colex
+# ------------------------------------------------------------------ ranked
 
-def _colex(args):
+def _colex_rank(members: list[int]) -> int:
+    """Oracle: the sum of C(v_i, i + 1) over sorted members. Each term after
+    the first nonzero one is the last times C(u, i + 1) / C(v, i), an exact
+    quotient of small products."""
+    rank = term = 0
+    for i, u in enumerate(members):
+        if term:
+            term = term * math.perm(u, u - v) // ((i + 1) * math.perm(u - i - 1, u - v - 1))
+        elif u > i:
+            term = math.comb(u, i + 1)
+        rank += term
+        v = u
+    return rank
+
+
+def _ranked(args):
+    # a source tree from before codec id 3 has no colex_unrank: its
+    # subset_rank and subset_unrank are the colex pair
+    colex_unrank = getattr(bitcodec, "colex_unrank", bitcodec.subset_unrank)
     for n in args.sizes:
         k = max(1, int(n * args.ratio))
-        top = math.comb(n - 1, k)
         for seed in args.seeds:
             members = sorted(random.Random(seed).sample(range(n), k))
-            rank = bitcodec.subset_rank(n, members)
-            ms, (_, walk, chunk, comb, binom) = timed([
+            rank, colex = bitcodec.subset_rank(n, members), _colex_rank(members)
+            ms, (_, back, old, comb, binom) = timed([
                 lambda: bitcodec.subset_rank(n, members),
-                lambda: bitcodec._unrank(n, k, rank, top, False),
-                lambda: bitcodec._unrank(n, k, rank, top, True),
+                lambda: bitcodec.subset_unrank(n, k, rank),
+                lambda: colex_unrank(n, k, colex),
                 lambda: math.comb(n, k),
                 lambda: bitcodec.binom(n, k),
             ], args.best_of)
-            for chunks, got in ((False, walk), (True, chunk)):
-                check(got == tuple(members), f"unrank mismatch at n={n}, k={k}, chunks={chunks}")
+            check(back == tuple(members), f"round trip misses its subset at n={n}, k={k}")
+            check(old == tuple(members), f"colex unrank misses its subset at n={n}, k={k}")
             check(comb == binom, f"binom({n}, {k}) differs from math.comb")
             yield n, k, seed, comb.bit_length(), *ms
+
+
+ROUND_TRIPS = {
+    "t1": (Single(0.2), lambda s, r: protocols.t1_encode(s), lambda tx, r: protocols.t1_decode(tx)),
+    "t2": (Nested(0.125, 0.5), protocols.t2_encode, protocols.t2_decode),
+}
+
+
+def _roundtrip(args):
+    for scenario, (law, encode, decode) in ROUND_TRIPS.items():
+        for m in args.sizes:
+            for seed in args.seeds:
+                zero_sets, (s, *r) = sample(law, m, seed)
+                r = r[0] if r else None
+                tx = encode(s, r)
+                ms, (_, back) = timed([lambda: encode(s, r), lambda: decode(tx, r)], args.best_of)
+                check(zeros(back) == zero_sets[0], f"{scenario} round trip differs at m={m}")
+                n = zero_sets[1].size if r else 1 << m
+                yield scenario, m, seed, n, zero_sets[0].size, len(tx.payload), *ms
 
 
 # ---------------------------------------------------------------- groebner
@@ -395,8 +435,10 @@ def _write(args):
 
 # layer: (rows, header, default sizes, smallest and largest size, default best-of)
 TIMED = {
-    "colex": (_colex, "n\tk\tseed\tbits\trank_ms\twalk_ms\tchunk_ms\tcomb_ms\tbinom_ms",
-              (128, 1024, 2048, 2560, 3072, 3584, 4096, 6000, 8192, 16384), 2, math.inf, 5),
+    "ranked": (_ranked, "n\tk\tseed\tbits\trank_ms\tunrank_ms\tcolex_unrank_ms\tcomb_ms\tbinom_ms",
+               (128, 1024, 4096, 8192, 16384, 65536), 2, math.inf, 5),
+    "roundtrip": (_roundtrip, "scenario\tm\tseed\tn\tk\tpayload_bits\tencode_ms\tdecode_ms",
+                  (12, 14, 16), 1, 24, 5),
     # the matrix path holds a 4^m-entry count array per generator: 32 MB at m = 11
     "groebner": (_groebner, "family\tm\tseed\tgens\tmatrix_bits\tbuchberger_ms\tmacaulay_ms"
                  "\tspeedup\tpath", range(4, 11), 2, 11, 3),
@@ -412,12 +454,12 @@ def main(argv=None) -> int:
     for name, (rows, header, sizes, lo, hi, best_of) in TIMED.items():
         p = subs.add_parser(name, help="columns: " + ", ".join(header.split("\t")))
         p.add_argument("sizes", type=int, nargs="*", default=list(sizes),
-                       help=f"{'n' if name == 'colex' else 'm'} values from {lo}"
+                       help=f"{'n' if name == 'ranked' else 'm'} values from {lo}"
                        + (f" to {hi}" if hi < math.inf else ""))
         p.add_argument("--seeds", type=int, nargs="+", default=[1])
         p.add_argument("--best-of", type=int, default=best_of)
         p.set_defaults(rows=rows, header=header, lo=lo, hi=hi)
-    subs.choices["colex"].add_argument("--ratio", type=float, default=0.2, help="k / n")
+    subs.choices["ranked"].add_argument("--ratio", type=float, default=0.2, help="k / n")
     subs.choices["groebner"].add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
     subs.choices["linear"].add_argument("--cells", nargs="+", choices=CELLS, default=list(CELLS))
     p = subs.add_parser("rates", help="rate report per default matrix cell")
@@ -432,7 +474,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.layer in TIMED and (args.best_of < 1 or not all(args.lo <= s <= args.hi for s in args.sizes)):
         ap.error(f"need best-of >= 1 and sizes in {args.lo}..{args.hi}")
-    if args.layer == "colex" and not 0 < args.ratio < 1:
+    if args.layer == "ranked" and not 0 < args.ratio < 1:
         ap.error("need 0 < ratio < 1")
     if args.layer == "write" and not 2 <= args.block <= args.cycles // 4:
         ap.error("need 2 <= block <= cycles / 4, so that each of the four writers has warm writes")

@@ -3,14 +3,18 @@
 Every multi-bit field is written most-significant-bit first, and bytes are
 filled from bit 7 downward; the final byte is zero-padded. A bit string is
 held as one integer plus its length (:class:`Bits`), so fields are written
-and read with one shift each. Subset ranks use the colexicographic order on
-k-subsets of {0, ..., n-1}, 0-based.
+and read with one shift each. A subset rank is a 0-based index among the
+k-subsets of {0, ..., n-1}, in one of two orders: the halving order of
+:func:`subset_rank` and :func:`subset_unrank`, which `protocols` states
+and writes, and the colexicographic order, which :func:`colex_unrank`
+reads back from older streams.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,7 +192,7 @@ def binom(n: int, k: int) -> int:
     never divides a big integer. `math.comb` wins on small values and on
     sparse k: values of fewer than n / log2(n) bits stay on it, because the
     prime path touches all n / ln(n) primes up to n. Timings:
-    `scripts/sweep.py colex` and BENCH_25_binom_prime_powers.json.
+    `scripts/sweep.py ranked` and BENCH_25_binom_prime_powers.json.
     """
     n, k = operator.index(n), operator.index(k)  # numpy ints too, as math.comb takes
     if n < 0 or k < 0:
@@ -283,11 +287,160 @@ def rank_width(n: int, k: int) -> int:
     return (binom(n, k) - 1).bit_length()
 
 
+def subset_rank(n: int, subset: Iterable[int]) -> int:
+    """Rank of a subset of {0..n-1} in the halving order (`protocols` states it).
+
+    Up to `_LEAF` candidates the rank is colex, the sum of binom(v_i, i+1)
+    over sorted members, read from `_PASCAL`. Above, the members below
+    h = n // 2 and the rest are ranked on their own, so the big integers
+    are built by multiplying halves instead of one colex term at a time.
+    Timings: `scripts/sweep.py ranked`.
+    """
+    members = sorted(subset)
+    if members:
+        if members[0] < 0 or members[-1] >= n:
+            raise DomainError(f"subset members must lie in 0..{n - 1}")
+        for a, b in zip(members, members[1:]):
+            if a == b:
+                raise DomainError(f"duplicate subset member {a}")
+    return _rank_halves(n, members, 0, len(members), 0, {})
+
+
+def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
+
+    :func:`binom` builds C(n, k) once, to refuse a rank past the last
+    subset; below the root, a binomial is stepped from the last one of its
+    size or built afresh.
+    """
+    _check_rank(n, k, rank)
+    out: list[int] = []
+    _unrank_halves(n, k, rank, 0, out, {})
+    return tuple(out)
+
+
+def _check_rank(n: int, k: int, rank: int) -> int:
+    """C(n, k), after refusing a k outside 0..n or a rank outside 0..C(n, k) - 1."""
+    if k < 0 or k > n:
+        raise DomainError(f"k must lie in 0..{n}, got {k}")
+    total = binom(n, k)
+    if rank < 0 or rank >= total:
+        raise RankOutOfRange(f"rank {_shown(rank)} outside 0..C({n}, {k}) - 1")
+    return total
+
+
+# Subsets of at most _LEAF candidates rank in colex order from _PASCAL, which
+# holds C(v, j) for 0 <= v, j <= 64, each below 2^61.
+_LEAF = 64
+_PASCAL = tuple(tuple(math.comb(v, j) for j in range(65)) for v in range(65))
+
+
+def _split(n: int, k: int) -> tuple[int, int, int]:
+    """(h, n - h, m0): the halves of n candidates and the first block's count."""
+    h = n // 2
+    return h, n - h, min(max(k * h // n, k - (n - h), 0), k, h)
+
+
+def _blocks(h: int, g: int, k: int, m0: int, t: int):
+    """(a, T(a)) in the halving order, from T(m0) = t: the counts a of members
+    below h, with T(a) = C(h, a) * C(g, k - a) subsets each, g = n - h."""
+    lo, hi = max(0, k - g), min(k, h)
+    yield m0, t
+    up = down = m0
+    t_up = t_down = t
+    while up < hi or down > lo:
+        if up < hi:
+            t_up = t_up * ((h - up) * (k - up)) // ((up + 1) * (g - k + up + 1))
+            up += 1
+            yield up, t_up
+        if down > lo:
+            t_down = t_down * (down * (g - k + down)) // ((h - down + 1) * (k - down + 1))
+            down -= 1
+            yield down, t_down
+
+
+def _binom_near(size: int, j: int, cache: dict[int, tuple[int, int]]) -> int:
+    """C(size, j): from `_PASCAL`, stepped from the cached binomial of this
+    size, or from :func:`binom` when that is more than size / 32 steps away.
+
+    A step is one multiply and one exact division by small ints. A fresh
+    binom of C(size, size / 5) cost about size / 25 steps at sizes
+    256..4096 and 55 to 75 steps at 8192..32768, where it is the
+    prime-power product (process time, 2-core VM).
+    """
+    if size < len(_PASCAL):
+        return _PASCAL[size][j]
+    last = cache.get(size)
+    if last is None or abs(last[0] - j) > size >> 5:
+        c = binom(size, j)
+    else:
+        i, c = last
+        for v in range(i, j):
+            c = c * (size - v) // (v + 1)
+        for v in range(i, j, -1):
+            c = c * v // (size - v + 1)
+    cache[size] = (j, c)
+    return c
+
+
+def _rank_halves(n: int, members: list[int], i: int, j: int, base: int, cache) -> int:
+    """The halving rank of members[i:j] - base, a subset of {0..n-1}."""
+    k = j - i
+    if k == 0 or k == n:
+        return 0
+    if n <= _LEAF:
+        return sum(_PASCAL[members[i + s] - base][s + 1] for s in range(k))
+    h, g, m0 = _split(n, k)
+    mid = bisect_left(members, base + h, i, j)
+    a = mid - i
+    rank = _rank_halves(h, members, i, mid, base, cache)
+    if a != m0:
+        t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
+        for b, t in _blocks(h, g, k, m0, t):
+            if b == a:
+                break
+            rank += t
+    high = _rank_halves(g, members, mid, j, base + h, cache)
+    return rank + high * _binom_near(h, a, cache)
+
+
+def _unrank_halves(n: int, k: int, rank: int, base: int, out: list[int], cache) -> None:
+    """Append the k-subset of {0..n-1} of halving rank `rank`, plus base, to out."""
+    if k == 0:
+        return
+    if k == n:
+        out.extend(range(base, base + n))
+        return
+    if n <= _LEAF:
+        found = []
+        v = n - 1
+        for s in range(k, 0, -1):
+            while _PASCAL[v][s] > rank:
+                v -= 1
+            rank -= _PASCAL[v][s]
+            found.append(base + v)
+            v -= 1
+        out.extend(reversed(found))
+        return
+    h, g, m0 = _split(n, k)
+    t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
+    for a, t in _blocks(h, g, k, m0, t):
+        if rank < t:
+            break
+        rank -= t
+    high, low = divmod(rank, _binom_near(h, a, cache))
+    _unrank_halves(h, a, low, base, out, cache)
+    _unrank_halves(g, k - a, high, base + h, out, cache)
+
+
+# --------------------------------------------------------------------------
+# the colex order, codec id 0: decoders still read it
+
 # Colex unranks whose C(n, k) has fewer bits than this go by exact walk
 # steps only. The walk/chunk crossover moves with k / n, from below 4090
-# bits at k = n/2 to between 2355 and 7074 at k = n/1310 (`scripts/sweep.py
-# colex --ratio`; BENCH_22_colex_lowest_terms.json), and no benchmark cell
-# has sparse subsets to set it below 5000 on. binom builds a C(n, k) of
+# bits at k = n/2 to between 2355 and 7074 at k = n/1310
+# (BENCH_22_colex_lowest_terms.json), and no benchmark cell has sparse
+# subsets to set it below 5000 on. binom builds a C(n, k) of
 # fewer bits with math.comb.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
@@ -297,65 +450,18 @@ _CHUNK_BITS = 2048
 _GUESS_TOL = 2.0 ** -44
 
 
-def subset_rank(n: int, subset: Iterable[int]) -> int:
-    """Colex rank of a subset of {0..n-1}: sum of binom(v_i, i+1) over sorted members.
+def colex_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The k-subset of {0..n-1} whose colex rank, sum of binom(v_i, i+1) over
+    sorted members, is `rank`.
 
-    The log2 C(n, k)-bit integer is touched once per chunk of members, by
-    one divmod and two multiplies with the chunk's product of about
-    `_CHUNK_BITS` bits, instead of once per position as in a walk over
-    0..max(subset); each gap's factors come from `math.perm`. Timings:
-    `scripts/sweep.py colex`.
+    :func:`binom` builds C(n, k), from prime powers past its size bound. From
+    `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) on, :func:`_unrank` guesses chunks.
     """
-    members = sorted(subset)
-    if members:
-        if members[0] < 0 or members[-1] >= n:
-            raise DomainError(f"subset members must lie in 0..{n - 1}")
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise DomainError(f"duplicate subset member {a}")
-    return _rank_chunked(members)
-
-
-def _rank_chunked(members: list[int]) -> int:
-    """The colex sum of sorted members, with the big integer touched once per chunk.
-
-    From the term binom(v, i+1) to the next, binom(u, i+2), the ratio is
-    (v+1)...u / ((i+2) * w...(w'-1)) with w = v - i and w' = u - i - 1,
-    each run of factors one `math.perm` call. Within a chunk, num/den is the
-    current term over the anchor (an exact term, log2 C(n, k) bits at most)
-    and part/den is the chunk's sum over it; closing the chunk adds
-    anchor * part / den to the rank and moves the anchor to
-    anchor * num / den.
-    """
-    k = len(members)
-    i = 0
-    while i < k and members[i] == i:  # binom(i, i+1) = 0
-        i += 1
-    if i == k:
-        return 0
-    v = members[i]
-    w = v - i
-    anchor = math.comb(v, i + 1)
-    rank = 0
-    num = den = part = 1
-    for j in range(i + 1, k):
-        u = members[j]
-        wu = u - j
-        if u == v + 1:  # adjacent members: w == wu, the ratio is u / (j+1)
-            p, q = u, j + 1
-        else:
-            p = math.perm(u, u - v)  # (v+1)...u
-            q = (j + 1) * math.perm(wu - 1, wu - w)  # (j+1) * w...(wu-1)
-        num *= p
-        den *= q
-        part = part * q + num
-        v, w = u, wu
-        if den.bit_length() > _CHUNK_BITS:
-            taken, anchor = _close_chunk(anchor, part, num, den)
-            rank += taken
-            num = den = 1
-            part = 0
-    return rank + _close_chunk(anchor, part, num, den)[0]
+    total = _check_rank(n, k, rank)
+    if not k:
+        return ()
+    top = total * (n - k) // n  # binom(n - 1, k)
+    return _unrank(n, k, rank, top, total.bit_length() >= _UNRANK_CHUNK_MIN_BITS)
 
 
 def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
@@ -364,32 +470,15 @@ def _close_chunk(anchor: int, part: int, num: int, den: int) -> tuple[int, int]:
 
     When the anchor is longer than den, the chunk's ratios are first put in
     lowest terms, which shortens the divisor of the long anchor: at
-    n = 16384, k = 3276 that took 48% of den's bits off in the rank and 40%
-    in the unrank (BENCH_22_colex_lowest_terms.json). A shorter anchor
-    skips the gcd, which costs more than it saves there.
+    n = 16384, k = 3276 that took 40% of den's bits off in the unrank
+    (BENCH_22_colex_lowest_terms.json). A shorter anchor skips the gcd,
+    which costs more than it saves there.
     """
     if anchor.bit_length() > den.bit_length():
         g = math.gcd(num, part, den)
         num, part, den = num // g, part // g, den // g
     a, r = divmod(anchor, den)
     return a * part + r * part // den, a * num + r * num // den
-
-
-def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
-
-    :func:`binom` builds C(n, k), from prime powers past its size bound. From
-    `_UNRANK_CHUNK_MIN_BITS` bits of C(n, k) on, :func:`_unrank` guesses chunks.
-    """
-    if k < 0 or k > n:
-        raise DomainError(f"k must lie in 0..{n}, got {k}")
-    total = binom(n, k)
-    if rank < 0 or rank >= total:
-        raise RankOutOfRange(f"rank {_shown(rank)} outside 0..C({n}, {k}) - 1")
-    if not k:
-        return ()
-    top = total * (n - k) // n  # binom(n - 1, k)
-    return _unrank(n, k, rank, top, total.bit_length() >= _UNRANK_CHUNK_MIN_BITS)
 
 
 def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, ...]:
@@ -407,11 +496,11 @@ def _unrank(n: int, k: int, rank: int, anchor: int, chunks: bool) -> tuple[int, 
     z * binom(y, s) / binom(v, s) >= 1, and taking it maps z to
     (z - 1) * v / s. The chunk ends before a v whose z, or z at v + 1, lies
     within rounding of 1. num/den and part/den track binom(y, s) / A and
-    the sum taken over A exactly, as in :func:`_rank_chunked`. By the
-    uniqueness of the combinatorial number system (TAOCP 7.2.1.3) the
-    guesses are the unrank's members iff what is left of R lies in
-    [0, binom(v, s)), v the last guess and s the count still to find; a
-    chunk that fails is dropped for one exact walk step.
+    the sum taken over A exactly. By the uniqueness of the combinatorial
+    number system (TAOCP 7.2.1.3) the guesses are the unrank's members iff
+    what is left of R lies in [0, binom(v, s)), v the last guess and s the
+    count still to find; a chunk that fails is dropped for one exact walk
+    step.
     """
     out: list[int] = []
     y, s, R = n - 1, k, rank

@@ -23,6 +23,36 @@ Payloads are decodable from the header plus whatever the decoder is
 assumed to know already (the background r for t2, t3, t5).  Nothing in
 the stream is byte-padded except the tail of each payload, so
 transmissions concatenate cleanly.
+
+The header's codec id names the code of the payload, one table per payload
+kind.  A ranked payload (t1-t3) is elias(k + 1), then the rank of the
+k-subset among the C(n, k) subsets of its n candidates, in
+`rank_width(n, k)` bits; id 0 ranks in colex order, which decoders still
+read, and id 3 in the halving order, which the encoders write.  A
+partition payload (t4, t5) takes id 1 (random codebook) or 2 (linear).
+A new codec id keeps MAGIC, and the bytes of an existing id never change.
+
+The halving order of a k-subset of n candidates {0..n-1}, members v_i in
+ascending order:
+
+- For n <= 64 it is colex: the rank is the sum of C(v_i, i + 1).  So
+  every id-3 payload over at most 64 candidates has the same bits as id 0.
+- For n > 64, let h = n // 2, lo = max(0, k - (n - h)), hi = min(k, h)
+  and m0 = min(max(k*h // n, lo), hi).  The count a of members below h
+  picks a block of T(a) = C(h, a)*C(n - h, k - a) subsets.
+- Blocks go in the order m0, m0 + 1, m0 - 1, m0 + 2, ..., upward first.
+  Values outside [lo, hi] are skipped, and once one side runs out the
+  other side continues.
+- rank = (the sum of T over earlier blocks) + r_high*C(h, a) + r_low.
+  Here r_low and r_high are the ranks of the two halves under the same
+  rule: of the members below h among h candidates, and of the others,
+  less h, among n - h.
+- T moves to the next block by one multiply and one exact division by a
+  number of at most n*n/4 (below 2^30 for n < 2^16), for example
+  T(a + 1) = T(a)*(h - a)(k - a) / ((a + 1)(n - h - k + a + 1)).
+- The unrank first checks rank < C(n, k): `RankOutOfRange` names the
+  field and the bit offset.  It then walks the blocks, takes a divmod by
+  C(h, a) and recurses.  It uses no floats.
 """
 
 from __future__ import annotations
@@ -40,6 +70,7 @@ from .bitcodec import (
     BitReader,
     BitWriter,
     bits_to_int,
+    colex_unrank,
     rank_width,
     subset_rank,
     subset_unrank,
@@ -73,10 +104,13 @@ HEADER_BYTES = _HEADER.size
 SCENARIOS = ("t1", "t2", "t3", "t4", "t5")
 _TAG_OF = {name: i for i, name in enumerate(SCENARIOS, 1)}
 _NAME_OF = {v: k for k, v in _TAG_OF.items()}
-# Partition codec names, in the order of their header ids 1, 2, ...
-CODECS = ("random", "linear")
-_CODEC_ID = {None: 0, **{name: i for i, name in enumerate(CODECS, 1)}}
-_CODEC_NAME = {v: k for k, v in _CODEC_ID.items()}
+# Codec names by header id, one table per payload kind (module docstring).
+_RANKED_CODECS = {0: "colex", 3: "halving"}
+_PARTITION_CODECS = {1: "random", 2: "linear"}
+# the partition codecs, which t4 and t5 encoders take by name
+CODECS = tuple(_PARTITION_CODECS.values())
+_CODEC_NAME = {**_RANKED_CODECS, **_PARTITION_CODECS}
+_CODEC_ID = {name: i for i, name in _CODEC_NAME.items()}
 
 # Scenarios that code psi(s, q) with a partition codec, so take a codec and
 # a query; and scenarios whose decoder holds the shared background r.
@@ -97,7 +131,7 @@ def quantize_param(p: float) -> int:
 class Transmission:
     scenario: str
     m: int
-    codec: str | None
+    codec: str  # a name from _RANKED_CODECS or _PARTITION_CODECS
     seed: int
     params: tuple[int, int, int, int]
     payload: Bits
@@ -107,7 +141,7 @@ class Transmission:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.codec not in _CODEC_ID:
             raise DomainError(f"unknown codec {self.codec!r}")
-        if (self.codec is None) == (self.scenario in PARTITION_SCENARIOS):
+        if (self.codec in CODECS) != (self.scenario in PARTITION_SCENARIOS):
             raise DomainError("codec choice and scenario disagree")
         if not 1 <= self.m <= M_MAX:
             raise DomainError(f"universe size {self.m} unsupported")
@@ -128,7 +162,7 @@ class Transmission:
 
 # --------------------------------------------------------------------------
 # count + rank codeword: a k-subset of {0..n-1} as elias(k + 1), then its
-# colex rank in rank_width(n, k) bits
+# rank in rank_width(n, k) bits, in either order
 
 
 def _write_ranked(writer: BitWriter, n: int, members: list[int]) -> None:
@@ -252,7 +286,7 @@ def _ranked_within(
     return Transmission(
         scenario,
         s.m,
-        None,
+        "halving",
         seed,
         (quantize_param(dens_s), quantize_param(dens_r), 0, 0),
         body.to_bits(),
@@ -273,8 +307,9 @@ def _ranked_decode(tx: Transmission, r: PolySet, scenarios: tuple[str, ...]) -> 
     points = np.flatnonzero(zeros(r).to_bool_array())
     n = points.size
     k, rank, at = _read_ranked(BitReader(tx.payload), n)
+    unrank = colex_unrank if tx.codec == "colex" else subset_unrank
     try:
-        members = subset_unrank(n, k, rank)
+        members = unrank(n, k, rank)
     except RankOutOfRange as exc:
         raise RankOutOfRange(f"{exc} (rank at bit {at})") from None
     mask = np.zeros(1 << tx.m, dtype=bool)
@@ -393,7 +428,7 @@ def t5_decode(tx: Transmission, r: PolySet) -> PolySet:
 
 
 def _scan_payload(
-    scenario: str, codec: str | None, m: int, reader: BitReader, r: PolySet | None
+    scenario: str, codec: str, m: int, reader: BitReader, r: PolySet | None
 ) -> None:
     if scenario not in BACKGROUND_SCENARIOS:
         r = PolySet(m, frozenset())
@@ -408,7 +443,7 @@ def _scan_payload(
         _read_ranked(reader, inner)
 
 
-def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
+def peek_header(data: bytes, offset: int = 0) -> tuple[str, str, int]:
     """Validate a header and return (scenario, codec, universe size).
 
     Lets a caller learn the universe size before committing to a full
@@ -429,7 +464,7 @@ def peek_header(data: bytes, offset: int = 0) -> tuple[str, str | None, int]:
         if codec_id not in _CODEC_NAME:
             raise MalformedHeader(f"unknown codec id {codec_id}")
         codec = _CODEC_NAME[codec_id]
-        if (codec is None) == (scenario in PARTITION_SCENARIOS):
+        if (codec in CODECS) != (scenario in PARTITION_SCENARIOS):
             raise MalformedHeader("codec id inconsistent with scenario tag")
         if not 1 <= m <= M_MAX:
             raise MalformedHeader(f"universe size {m} unsupported")

@@ -16,6 +16,7 @@ from logicast.bitcodec import (
     BitWriter,
     binom,
     bits_to_int,
+    colex_unrank,
     elias_delta_decode,
     elias_delta_encode,
     elias_delta_length,
@@ -36,6 +37,12 @@ def _colex_order(n: int, k: int) -> list[tuple[int, ...]]:
     """Oracle: all k-subsets of range(n) in colexicographic order."""
     subs = itertools.combinations(range(n), k)
     return sorted(subs, key=lambda s: tuple(reversed(s)))
+
+
+def _colex_rank(members) -> int:
+    """Oracle: the colex rank as defined, the sum of comb(v_i, i + 1) over
+    sorted members. Slow past a few thousand dense members."""
+    return sum(math.comb(v, i + 1) for i, v in enumerate(sorted(members)))
 
 
 def _elias_length_formula(n: int) -> int:
@@ -139,17 +146,18 @@ def test_binom_matches_math_comb():
 def test_rank_known_values():
     assert subset_rank(4, (0, 1)) == 0
     assert subset_rank(4, ()) == 0
-    assert subset_unrank(4, 2, 5) == (2, 3)
-    assert subset_unrank(4, 0, 0) == ()
+    assert subset_unrank(4, 2, 5) == colex_unrank(4, 2, 5) == (2, 3)
+    assert subset_unrank(4, 0, 0) == colex_unrank(4, 0, 0) == ()
 
 
 def test_rank_against_colex_oracle():
+    # up to 64 candidates the halving order is colex
     for n in range(0, 9):
         for k in range(0, n + 1):
             order = _colex_order(n, k)
             for r, sub in enumerate(order):
-                assert subset_rank(n, sub) == r
-                assert subset_unrank(n, k, r) == sub
+                assert subset_rank(n, sub) == _colex_rank(sub) == r
+                assert subset_unrank(n, k, r) == colex_unrank(n, k, r) == sub
 
 
 def test_rank_unrank_identity_medium():
@@ -161,6 +169,7 @@ def test_rank_unrank_identity_medium():
         r = subset_rank(n, members)
         assert 0 <= r < binom(n, k)
         assert subset_unrank(n, k, r) == members
+        assert colex_unrank(n, k, _colex_rank(members)) == members
 
 
 def test_rank_domain_errors():
@@ -168,14 +177,117 @@ def test_rank_domain_errors():
         subset_rank(4, (0, 4))
     with pytest.raises(DomainError):
         subset_rank(4, (2, 2))
-    with pytest.raises(RankOutOfRange):
-        subset_unrank(4, 2, 6)
-    with pytest.raises(RankOutOfRange):
-        subset_unrank(4, 2, -1)
+    for unrank in (subset_unrank, colex_unrank):
+        with pytest.raises(RankOutOfRange):
+            unrank(4, 2, 6)
+        with pytest.raises(RankOutOfRange):
+            unrank(4, 2, -1)
+        with pytest.raises(DomainError):
+            unrank(4, 5, 0)
 
 
-# The walks over positions that subset_rank and subset_unrank were before
-# the chunked forms: the bit-exact oracle for rank and for both unrank modes.
+# ------------------------------------------------------------ halving order
+# A reference written from the `protocols` docstring with math.comb only.
+
+def _block_order(m0: int, lo: int, hi: int) -> list[int]:
+    """The counts in block order: m0, m0 + 1, m0 - 1, m0 + 2, ..., within [lo, hi]."""
+    order = [m0]
+    for d in range(1, hi - lo + 1):
+        order += [b for b in (m0 + d, m0 - d) if lo <= b <= hi]
+    return order
+
+
+def _halving_blocks(n: int, k: int) -> tuple[int, list[int]]:
+    h = n // 2
+    lo, hi = max(0, k - (n - h)), min(k, h)
+    return h, _block_order(min(max(k * h // n, lo), hi), lo, hi)
+
+
+def _halving_rank(n: int, members, leaf: int = 64) -> int:
+    members = sorted(members)
+    if n <= leaf:
+        return _colex_rank(members)
+    h, order = _halving_blocks(n, len(members))
+    low = [v for v in members if v < h]
+    high = [v - h for v in members if v >= h]
+    a = len(low)
+    before = sum(math.comb(h, b) * math.comb(n - h, len(members) - b)
+                 for b in order[: order.index(a)])
+    return before + _halving_rank(n - h, high, leaf) * math.comb(h, a) + _halving_rank(h, low, leaf)
+
+
+def _halving_unrank(n: int, k: int, rank: int, leaf: int = 64) -> tuple[int, ...]:
+    if n <= leaf:
+        out = []
+        for s in range(k, 0, -1):
+            v = max(v for v in range(n) if math.comb(v, s) <= rank)
+            rank -= math.comb(v, s)
+            out.append(v)
+            n = v
+        return tuple(reversed(out))
+    h, order = _halving_blocks(n, k)
+    for a in order:
+        block = math.comb(h, a) * math.comb(n - h, k - a)
+        if rank < block:
+            break
+        rank -= block
+    high, low = divmod(rank, math.comb(h, a))
+    return _halving_unrank(h, a, low, leaf) + tuple(
+        h + v for v in _halving_unrank(n - h, k - a, high, leaf))
+
+
+@pytest.mark.parametrize("leaf", [2, 4])
+def test_halving_order_is_a_bijection_with_small_leaves(monkeypatch, leaf):
+    # at the real leaf of 64 candidates no n here would leave the colex leaf
+    monkeypatch.setattr(bitcodec, "_LEAF", leaf)
+    for n in range(13):
+        for k in range(n + 1):
+            ranks = []
+            for sub in itertools.combinations(range(n), k):
+                r = subset_rank(n, sub)
+                assert r == _halving_rank(n, sub, leaf), (n, sub)
+                assert subset_unrank(n, k, r) == sub
+                ranks.append(r)
+            assert sorted(ranks) == list(range(math.comb(n, k))), (n, k)
+
+
+def _halving_cases():
+    """(n, members) with 65 <= n <= 2^14: uniform at several densities, and
+    skewed, so that blocks far from m0 and binomials far from the last of
+    their size are reached."""
+    rng = random.Random(37)
+    for _ in range(12):
+        n = rng.randrange(65, (1 << rng.randrange(7, 15)) + 1)
+        for k in (0, 1, n // 5, n // 2, n - 1, n):
+            yield n, tuple(sorted(rng.sample(range(n), k)))
+    for n in (65, 200, 4096):
+        k = n // 5
+        yield n, tuple(sorted(rng.sample(range(n // 4), k // 2) + rng.sample(range(n // 2, n), k // 2)))
+        yield n, tuple(range(n - k, n))
+
+
+def test_halving_rank_and_unrank_match_the_reference():
+    for n, members in _halving_cases():
+        k = len(members)
+        rank = _halving_rank(n, members)
+        assert subset_rank(n, members) == rank, (n, k)
+        assert subset_unrank(n, k, rank) == members, (n, k)
+        total = math.comb(n, k)
+        for r in {0, total - 1, total // 3}:
+            assert subset_unrank(n, k, r) == _halving_unrank(n, k, r), (n, k, r)
+
+
+def test_halving_order_is_colex_up_to_64_candidates():
+    rng = random.Random(64)
+    for n in (1, 17, 63, 64):
+        for k in range(n + 1):
+            members = tuple(sorted(rng.sample(range(n), k)))
+            assert subset_rank(n, members) == _colex_rank(members)
+
+
+# The walks over positions that the colex rank and unrank were before the
+# chunked forms: the bit-exact oracle for both unrank modes, and for the
+# colex sum where that sum is too slow.
 
 def _walk_rank(n: int, subset) -> int:
     members = sorted(subset)
@@ -215,11 +327,13 @@ def _walk_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
 
 
 def _check_both_paths(n: int, members: tuple[int, ...]) -> None:
-    """Public functions, and the unrank loop in both modes, match the walks."""
+    """The colex unrank, and its loop in both modes, match the walks; the
+    walk's rank is the colex sum wherever that sum is quick to take."""
     k = len(members)
     want = _walk_rank(n, members)
-    assert subset_rank(n, members) == want
-    assert subset_unrank(n, k, want) == members
+    if k <= 300 or n <= 2048:
+        assert _colex_rank(members) == want
+    assert colex_unrank(n, k, want) == members
     assert _walk_unrank(n, k, want) == members
     if k:
         top = math.comb(n - 1, k)
@@ -272,7 +386,7 @@ def test_rank_unrank_match_the_walks_at_extreme_sizes():
             total = math.comb(n, k)
             for rank in sorted({0, total - 1}):
                 members = _walk_unrank(n, k, rank)
-                assert subset_unrank(n, k, rank) == members
+                assert colex_unrank(n, k, rank) == members
                 _check_both_paths(n, members)
             _check_both_paths(n, tuple(sorted(rng.sample(range(n), k))))
 
@@ -325,9 +439,9 @@ def test_bad_chunk_guesses_fall_back_to_walk_steps(monkeypatch):
         for n in (1, 5, 60, 300, 2000):
             for k in sorted({0, 1, n // 7, n // 2, n - 3, n - 1, n} & set(range(n + 1))):
                 members = tuple(sorted(rng.sample(range(n), k)))
-                rank = _walk_rank(n, members)
+                rank = _colex_rank(members)
                 closes.clear()
-                assert subset_unrank(n, k, rank) == members == _walk_unrank(n, k, rank)
+                assert colex_unrank(n, k, rank) == members == _walk_unrank(n, k, rank)
                 correct = _correct_closes(members)
                 good = sum(correct(taken, low) for taken, low in closes)
                 kept += good
@@ -366,11 +480,11 @@ def test_guessed_chunks_at_boundary_ranks(monkeypatch):
         for k, rank in cases:
             members = _walk_unrank(n, k, rank)
             closes.clear()
-            assert subset_unrank(n, k, rank) == members, (chunk_bits, tol, k, rank)
+            assert colex_unrank(n, k, rank) == members, (chunk_bits, tol, k, rank)
             if (chunk_bits, tol) == default:
                 correct = _correct_closes(members)
                 assert all(correct(*c) for c in closes), (k, rank)
-            assert subset_rank(n, members) == rank
+            assert _colex_rank(members) == rank
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,12 +494,12 @@ def test_public_unrank_with_chunks_at_every_size(case):
     rank = _walk_rank(n, members)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitcodec, "_UNRANK_CHUNK_MIN_BITS", 0)
-        assert subset_unrank(n, len(members), rank) == members
+        assert colex_unrank(n, len(members), rank) == members
 
 
 def test_closes_in_lowest_terms_match_the_plain_quotients(monkeypatch):
-    # every close the rank and the chunked unrank make, at sizes where the
-    # anchor outgrows the chunk's denominator and its ratio is cancelled
+    # every close the chunked colex unrank makes, at sizes where the anchor
+    # outgrows the chunk's denominator and its ratio is cancelled
     real_close = bitcodec._close_chunk
     closes = []
 
@@ -399,8 +513,7 @@ def test_closes_in_lowest_terms_match_the_plain_quotients(monkeypatch):
         for k in (n // 5, n // 2, n - 30):
             members = tuple(sorted(random.Random(n + k).sample(range(n), k)))
             closes.clear()
-            rank = subset_rank(n, members)
-            assert rank == _walk_rank(n, members)
+            rank = _walk_rank(n, members)
             assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
             assert _walk_unrank(n, k, rank) == members
             assert closes, (n, k)
@@ -417,10 +530,10 @@ def test_sparse_subset_of_a_large_universe_ranks_as_the_walk_and_unranks():
     # of several thousand, make each step's products long
     n, k = 1 << 18, 200
     members = tuple(sorted(random.Random(18).sample(range(n), k)))
-    rank = subset_rank(n, members)
+    rank = _colex_rank(members)
     assert rank == _walk_rank(n, members)
     assert bitcodec._unrank(n, k, rank, math.comb(n - 1, k), True) == members
-    assert subset_unrank(n, k, rank) == members
+    assert colex_unrank(n, k, rank) == members
 
 
 def test_rank_width():

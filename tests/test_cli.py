@@ -361,12 +361,14 @@ def test_repeated_round_trips_into_the_same_paths_give_identical_files(tmp_path,
 
 
 def test_cli_t1_decode_builds_the_binomial_once(tmp_path, capsys, monkeypatch):
-    # framing the payload sizes the rank by log-gamma; only the unrank
-    # builds C(2^m, |Z(s)|)
+    # framing the payload sizes the rank by log-gamma and builds no
+    # binomial; the unrank builds C(2^m, |Z(s)|) once, first, to refuse a
+    # rank past it, and then the halving order's binomials of the halves
     m = 12
     (zs,), (s,) = sample(Single(0.2), m, 3)
+    data = protocols.t1_encode(s).to_bytes()
     tx = tmp_path / "tx.bin"
-    tx.write_bytes(protocols.t1_encode(s).to_bytes())
+    tx.write_bytes(data)
     built = []
     binom = bitcodec.binom
 
@@ -375,8 +377,11 @@ def test_cli_t1_decode_builds_the_binomial_once(tmp_path, capsys, monkeypatch):
         return binom(n, k)
 
     monkeypatch.setattr(bitcodec, "binom", counting_binom)
+    protocols.read_transmission(data)
+    assert built == []
     assert main(["decode", "--in", str(tx), "--out", str(tmp_path / "d.logic")]) == 0
-    assert built == [(1 << m, zs.size)]
+    assert built and built[0] == (1 << m, zs.size), built[:3]
+    assert built.count((1 << m, zs.size)) == 1
 
 
 # ---------------------------------------------------------------- prove

@@ -118,7 +118,7 @@ def test_header_layout():
     blob = tx.to_bytes()
     assert blob[:4] == b"LGC1"
     assert blob[4] == 1  # scenario tag
-    assert blob[5] == 0  # no codec
+    assert blob[5] == 3  # codec id 3: the halving order
     assert blob[6:8] == bytes([0, 3])
     assert blob[8:16] == bytes([1, 2, 3, 4, 5, 6, 7, 8])
     # p_s slot holds the empirical density |Z|/8 = 0.5
@@ -240,12 +240,42 @@ def test_framing_a_long_stream_reads_bounded_windows(monkeypatch):
     assert max(sizes) <= ((1 << m) + 263) // 8 < len(blob) // 100
 
 
+def test_one_variable_transmissions_read_back():
+    # m = 1 is the smallest universe a header holds
+    s = _sigma_of(1, [1])
+    for tx in (t1_encode(s, seed=3), t4_encode(s, PolySet.of(1, []), codec="linear", seed=3)):
+        blob = tx.to_bytes()
+        assert peek_header(blob)[2] == 1
+        back, end = read_transmission(blob + blob)
+        assert back == tx and end == len(blob)
+    assert zeros(t1_decode(read_transmission(t1_encode(s).to_bytes())[0])) == zeros(s)
+
+
+def test_longest_payloads_frame_from_a_longer_stream():
+    # A t1 payload with k = n/2 at m = 12 has rank_width(4096, 2048) = 4090
+    # rank bits; a t4 payload with no free cell has J >= 4096 rows. Both are
+    # within 256 bits of the framing window, and another transmission
+    # follows each, so the window, not the end of the data, bounds the read.
+    m = 12
+    rng = random.Random(12)
+    s = _sigma_of(m, rng.sample(range(1 << m), 1 << (m - 1)))
+    t1 = t1_encode(s, seed=1)
+    t4 = t4_encode(s, s, codec="linear", seed=1)
+    assert len(t1.payload) > 4096 and len(t4.payload) > 4096
+    tail = t1_encode(_sigma_of(3, [1, 2]), seed=2).to_bytes()
+    for tx in (t1, t4):
+        blob = tx.to_bytes() + tail
+        back, end = read_transmission(blob)
+        assert back == tx and end == len(tx.to_bytes())
+        assert read_transmission(blob, end)[1] == len(blob)
+
+
 def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
     # a t1 header at m=20 claiming 2^19 members, then nothing: neither
     # C(2^20, 2^19) nor the rank width may be computed for a stream this short
     body = BitWriter()
     body.write_elias_delta((1 << 19) + 1)
-    blob = Transmission("t1", 20, None, 0, (0, 0, 0, 0), body.to_bits()).to_bytes()
+    blob = Transmission("t1", 20, "halving", 0, (0, 0, 0, 0), body.to_bits()).to_bytes()
 
     def not_called(n, k):
         raise AssertionError("rank sized")
@@ -256,9 +286,32 @@ def test_ranked_count_without_rank_bits_fails_before_binomial(monkeypatch):
         read_transmission(blob)
 
 
+def test_short_stream_with_most_candidates_taken_fails_before_binomial(monkeypatch):
+    # k = n - 3 > n/2: C(n, k) >= (n // 3)^3 needs 54 rank bits, and none follow
+    n = 1 << 20
+    body = BitWriter()
+    body.write_elias_delta(n - 3 + 1)
+    blob = Transmission("t1", 20, "halving", 0, (0, 0, 0, 0), body.to_bits()).to_bytes()
+
+    def not_called(n, k):
+        raise AssertionError("rank sized")
+
+    monkeypatch.setattr(bitcodec, "binom", not_called)
+    monkeypatch.setattr(protocols, "rank_width", not_called)
+    with pytest.raises(TruncatedStream, match=rf"\(rank at bit {elias_delta_length(n - 2)}\)$"):
+        read_transmission(blob)
+
+
+def _assert_binomials_of_one_decode(built: list[tuple[int, int]], n: int, k: int) -> None:
+    """The decode built C(n, k) exactly once, before any other binomial."""
+    assert built and built[0] == (n, k), built[:3]
+    assert built.count((n, k)) == 1
+
+
 def test_framing_a_t1_payload_builds_no_binomial(monkeypatch):
     # the framer reads the rank in rank_width(n, k) bits, a log-gamma
-    # estimate here, and leaves C(n, k) to the unrank
+    # estimate here, and leaves C(n, k) to the unrank, which refuses a rank
+    # past it before it walks the blocks of the halving order
     m = 12
     s = _sigma_of(m, random.Random(3).sample(range(1 << m), 800))
     blob = t1_encode(s).to_bytes()
@@ -273,7 +326,7 @@ def test_framing_a_t1_payload_builds_no_binomial(monkeypatch):
     tx, used = read_transmission(blob)
     assert built == [] and used == len(blob)
     assert zeros(t1_decode(tx)) == zeros(s)
-    assert built == [(1 << m, 800)]
+    _assert_binomials_of_one_decode(built, 1 << m, 800)
 
 
 def test_t1_round_trip_builds_the_binomial_once(monkeypatch):
@@ -334,9 +387,10 @@ def test_t1_rank_equal_to_the_binomial_raises_at_m16():
     body = BitWriter()
     body.write_elias_delta(k + 1)
     body.write_bits(total, rank_width(n, k))
-    tx = Transmission("t1", 16, None, 0, (0, 0, 0, 0), body.to_bits())
-    with pytest.raises(RankOutOfRange):
-        t1_decode(tx)
+    for codec in ("halving", "colex"):
+        tx = Transmission("t1", 16, codec, 0, (0, 0, 0, 0), body.to_bits())
+        with pytest.raises(RankOutOfRange):
+            t1_decode(tx)
 
 
 def test_rank_out_of_range_names_the_rank_field():
@@ -345,12 +399,13 @@ def test_rank_out_of_range_names_the_rank_field():
     body = BitWriter()
     body.write_elias_delta(11)
     body.write_bits((1 << 26) - 1, rank_width(32, 10))
-    tx = Transmission("t1", 5, None, 0, (0, 0, 0, 0), body.to_bits())
     refused = r"^rank 67108863 outside 0\.\.C\(32, 10\) - 1 \(rank at bit 8\)$"
-    with pytest.raises(RankOutOfRange, match=refused):
-        t1_decode(tx)
-    with pytest.raises(RankOutOfRange, match=refused):
-        t1_decode(read_transmission(tx.to_bytes())[0])
+    for codec in ("halving", "colex"):
+        tx = Transmission("t1", 5, codec, 0, (0, 0, 0, 0), body.to_bits())
+        with pytest.raises(RankOutOfRange, match=refused):
+            t1_decode(tx)
+        with pytest.raises(RankOutOfRange, match=refused):
+            t1_decode(read_transmission(tx.to_bytes())[0])
 
 
 @pytest.mark.parametrize("scenario", ["t1", "t2"])
@@ -654,7 +709,7 @@ def test_read_transmission_needs_background_for_t2():
 def test_peek_header_reads_scenario_and_universe():
     s = PolySet.of(2, [V(1)])
     blob = t1_encode(s, seed=9).to_bytes()
-    assert peek_header(blob) == ("t1", None, 2)
+    assert peek_header(blob) == ("t1", "halving", 2)
     with pytest.raises(MalformedHeader):
         peek_header(blob[:10])
     with pytest.raises(MalformedHeader):
@@ -790,6 +845,8 @@ def test_mutated_payload_decodes_or_raises_logicast_error(data):
     codec = data.draw(st.sampled_from(["linear", "random"] if m <= 4 else ["linear"]))
     blob, r = _valid_transmission(scenario, codec, m, data.draw(st.integers(0, 3)))
     head, payload = blob[: protocols.HEADER_BYTES], bytearray(blob[protocols.HEADER_BYTES :])
+    if scenario in ("t1", "t2", "t3") and data.draw(st.booleans()):
+        head = head[:5] + bytes([head[5] ^ 3]) + head[6:]  # colex <-> halving
     for _ in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(["flip", "truncate", "append"]))
         if op == "flip" and payload:
