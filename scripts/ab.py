@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A/B of two checkouts: the benchmark end to end, traced, and one layer sweep.
+"""A/B of two checkouts: the benchmark end to end, traced, and layer sweeps.
 
     python3 scripts/ab.py --parent ../parent --parent-rev <sha> --layer "<what changed>" \\
         --pairs cli_roundtrip=10 sim_exact=3 sim_linear=3 --seconds 30 --seed 2727 \\
@@ -13,11 +13,12 @@ One JSON file:
   metric, and how many pairs the change won (ties count for neither).
 * ``per_layer_traced``: one ``--trace 1`` run per side on the first
   workload of ``--pairs``.
-* ``sweep`` (with ``--sweep``): this checkout's ``scripts/sweep.py`` with
-  each side's ``src`` first on ``PYTHONPATH``, ``--rounds`` rounds whose
-  first side alternates, each after an untimed warm-up sweep of that side
-  whose rows are dropped; for the poly layer, also the bytes of each file
-  it parses.
+* ``sweep`` (with ``--sweep``, which may repeat): a list with one report
+  per ``--sweep`` in the order given, each of this checkout's
+  ``scripts/sweep.py`` with each side's ``src`` first on ``PYTHONPATH``,
+  ``--rounds`` rounds whose first side alternates, each after an untimed
+  warm-up sweep of that side whose rows are dropped; for the poly layer,
+  also the bytes of each file it parses.
 * ``machine`` (``bench/harness.machine_meta``) and ``end_to_end_effect``:
   per workload, the op_p50_ms medians, their ratio, the pairs won and the
   parent's interquartile range.
@@ -169,7 +170,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--traced-seconds", type=float, default=15.0)
     p.add_argument("--seed", type=int, default=2626)
-    p.add_argument("--sweep", type=shlex.split, metavar="'LAYER [ARGS]'", help="a scripts/sweep.py command line")
+    p.add_argument("--sweep", type=shlex.split, action="append", metavar="'LAYER [ARGS]'",
+                   help="a scripts/sweep.py command line; repeat for more sweeps")
     p.add_argument("--rounds", type=int, default=2, help="sweep rounds per side")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
         },
     }
     if args.sweep:
-        report["sweep"] = _sweep(trees, args.sweep, args.rounds)
+        report["sweep"] = [_sweep(trees, argv, args.rounds) for argv in args.sweep]
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,11 +188,14 @@ def elias_delta_length(n: int) -> int:
 def binom(n: int, k: int) -> int:
     """C(n, k), exactly; 0 when k > n.
 
-    From `_UNRANK_CHUNK_MIN_BITS` bits on (by the `math.lgamma` estimate),
+    From `_BINOM_PRIME_MIN_BITS` bits on (by the `math.lgamma` estimate),
     C(n, k) is built from prime powers by :func:`_prime_power_binom`, which
     never divides a big integer. `math.comb` wins on small values and on
     sparse k: values of fewer than n / log2(n) bits stay on it, because the
-    prime path touches all n / ln(n) primes up to n. Timings:
+    prime path touches all n / ln(n) primes up to n. The crossover falls as
+    k / n grows; best of 40, math.comb against prime powers in µs: k = n/20
+    at 2006 and 2503 bits 37 / 45 and 54 / 50, n/5 at 1013 and 1508 bits
+    23 / 31 and 41 / 32, n/2 at 1003 bits 41 / 28. Timings:
     `scripts/sweep.py ranked` and BENCH_25_binom_prime_powers.json.
     """
     n, k = operator.index(n), operator.index(k)  # numpy ints too, as math.comb takes
@@ -200,9 +204,14 @@ def binom(n: int, k: int) -> int:
     if k > n:
         return 0
     lg = _log2_binom(n, k)
-    if lg < _UNRANK_CHUNK_MIN_BITS or lg * n.bit_length() < n:
+    if lg < _BINOM_PRIME_MIN_BITS or lg * n.bit_length() < n:
         return math.comb(n, k)
     return _prime_power_binom(n, k)
+
+
+# binom's switch to prime powers, in bits of C(n, k): past the crossover of
+# every k / n from n/20 to n/2 (about 2500 bits at n/20).
+_BINOM_PRIME_MIN_BITS = 3000
 
 
 def _log2_binom(n: int, k: int) -> float:
@@ -303,19 +312,19 @@ def subset_rank(n: int, subset: Iterable[int]) -> int:
         for a, b in zip(members, members[1:]):
             if a == b:
                 raise DomainError(f"duplicate subset member {a}")
-    return _rank_halves(n, members, 0, len(members), 0, {})
+    return _rank_parts(members, ((n, 0, len(members), 0),), {})[0]
 
 
 def subset_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
     """Inverse of :func:`subset_rank` for k-subsets of {0..n-1}.
 
     :func:`binom` builds C(n, k) once, to refuse a rank past the last
-    subset; below the root, a binomial is stepped from the last one of its
-    size or built afresh.
+    subset; below the root, a binomial is read from `_PASCAL`, stepped
+    from the last one of its size or built afresh.
     """
     _check_rank(n, k, rank)
     out: list[int] = []
-    _unrank_halves(n, k, rank, 0, out, {})
+    _unrank_parts(((n, k, rank, 0),), out, {})
     return tuple(out)
 
 
@@ -329,34 +338,15 @@ def _check_rank(n: int, k: int, rank: int) -> int:
     return total
 
 
-# Subsets of at most _LEAF candidates rank in colex order from _PASCAL, which
-# holds C(v, j) for 0 <= v, j <= 64, each below 2^61.
+# Subsets of at most _LEAF candidates rank in colex order. _PASCAL[j][v] is
+# C(v, j) for 0 <= v, j <= _PASCAL_MAX (below 2^125), rows built by additions
+# and transposed. Column s is nondecreasing in v: a leaf unrank bisects it for
+# each member, the largest v below the last with C(v, s) <= the rank left.
 _LEAF = 64
-_PASCAL = tuple(tuple(math.comb(v, j) for j in range(65)) for v in range(65))
-
-
-def _split(n: int, k: int) -> tuple[int, int, int]:
-    """(h, n - h, m0): the halves of n candidates and the first block's count."""
-    h = n // 2
-    return h, n - h, min(max(k * h // n, k - (n - h), 0), k, h)
-
-
-def _blocks(h: int, g: int, k: int, m0: int, t: int):
-    """(a, T(a)) in the halving order, from T(m0) = t: the counts a of members
-    below h, with T(a) = C(h, a) * C(g, k - a) subsets each, g = n - h."""
-    lo, hi = max(0, k - g), min(k, h)
-    yield m0, t
-    up = down = m0
-    t_up = t_down = t
-    while up < hi or down > lo:
-        if up < hi:
-            t_up = t_up * ((h - up) * (k - up)) // ((up + 1) * (g - k + up + 1))
-            up += 1
-            yield up, t_up
-        if down > lo:
-            t_down = t_down * (down * (g - k + down)) // ((h - down + 1) * (k - down + 1))
-            down -= 1
-            yield down, t_down
+_PASCAL_MAX = 128
+_PASCAL = tuple(zip(*accumulate(
+    range(_PASCAL_MAX), lambda row, _: (1, *map(operator.add, row, row[1:])),
+    initial=(1,) + (0,) * _PASCAL_MAX)))
 
 
 def _binom_near(size: int, j: int, cache: dict[int, tuple[int, int]]) -> int:
@@ -364,12 +354,12 @@ def _binom_near(size: int, j: int, cache: dict[int, tuple[int, int]]) -> int:
     size, or from :func:`binom` when that is more than size / 32 steps away.
 
     A step is one multiply and one exact division by small ints. A fresh
-    binom of C(size, size / 5) cost about size / 25 steps at sizes
-    256..4096 and 55 to 75 steps at 8192..32768, where it is the
-    prime-power product (process time, 2-core VM).
+    binom of C(size, size / 5) cost 17 and 22 steps at sizes 256 and 512,
+    about size / 25 steps at 1024..4096 and 48 to 62 steps at 8192..32768,
+    where it is the prime-power product (process time, 2-core VM).
     """
-    if size < len(_PASCAL):
-        return _PASCAL[size][j]
+    if size <= _PASCAL_MAX:
+        return _PASCAL[j][size]
     last = cache.get(size)
     if last is None or abs(last[0] - j) > size >> 5:
         c = binom(size, j)
@@ -383,54 +373,95 @@ def _binom_near(size: int, j: int, cache: dict[int, tuple[int, int]]) -> int:
     return c
 
 
-def _rank_halves(n: int, members: list[int], i: int, j: int, base: int, cache) -> int:
-    """The halving rank of members[i:j] - base, a subset of {0..n-1}."""
-    k = j - i
-    if k == 0 or k == n:
-        return 0
-    if n <= _LEAF:
-        return sum(_PASCAL[members[i + s] - base][s + 1] for s in range(k))
-    h, g, m0 = _split(n, k)
-    mid = bisect_left(members, base + h, i, j)
-    a = mid - i
-    rank = _rank_halves(h, members, i, mid, base, cache)
-    if a != m0:
-        t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
-        for b, t in _blocks(h, g, k, m0, t):
-            if b == a:
-                break
-            rank += t
-    high = _rank_halves(g, members, mid, j, base + h, cache)
-    return rank + high * _binom_near(h, a, cache)
+def _rank_parts(members: list[int], parts, cache) -> list[int]:
+    """The halving rank of each part (n, i, j, base): members[i:j] - base, a
+    subset of {0..n-1}. Leaves rank in this frame, both halves in one call."""
+    ranks = []
+    for n, i, j, base in parts:
+        k = j - i
+        rank = 0
+        if n <= _LEAF:
+            for s, v in enumerate(members[i:j], 1):
+                rank += _PASCAL[s][v - base]
+        elif 0 < k < n:
+            h = n // 2
+            g = n - h
+            m0 = k * h // n  # in [max(0, k - g), min(k, h)]: the first block
+            mid = bisect_left(members, base + h, i, j)
+            a = mid - i
+            low, high = _rank_parts(members, ((h, i, mid, base), (g, mid, j, base + h)), cache)
+            if g <= _PASCAL_MAX:
+                t, c = _PASCAL[m0][h] * _PASCAL[k - m0][g], _PASCAL[a][h]
+            else:
+                t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
+                c = _binom_near(h, a, cache)
+            rank = low + high * c
+            if a != m0:  # add T(b) = C(h, b) * C(g, k - b) over the blocks before a
+                lo, hi = max(0, k - g), min(k, h)
+                rank += t
+                up = down = m0
+                t_up = t_down = t
+                while True:
+                    if up < hi:
+                        t_up = t_up * ((h - up) * (k - up)) // ((up + 1) * (g - k + up + 1))
+                        up += 1
+                        if up == a:
+                            break
+                        rank += t_up
+                    if down > lo:
+                        t_down = t_down * (down * (g - k + down)) // ((h - down + 1) * (k - down + 1))
+                        down -= 1
+                        if down == a:
+                            break
+                        rank += t_down
+        ranks.append(rank)
+    return ranks
 
 
-def _unrank_halves(n: int, k: int, rank: int, base: int, out: list[int], cache) -> None:
-    """Append the k-subset of {0..n-1} of halving rank `rank`, plus base, to out."""
-    if k == 0:
-        return
-    if k == n:
-        out.extend(range(base, base + n))
-        return
-    if n <= _LEAF:
-        found = []
-        v = n - 1
-        for s in range(k, 0, -1):
-            while _PASCAL[v][s] > rank:
-                v -= 1
-            rank -= _PASCAL[v][s]
-            found.append(base + v)
-            v -= 1
-        out.extend(reversed(found))
-        return
-    h, g, m0 = _split(n, k)
-    t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
-    for a, t in _blocks(h, g, k, m0, t):
-        if rank < t:
-            break
-        rank -= t
-    high, low = divmod(rank, _binom_near(h, a, cache))
-    _unrank_halves(h, a, low, base, out, cache)
-    _unrank_halves(g, k - a, high, base + h, out, cache)
+def _unrank_parts(parts, out: list[int], cache) -> None:
+    """For each part (n, k, rank, base), append the k-subset of {0..n-1} of
+    halving rank `rank`, plus base, to out. Leaves unrank in this frame."""
+    for n, k, rank, base in parts:
+        if k == n:
+            out.extend(range(base, base + n))
+        elif n <= _LEAF:
+            found = []
+            v = n
+            for column in _PASCAL[k:0:-1]:
+                v = bisect_right(column, rank, 0, v) - 1
+                rank -= column[v]
+                found.append(base + v)
+            out.extend(reversed(found))
+        elif k:
+            h = n // 2
+            g = n - h
+            a = m0 = k * h // n
+            if g <= _PASCAL_MAX:
+                t = _PASCAL[m0][h] * _PASCAL[k - m0][g]
+            else:
+                t = _binom_near(h, m0, cache) * _binom_near(g, k - m0, cache)
+            if rank >= t:  # walk on: rank < C(n, k), the sum of every T(b), so a block holds it
+                lo, hi = max(0, k - g), min(k, h)
+                rank -= t
+                up = down = m0
+                t_up = t_down = t
+                while True:
+                    if up < hi:
+                        t_up = t_up * ((h - up) * (k - up)) // ((up + 1) * (g - k + up + 1))
+                        up += 1
+                        if rank < t_up:
+                            a = up
+                            break
+                        rank -= t_up
+                    if down > lo:
+                        t_down = t_down * (down * (g - k + down)) // ((h - down + 1) * (k - down + 1))
+                        down -= 1
+                        if rank < t_down:
+                            a = down
+                            break
+                        rank -= t_down
+            high, low = divmod(rank, _PASCAL[a][h] if g <= _PASCAL_MAX else _binom_near(h, a, cache))
+            _unrank_parts(((h, a, low, base), (g, k - a, high, base + h)), out, cache)
 
 
 # --------------------------------------------------------------------------
@@ -440,8 +471,7 @@ def _unrank_halves(n: int, k: int, rank: int, base: int, out: list[int], cache) 
 # steps only. The walk/chunk crossover moves with k / n, from below 4090
 # bits at k = n/2 to between 2355 and 7074 at k = n/1310
 # (BENCH_22_colex_lowest_terms.json), and no benchmark cell has sparse
-# subsets to set it below 5000 on. binom builds a C(n, k) of
-# fewer bits with math.comb.
+# subsets to set it below 5000 on.
 _UNRANK_CHUNK_MIN_BITS = 5000
 # A chunk ends once the denominator of its exact ratio passes this many bits.
 _CHUNK_BITS = 2048

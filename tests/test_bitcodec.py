@@ -120,19 +120,39 @@ def _binom_grid():
     rng = random.Random(25)
     for e in range(7, 19):
         n = rng.randrange((1 << e - 1) + 1, (1 << e) + 1)
-        for k in (0, 1, n // 5, n // 2, n - 1, n):
+        for k in (0, 1, n // 20, n // 5, n // 2, n - 1, n):
             yield n, k
 
 
-def test_binom_matches_math_comb():
-    # both paths against math.comb on the whole grid, whichever binom takes
-    paths = set()
+def test_binom_matches_math_comb(monkeypatch):
+    # both paths against math.comb on the whole grid; binom takes prime
+    # powers from its bound on, unless k is sparse, and the grid reaches
+    # both sides of the bound at k = n/20, n/5 and n/2
+    prime_power_binom = bitcodec._prime_power_binom
+    took = []
+
+    def counting(n, k):
+        took.append((n, k))
+        return prime_power_binom(n, k)
+
+    monkeypatch.setattr(bitcodec, "_prime_power_binom", counting)
+    sides = {20: set(), 5: set(), 2: set()}
     for n, k in _binom_grid():
         want = math.comb(n, k)
-        assert binom(n, k) == bitcodec._prime_power_binom(n, k) == want, (n, k)
-        paths.add(bitcodec._log2_binom(n, k) >= bitcodec._UNRANK_CHUNK_MIN_BITS)
+        took.clear()
+        assert binom(n, k) == prime_power_binom(n, k) == want, (n, k)
+        lg = bitcodec._log2_binom(n, k)
+        past = lg >= bitcodec._BINOM_PRIME_MIN_BITS
+        assert took == ([(n, k)] if past and lg * n.bit_length() >= n else []), (n, k)
+        for d in sides:
+            if n >= 64 and k == n // d:
+                sides[d].add(past)
         assert rank_width(n, k) == (want - 1).bit_length(), (n, k)
-    assert paths == {False, True}
+    assert sides == {20: {False, True}, 5: {False, True}, 2: {False, True}}
+    # C(4096, 2048), 4090 bits, which prime powers build about 8x faster
+    took.clear()
+    binom(4096, 2048)
+    assert took == [(4096, 2048)]
     assert binom(np.int64(16384), np.int64(3276)) == math.comb(16384, 3276)
     assert binom(10, 12) == 0
     with pytest.raises(DomainError):
@@ -252,9 +272,11 @@ def test_halving_order_is_a_bijection_with_small_leaves(monkeypatch, leaf):
 
 
 def _halving_cases():
-    """(n, members) with 65 <= n <= 2^14: uniform at several densities, and
+    """(n, members) with 64 <= n <= 2^14: uniform at several densities, and
     skewed, so that blocks far from m0 and binomials far from the last of
-    their size are reached."""
+    their size are reached. Then n next to the leaves ranked inside their
+    parent's call (64), the 129-row Pascal table (128) and the largest node
+    that reads every binomial from it (256), and n whose odd halves stay odd."""
     rng = random.Random(37)
     for _ in range(12):
         n = rng.randrange(65, (1 << rng.randrange(7, 15)) + 1)
@@ -264,6 +286,14 @@ def _halving_cases():
         k = n // 5
         yield n, tuple(sorted(rng.sample(range(n // 4), k // 2) + rng.sample(range(n // 2, n), k // 2)))
         yield n, tuple(range(n - k, n))
+    for n in (64, 65, 128, 129, 130, 256, 257, 258, 511, 513, 1023, 1025, 1365, 2049):
+        for k in (0, 1, n // 5, n // 2, n - 1, n):
+            yield n, tuple(sorted(rng.sample(range(n), k)))
+        k = n // 5
+        yield n, tuple(range(k))
+        yield n, tuple(range(n - k, n))
+        yield n, tuple(range(0, 5 * k, 5))
+        yield n, tuple(sorted(rng.sample(range(n // 3), k // 2) + rng.sample(range(n - n // 8, n), k // 2)))
 
 
 def test_halving_rank_and_unrank_match_the_reference():
@@ -275,6 +305,34 @@ def test_halving_rank_and_unrank_match_the_reference():
         total = math.comb(n, k)
         for r in {0, total - 1, total // 3}:
             assert subset_unrank(n, k, r) == _halving_unrank(n, k, r), (n, k, r)
+
+
+def test_nodes_of_at_most_256_candidates_read_binomials_from_the_table(monkeypatch):
+    # below the unrank's C(n, k), n = 256 reads every binomial from the
+    # Pascal table; at n = 257 the root steps or builds those of its halves,
+    # 128 and 129 candidates, and binom builds none of at most 128 anywhere
+    near, built = [], []
+    binom_near, fresh = bitcodec._binom_near, bitcodec.binom
+
+    def counting_near(size, j, cache):
+        near.append(size)
+        return binom_near(size, j, cache)
+
+    def counting_binom(n, k):
+        built.append(n)
+        return fresh(n, k)
+
+    monkeypatch.setattr(bitcodec, "_binom_near", counting_near)
+    monkeypatch.setattr(bitcodec, "binom", counting_binom)
+    rng = random.Random(256)
+    for n in (256, 257):
+        for k in (n // 5, n // 2):
+            members = tuple(sorted(rng.sample(range(n), k)))
+            near.clear()
+            built.clear()
+            assert subset_unrank(n, k, subset_rank(n, members)) == members
+            assert all(size > 128 for size in built), (n, built)
+            assert set(near) == (set() if n == 256 else {128, 129}), (n, near)
 
 
 def test_halving_order_is_colex_up_to_64_candidates():
